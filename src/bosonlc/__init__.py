@@ -22,7 +22,7 @@ from .fock import (CapacityError, FockBasis, Interaction, ModelSpec,
                    check_number_conservation, ladder_op, total_number_op)
 from .lattice import (Graph, build_cubic, build_path, build_regular_tree,
                       count_covering_edges, distance, fatten, hop_ball)
-from .opspace import (MonomialOp, MuWeights, OperatorMatrix,
+from .opspace import (BlockOp, MonomialOp, MuWeights, OperatorMatrix,
                       commutator_weighted_norm, check_thermal_relation,
                       f_beta_expectation, monomial_commutator_bound,
                       project_nonidentity, project_strictly_inside, weighted_inner)

@@ -25,7 +25,7 @@ from . import bounds as bounds_mod
 from . import certify as certify_mod
 from . import cluster as cluster_mod
 from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
-from .dynamics import lightcone_scan
+from .dynamics import lightcone_scan, probe_sites
 from .fock import CapacityError, FockBasis
 from .opspace import MonomialOp
 
@@ -106,6 +106,17 @@ def _run_scan(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
     op = _monomial_from_spec(exp.get("evolve", {"zeta": {0: 1}}), "experiment.evolve")
     probe = _monomial_from_spec(exp.get("probe", {"eta": {0: 1}}), "experiment.probe")
     r_values = [int(r) for r in exp.get("r_values", [2, 3, 4])]
+    if not cfg.model.is_time_independent:
+        raise ConfigError("model", "scan needs a time-independent model")
+    if not all(0 <= x < cfg.model.graph.num_vertices for x in op.support):
+        raise ConfigError("experiment.evolve", "site outside the graph")
+    if len(probe.support) != 1:
+        raise ConfigError("experiment.probe", "probe must be a single-site monomial")
+    reachable = probe_sites(cfg.model.graph, op.support)
+    for r in r_values:
+        if r not in reachable:
+            raise ConfigError("experiment.r_values",
+                              f"no vertex at distance {r} from the evolved operator")
     basis = FockBasis(cfg.model.graph.num_vertices, per_site_cap=cfg.per_site_cap,
                       total_cap=cfg.total_cap)
     cells = None
@@ -117,7 +128,8 @@ def _run_scan(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
             cells.extend((r, float(t_extra)) for r in r_values)
     t_values = [float(t) for t in exp.get("t_values", [0.0])]
     result = lightcone_scan(cfg.model, op, probe, cfg.mu, r_values, t_values,
-                            cells=cells, basis=basis, workers=cfg.threads)
+                            cells=cells, basis=basis, workers=cfg.threads,
+                            eps=cfg.constants["epsilon"], c1=cfg.constants["C1"])
     provenance = {
         "r": "config:experiment.r_values", "t": "config:experiment grid",
         "exact": "measured:weighted commutator norm on the truncated basis",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -125,6 +126,12 @@ class FockBasis:
         occ = self.states[rows].copy()
         occ[:, site] = to
         return self.lookup_rows(occ)
+
+    @cached_property
+    def sectors(self) -> list[np.ndarray]:
+        """Rows of each total-occupation sector N = 0..max, in basis order."""
+        order = np.argsort(self.totals, kind="stable")
+        return np.split(order, np.cumsum(np.bincount(self.totals))[:-1])
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"FockBasis(sites={self.num_sites}, cap={self.per_site_cap}, "

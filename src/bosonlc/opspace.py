@@ -12,6 +12,11 @@ renormalized to unit length, so the sitewise projectors below are exactly
 idempotent and self-adjoint; they converge to the uncapped ones with the
 documented geometric tail.
 
+Every Hamiltonian of the model class conserves the total boson number, so
+evolved operators are stored as a :class:`BlockOp`: dense blocks between
+total-number sectors.  All states of a sector share one weight, so the
+weighted norm and the growth functionals run block by block.
+
 Sitewise projector machinery requires a basis without a total cap (product
 structure across sites); inner products work on any basis.
 """
@@ -36,8 +41,8 @@ class MuWeights:
         self.mu = float(mu)
         self.basis = basis
         self.q = math.exp(-mu)
-        prefactor = (1.0 - self.q) ** basis.num_sites
-        self.w = prefactor * self.q ** basis.totals.astype(np.float64)
+        self.prefactor = (1.0 - self.q) ** basis.num_sites
+        self.w = self.prefactor * self.q ** basis.totals.astype(np.float64)
         self.sqrt_w = np.sqrt(self.w)
         # per-site partition of a capped site; 1 - q^(cap+1)
         self.site_partition = 1.0 - self.q ** (basis.per_site_cap + 1)
@@ -54,6 +59,10 @@ class MuWeights:
     def tail_estimate(self) -> float:
         """Documented heuristic for weight lost to the caps: L (1-q) q^cap."""
         return self.basis.num_sites * (1.0 - self.q) * self.q ** self.basis.per_site_cap
+
+    def pair_weight(self, n_row: int, n_col: int) -> float:
+        """sqrt(w_m w_n), shared by every state pair of sectors (n_row, n_col)."""
+        return self.prefactor * self.q ** ((n_row + n_col) / 2.0)
 
     def require_product_basis(self):
         if self.basis.total_cap is not None:
@@ -92,6 +101,87 @@ class OperatorMatrix:
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return OperatorMatrix(self.mat @ other.mat, self.basis, None)
+
+
+def real_if_exact(a: np.ndarray) -> np.ndarray:
+    """``a`` as a real array when its imaginary part is exactly zero."""
+    if np.iscomplexobj(a) and not np.any(a.imag):
+        return np.ascontiguousarray(a.real)
+    return a
+
+
+def sector_blocks(mat: sp.spmatrix, basis: FockBasis) -> dict[tuple[int, int], sp.csr_matrix]:
+    """Split a matrix into sparse blocks between total-number sectors.
+
+    Keys are (n_row, n_col); block rows and columns follow ``basis.sectors``.
+    Only sector pairs holding a stored entry appear.
+    """
+    coo = sp.coo_matrix(mat)
+    sectors = basis.sectors
+    local = np.empty(basis.dim, dtype=np.int64)
+    for ix in sectors:
+        local[ix] = np.arange(ix.size)
+    span = len(sectors)
+    keys = basis.totals[coo.row] * span + basis.totals[coo.col]
+    order = np.argsort(keys, kind="stable")
+    uniq, starts = np.unique(keys[order], return_index=True)
+    out = {}
+    for key, sel in zip(uniq, np.split(order, starts[1:])):
+        n_row, n_col = divmod(int(key), span)
+        out[(n_row, n_col)] = sp.csr_matrix(
+            (coo.data[sel], (local[coo.row[sel]], local[coo.col[sel]])),
+            shape=(sectors[n_row].size, sectors[n_col].size))
+    return out
+
+
+class BlockOp:
+    """An operator stored as dense blocks between total-number sectors.
+
+    ``blocks[(n_row, n_col)]`` holds the entries between the rows of sector
+    n_row and the columns of sector n_col (``basis.sectors``); absent pairs
+    are zero.  A block is real when its imaginary part is exactly zero.
+    ``mat`` assembles the global sparse matrix on first access and caches it.
+    Support metadata is not tracked, as for any derived OperatorMatrix.
+    """
+
+    support = None
+
+    def __init__(self, basis: FockBasis, blocks: dict[tuple[int, int], np.ndarray]):
+        self.basis = basis
+        self.blocks = blocks
+        self._mat: sp.csr_matrix | None = None
+
+    @classmethod
+    def from_matrix(cls, op: "OperatorMatrix | BlockOp") -> "BlockOp":
+        """Dense sector blocks of an OperatorMatrix; a BlockOp passes through."""
+        if isinstance(op, BlockOp):
+            return op
+        return cls(op.basis, {pair: real_if_exact(block.toarray()) for pair, block
+                              in sector_blocks(op.mat, op.basis).items()})
+
+    @property
+    def mat(self) -> sp.csr_matrix:
+        if self._mat is None:
+            sectors = self.basis.sectors
+            rows, cols, data = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+            for (n_row, n_col), block in self.blocks.items():
+                ix_r, ix_c = sectors[n_row], sectors[n_col]
+                rows.append(np.repeat(ix_r, ix_c.size))
+                cols.append(np.tile(ix_c, ix_r.size))
+                data.append(block.ravel())
+            self._mat = sp.coo_matrix(
+                (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                shape=(self.basis.dim, self.basis.dim), dtype=np.complex128).tocsr()
+        return self._mat
+
+    def __sub__(self, other) -> "OperatorMatrix":
+        return OperatorMatrix(self.mat - other.mat, self.basis, None)
+
+
+def _sq_sum(block: np.ndarray) -> float:
+    """Sum of |entries|^2 of a dense block (C or Fortran order)."""
+    flat = block.ravel(order="K")
+    return float(np.vdot(flat, flat).real)
 
 
 @dataclass(frozen=True)
@@ -155,7 +245,11 @@ def weighted_inner(a: OperatorMatrix, b: OperatorMatrix, w: MuWeights) -> comple
     return complex(np.sum(prod.data * w.sqrt_w[prod.row] * w.sqrt_w[prod.col]))
 
 
-def weighted_norm_sq(a: OperatorMatrix, w: MuWeights) -> float:
+def weighted_norm_sq(a: OperatorMatrix | BlockOp, w: MuWeights) -> float:
+    """(A|A); block by block for a BlockOp, over stored entries otherwise."""
+    if isinstance(a, BlockOp):
+        return float(sum(w.pair_weight(n_row, n_col) * _sq_sum(block)
+                         for (n_row, n_col), block in a.blocks.items()))
     coo = sp.coo_matrix(a.mat)
     if coo.nnz == 0:
         return 0.0
@@ -286,12 +380,7 @@ def project_strictly_inside(a: OperatorMatrix, x: int, w: MuWeights,
 # growth functionals
 
 
-def _entry_arrays(a: OperatorMatrix):
-    coo = sp.coo_matrix(a.mat)
-    return coo.row, coo.col, coo.data
-
-
-def f_beta_expectation(a: OperatorMatrix, site: int, beta: int, w: MuWeights,
+def f_beta_expectation(a: OperatorMatrix | BlockOp, site: int, beta: int, w: MuWeights,
                        projected: bool = True) -> float:
     """Quadratic form weighting site occupancies, (A| F_site^beta |A).
 
@@ -299,37 +388,57 @@ def f_beta_expectation(a: OperatorMatrix, site: int, beta: int, w: MuWeights,
     ``projected`` the sitewise identity component is removed first (the
     functional used in the growth bounds); without it the raw form is
     returned (the seed values entering the envelope initial conditions).
+
+    Runs block by block over sector pairs, each with one weight; an
+    OperatorMatrix is split into dense blocks first.  The raw term contracts
+    the occupancy-resolved block sums R^T |D|^2 C (R, C one-hot in the site
+    occupancy of the row and column states) with the (max(k, k') + beta)^beta
+    table.  The identity component averages, over k, the sub-blocks whose
+    rows and columns hold k bosons at the site; such a sub-block of sector
+    pair (n_r, n_c) maps row for row onto the site-empty states of
+    (n_r - k, n_c - k), so the average lives on those site-empty pairs.
     """
     if beta < 1:
         raise ValueError("beta must be a positive integer")
-    basis = a.basis
-    rows, cols, vals = _entry_arrays(a)
-    if rows.size == 0:
-        return 0.0
-    occ_r = basis.states[rows, site].astype(np.float64)
-    occ_c = basis.states[cols, site].astype(np.float64)
-    weight = (np.maximum(occ_r, occ_c) + beta) ** beta
-    sww = w.sqrt_w[rows] * w.sqrt_w[cols]
-    raw = float(np.sum(np.abs(vals) ** 2 * sww * weight))
+    if projected:
+        w.require_product_basis()
+    op = BlockOp.from_matrix(a)
+    basis, q = op.basis, w.q
+    levels = np.arange(basis.per_site_cap + 1)
+    f = (levels + float(beta)) ** beta
+    table = np.maximum.outer(f, f)
+    occ = [basis.states[ix, site] for ix in basis.sectors]
+    one_hot = [(o[:, None] == levels).astype(np.float64) for o in occ]
+    at_level = [[np.flatnonzero(o == k) for k in levels] for o in occ]
+    geom = (1.0 - q) / w.site_partition * q ** levels
+    raw = 0.0
+    avg: dict[tuple[int, int], np.ndarray] = {}      # identity component
+    f_sum: dict[tuple[int, int], np.ndarray] = {}    # sum_k q^k f_k sub-block
+    for (n_row, n_col), block in op.blocks.items():
+        sq = block.real ** 2 + block.imag ** 2 if np.iscomplexobj(block) else block ** 2
+        counts = one_hot[n_row].T @ sq @ one_hot[n_col]
+        raw += w.pair_weight(n_row, n_col) * float(np.sum(counts * table))
+        if not projected:
+            continue
+        for k in range(min(n_row, n_col, basis.per_site_cap) + 1):
+            rows, cols = at_level[n_row][k], at_level[n_col][k]
+            if rows.size == 0 or cols.size == 0:
+                continue
+            sub = block[np.ix_(rows, cols)]
+            key = (n_row - k, n_col - k)
+            avg[key] = avg.get(key, 0.0) + geom[k] * sub
+            f_sum[key] = f_sum.get(key, 0.0) + q ** k * f[k] * sub
     if not projected:
         return raw
-
-    w.require_product_basis()
-    urow, ucol, t_vals, (srows, scols, svals, sks, inv) = _site_average(a, site, w)
-    if urow.size == 0:
-        return raw
-    # cross term: entries of A with equal site occupancy against the average
-    sww_sel = w.sqrt_w[srows] * w.sqrt_w[scols]
-    f_sel = (sks.astype(np.float64) + beta) ** beta
-    cross = np.sum(np.conj(svals) * t_vals[inv] * sww_sel * f_sel)
-    # averaged part against itself: site sum is geometric with F weights
-    cap = basis.per_site_cap
-    js = np.arange(cap + 1, dtype=np.float64)
-    s_f = float(np.sum((1.0 - w.q) * w.q ** js * (js + beta) ** beta))
-    strip_sww = w.sqrt_w[urow] * w.sqrt_w[ucol] / (1.0 - w.q)  # site factor at occupancy 0 removed
-    avg_sq = float(np.sum(np.abs(t_vals) ** 2 * strip_sww) * s_f)
-    value = raw - 2.0 * float(np.real(cross)) + avg_sq
-    return max(value, 0.0)
+    # cross term (A|F|avg) and (avg|F|avg); the site sum of the latter is
+    # geometric with the F weights
+    s_f = float(np.sum(q ** levels * f))
+    cross = avg_sq = 0.0
+    for key, t_block in avg.items():
+        weight = w.pair_weight(*key)
+        cross += weight * float(np.vdot(f_sum[key].ravel(), t_block.ravel()).real)
+        avg_sq += weight * s_f * _sq_sum(t_block)
+    return max(raw - 2.0 * cross + avg_sq, 0.0)
 
 
 def identity_f_beta(mu: float, beta: int, cap: int | None = None) -> float:

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -171,6 +172,39 @@ def test_exit_code_gapless(config_file):
         "model.interactions": [],
     })
     assert main(["cluster", str(path)]) == 4
+
+
+@pytest.mark.parametrize("tweaks", [
+    {"model.graph.length": 6, "experiment.r_values": [9]},
+    {"experiment.evolve": {"zeta": {7: 1}}},
+    {"experiment.probe": {"eta": {0: 1, 1: 1}}},
+    {"model.hopping": {"segments": [{"until": 0.5, "value": 1.0}, {"value": 0.5}]}},
+], ids=["r_beyond_graph", "evolve_site_outside", "two_site_probe", "time_dependent"])
+def test_scan_invalid_request_is_config_error(config_file, capsys, tweaks):
+    assert main(["scan", str(config_file(**tweaks))]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_scan_constants_move_only_matrix_element_bound(config_file, tmp_path):
+    # The worst-case cone is so wide that only tiny times give finite bounds.
+    # There the ensemble bound is far below the cap-2 truncation tail, so the
+    # scan flags violations (exit 4) after writing its outputs.
+    path = config_file(**{"experiment.t_values": [1e-9, 1e-8]})
+    data = yaml.safe_load(path.read_text())
+    del data["experiment"]["cone_fractions"], data["experiment"]["extra_times"]
+    path.write_text(yaml.safe_dump(data))
+    cells = {}
+    for setting in ("constants.epsilon=0.1", "constants.epsilon=0.3", "constants.C1=2.0"):
+        out = tmp_path / setting
+        assert main(["scan", str(path), "--out", str(out), "--set", setting]) == 4
+        cells[setting] = json.loads((out / "scan.json").read_text())["cells"]
+    base = cells.pop("constants.epsilon=0.1")
+    for other in cells.values():
+        for cell, moved in zip(base, other):
+            assert {k: v for k, v in cell.items() if k != "bound_matrix_element"} == \
+                {k: v for k, v in moved.items() if k != "bound_matrix_element"}
+            assert math.isfinite(cell["bound_matrix_element"])
+            assert moved["bound_matrix_element"] != cell["bound_matrix_element"]
 
 
 # -- determinism -------------------------------------------------------------------------

@@ -11,11 +11,11 @@ from bosonlc.dynamics import (EvolutionConfig, EvolutionError,
                               evolve_state, ground_state, lightcone_scan, otoc,
                               single_particle_propagator)
 from bosonlc.fock import (FockBasis, ModelSpec, PiecewiseConstant, bose_hubbard,
-                          build_hamiltonian, total_number_op)
+                          build_hamiltonian, random_model_spec, total_number_op)
 from bosonlc.lattice import build_path
-from bosonlc.opspace import (MonomialOp, MuWeights, OperatorMatrix,
-                             commutator_weighted_norm, weighted_inner,
-                             weighted_norm_sq)
+from bosonlc.opspace import (BlockOp, MonomialOp, MuWeights, OperatorMatrix,
+                             _site_average, commutator_weighted_norm,
+                             f_beta_expectation, weighted_inner, weighted_norm_sq)
 from conftest import random_operator
 
 
@@ -214,6 +214,106 @@ def test_scan_engine_matches_general_path():
     direct = commutator_weighted_norm(a_t2, OperatorMatrix(probe.mat, basis), w)
     fast = engine.commutator_norm(t, probe.mat, w)
     assert fast == pytest.approx(direct, rel=1e-10, abs=1e-18)
+
+
+def test_evolved_operator_matches_heisenberg_matrix():
+    model = bose_hubbard(build_path(5), 1.0, 1.0)
+    basis = FockBasis(5, 2)
+    w = MuWeights(1.0, basis)
+    op = MonomialOp.from_dicts(zeta={0: 1})
+    engine = HeisenbergScanEngine(model, basis, op)
+    general = SectorEvolution(model, basis)
+    for t in (0.0, 0.3, 1.7):
+        a_t = engine.evolved_operator(t)
+        assert isinstance(a_t, BlockOp)
+        assert sorted(a_t.blocks) == [(n - 1, n) for n in range(1, 11)]
+        ref = general.heisenberg(op.to_matrix(basis), t).mat
+        assert weighted_norm_sq(OperatorMatrix(a_t.mat - ref, basis), w) < 1e-18
+        assert weighted_norm_sq(a_t, w) == pytest.approx(
+            weighted_norm_sq(OperatorMatrix(ref, basis), w), rel=1e-12)
+
+
+def _complex_eig_evolved_blocks(model, basis, op, t):
+    """O(t) blocks from complex Hermitian eigensolves, independent of the engine."""
+    h = build_hamiltonian(model, basis).toarray().astype(np.complex128)
+    eigs = {}
+    for n, ix in enumerate(basis.sectors):
+        eigs[n] = np.linalg.eigh(h[np.ix_(ix, ix)])
+    out = {}
+    for (n_row, n_col), dense in BlockOp.from_matrix(op.to_matrix(basis)).blocks.items():
+        (e_r, v_r), (e_c, v_c) = eigs[n_row], eigs[n_col]
+        tilde = v_r.conj().T @ dense @ v_c
+        phased = np.exp(1j * e_r * t)[:, None] * tilde * np.exp(-1j * e_c * t)[None, :]
+        out[(n_row, n_col)] = v_r @ phased @ v_c.conj().T
+    return out
+
+
+def test_real_model_takes_real_eigh():
+    model = bose_hubbard(build_path(4), 1.0, 1.3)
+    basis = FockBasis(4, 3)
+    op = MonomialOp.from_dicts(zeta={1: 1})
+    engine = HeisenbergScanEngine(model, basis, op)
+    for n in range(len(basis.sectors)):
+        evals, evecs = engine.evolution.eig(0.0, n)
+        assert evecs.dtype == np.float64
+    t = 0.8
+    got = engine.evolved_blocks(t)
+    want = _complex_eig_evolved_blocks(model, basis, op, t)
+    assert got.keys() == want.keys()
+    for pair, block in want.items():
+        assert np.linalg.norm(got[pair] - block) <= 1e-12 * np.linalg.norm(block)
+
+
+def test_complex_model_keeps_complex_eigenvectors():
+    rng = np.random.default_rng(5)
+    model = random_model_spec(rng, graph=build_path(4))
+    basis = FockBasis(4, 2)
+    engine = SectorEvolution(model, basis)
+    h = build_hamiltonian(model, basis, 0.1)
+    for n in range(1, len(basis.sectors) - 1):
+        ix = basis.sectors[n]
+        evals, evecs = engine.eig(0.1, n)
+        assert np.iscomplexobj(evecs)
+        block = h[ix][:, ix].toarray()
+        assert np.max(np.abs(block @ evecs - evecs * evals)) < 1e-12
+
+
+def _sparse_f_beta(a, site, beta, w, projected):
+    """The entry-list form of the growth functional (reference)."""
+    basis = a.basis
+    coo = a.mat.tocoo()
+    rows, cols, vals = coo.row, coo.col, coo.data
+    occ_r = basis.states[rows, site].astype(np.float64)
+    occ_c = basis.states[cols, site].astype(np.float64)
+    weight = (np.maximum(occ_r, occ_c) + beta) ** beta
+    raw = float(np.sum(np.abs(vals) ** 2 * w.sqrt_w[rows] * w.sqrt_w[cols] * weight))
+    if not projected:
+        return raw
+    urow, ucol, t_vals, (srows, scols, svals, sks, inv) = _site_average(a, site, w)
+    if urow.size == 0:
+        return raw
+    sww_sel = w.sqrt_w[srows] * w.sqrt_w[scols]
+    f_sel = (sks.astype(np.float64) + beta) ** beta
+    cross = np.sum(np.conj(svals) * t_vals[inv] * sww_sel * f_sel)
+    js = np.arange(basis.per_site_cap + 1, dtype=np.float64)
+    s_f = float(np.sum((1.0 - w.q) * w.q ** js * (js + beta) ** beta))
+    strip_sww = w.sqrt_w[urow] * w.sqrt_w[ucol] / (1.0 - w.q)
+    avg_sq = float(np.sum(np.abs(t_vals) ** 2 * strip_sww) * s_f)
+    return max(raw - 2.0 * float(np.real(cross)) + avg_sq, 0.0)
+
+
+def test_blockwise_f_beta_matches_sparse_formula():
+    model = bose_hubbard(build_path(5), 1.0, 1.0)
+    basis = FockBasis(5, 3)
+    w = MuWeights(1.0, basis)
+    engine = HeisenbergScanEngine(model, basis, MonomialOp.from_dicts(zeta={0: 1}))
+    for t in (0.0, 0.02, 0.9):
+        a_t = engine.evolved_operator(t)
+        for site in range(5):
+            for projected in (False, True):
+                got = f_beta_expectation(a_t, site, 1, w, projected=projected)
+                want = _sparse_f_beta(a_t, site, 1, w, projected)
+                assert abs(got - want) <= 1e-13
 
 
 # -- scans -----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from bosonlc.fock import FockBasis, build_hamiltonian, bose_hubbard, random_model_spec
 from bosonlc.lattice import build_path
-from bosonlc.opspace import (MonomialOp, MuWeights, OperatorMatrix,
+from bosonlc.opspace import (BlockOp, MonomialOp, MuWeights, OperatorMatrix,
                              apply_liouvillian, check_thermal_relation,
                              commutator_weighted_norm,
                              f_beta_expectation, identity_f_beta,
@@ -214,42 +214,84 @@ def test_b_f_beta_series_oracle():
     assert f_beta_expectation(b, 0, 1, w, projected=True) == pytest.approx(val, rel=1e-12)
 
 
-def test_f_beta_projected_dense_oracle(rng):
-    """Bucketized projected functional vs a from-scratch dense computation."""
-    basis = FockBasis(2, 4)
-    mu, cap = 0.9, 4
-    w = MuWeights(mu, basis)
-    q, z = w.q, 1 - math.exp(-mu) ** (cap + 1)
+def dense_oracle(basis, w, mat, site, beta, projected=True):
+    """(A|F_site^beta|A) from a dense matrix, entry by entry."""
+    cap, q = basis.per_site_cap, w.q
+    z = 1 - q ** (cap + 1)
     states = basis.states
+    dim = basis.dim
+    avg = np.zeros_like(mat)
+    for m in range(dim):
+        for n in range(dim):
+            if not projected or states[m, site] != states[n, site]:
+                continue
+            acc = 0.0 + 0.0j
+            for k in range(cap + 1):
+                mm = list(states[m]); mm[site] = k
+                nn = list(states[n]); nn[site] = k
+                acc += (1 - q) * q ** k * mat[basis.index(mm), basis.index(nn)]
+            avg[m, n] = acc / z
+    pa = mat - avg
+    total = 0.0
+    for m in range(dim):
+        for n in range(dim):
+            fmax = (max(states[m, site], states[n, site]) + beta) ** beta
+            total += abs(pa[m, n]) ** 2 * w.sqrt_w[m] * w.sqrt_w[n] * fmax
+    return total
 
-    def dense_oracle(mat, site, beta):
-        dim = basis.dim
-        avg = np.zeros_like(mat)
-        for m in range(dim):
-            for n in range(dim):
-                if states[m, site] != states[n, site]:
-                    continue
-                acc = 0.0 + 0.0j
-                for k in range(cap + 1):
-                    mm = list(states[m]); mm[site] = k
-                    nn = list(states[n]); nn[site] = k
-                    acc += (1 - q) * q ** k * mat[basis.index(mm), basis.index(nn)]
-                avg[m, n] = acc / z
-        pa = mat - avg
-        total = 0.0
-        for m in range(dim):
-            for n in range(dim):
-                fmax = (max(states[m, site], states[n, site]) + beta) ** beta
-                total += abs(pa[m, n]) ** 2 * w.sqrt_w[m] * w.sqrt_w[n] * fmax
-        return total
 
+def test_f_beta_projected_dense_oracle(rng):
+    """Block-wise projected functional vs a from-scratch dense computation."""
+    basis = FockBasis(2, 4)
+    w = MuWeights(0.9, basis)
     for _ in range(3):
         mat = rng.normal(size=(basis.dim,) * 2) + 1j * rng.normal(size=(basis.dim,) * 2)
         for site in (0, 1):
             for beta in (1, 2):
                 fast = f_beta_expectation(OperatorMatrix(mat, basis), site, beta, w,
                                           projected=True)
-                assert fast == pytest.approx(dense_oracle(mat, site, beta), rel=1e-10)
+                assert fast == pytest.approx(dense_oracle(basis, w, mat, site, beta),
+                                             rel=1e-10)
+
+
+def test_f_beta_blockwise_raw_and_conserving_dense_oracle(rng):
+    """Raw and projected functionals, number-conserving or not, as an
+    OperatorMatrix or a BlockOp, against the dense oracle."""
+    basis = FockBasis(3, 2)
+    w = MuWeights(0.7, basis)
+    same_sector = basis.totals[:, None] == basis.totals[None, :]
+    for conserving in (True, False):
+        mat = rng.normal(size=(basis.dim,) * 2) + 1j * rng.normal(size=(basis.dim,) * 2)
+        if conserving:
+            mat[~same_sector] = 0
+        a = OperatorMatrix(mat, basis)
+        blocks = BlockOp.from_matrix(a)
+        if conserving:
+            assert all(nr == nc for nr, nc in blocks.blocks)
+        for site in (0, 2):
+            for projected in (False, True):
+                want = dense_oracle(basis, w, mat, site, 2, projected=projected)
+                for op in (a, blocks):
+                    got = f_beta_expectation(op, site, 2, w, projected=projected)
+                    assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_block_op_real_blocks_and_assembly(rng):
+    basis = FockBasis(3, 2)
+    w = MuWeights(1.0, basis)
+    b = MonomialOp.from_dicts(zeta={1: 1}).to_matrix(basis)
+    blocks = BlockOp.from_matrix(b)
+    assert sorted(blocks.blocks) == [(n - 1, n) for n in range(1, 7)]
+    assert all(block.dtype == np.float64 for block in blocks.blocks.values())
+    assert blocks.mat is blocks.mat  # assembled once, then cached
+    assert abs(blocks.mat - b.mat).max() == 0
+    assert weighted_norm_sq(blocks, w) == pytest.approx(weighted_norm_sq(b, w), rel=1e-14)
+    assert abs(project_nonidentity(blocks, [1], w).mat
+               - project_nonidentity(b, [1], w).mat).max() == 0
+    a = random_operator(rng, basis)
+    assert weighted_norm_sq(BlockOp.from_matrix(a) - a, w) == 0
+    assert weighted_norm_sq(BlockOp.from_matrix(a), w) == pytest.approx(
+        weighted_norm_sq(a, w), rel=1e-13)
 
 
 def test_f_beta_projected_leq_plus_identity_part(rng):

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import EvolutionConfig, evolve_state
-from .fock import (CapacityError, FockBasis, ModelSpec, build_hamiltonian,
-                   count_states)
+from .fock import CapacityError, FockBasis, ModelSpec, count_states
 from .lattice import build_path
 from .opspace import MonomialOp
 
@@ -279,42 +278,33 @@ def certified_expectation(model: ModelSpec, occupations, observable: MonomialOp,
     if r_used < 1:
         raise ValueError("refusing to certify a window of radius < 1")
 
-    formula_cap: int | None = None
-    if r_used >= 1:
-        formula_cap = boson_cutoff(max(r_used, 1), ell, assumption.mu, assumption.theta)
-    n0_used = total_cap if total_cap is not None else formula_cap
+    def window(r: int):
+        """Sub-model, offset, caps and sector size of the radius-r window."""
+        n0 = total_cap if total_cap is not None else boson_cutoff(
+            r, ell, assumption.mu, assumption.theta)
+        cap = per_site_cap if per_site_cap is not None else min(n0, 255)
+        sub, lo = windowed_model(model, r)
+        n_win = sum(occ[lo:lo + sub.graph.num_vertices])
+        return sub, lo, n0, cap, count_states(sub.graph.num_vertices, cap, n0, n_win)
 
-    sub_model, lo = windowed_model(model, r_used)
-    width = sub_model.graph.num_vertices
-    cap_used = per_site_cap if per_site_cap is not None else min(n0_used, 255)
-    window_occ = occ[lo:lo + width]
-    n_tot = sum(window_occ)
-    fits = (all(n <= cap_used for n in window_occ)
-            and (n0_used is None or n_tot <= n0_used))
-    # number conservation: for a state with exactly n_tot bosons only sectors
-    # reachable by the observable matter, so the enumeration can stop there
-    basis_total = n0_used
-    if fits and n0_used is not None:
-        basis_total = min(n0_used, n_tot + max(observable.gamma, 0))
-    requested = count_states(width, cap_used, basis_total)
+    formula_cap = boson_cutoff(r_used, ell, assumption.mu, assumption.theta)
+    sub_model, lo, n0_used, cap_used, requested = window(r_used)
     if requested > state_budget:
-        # report the largest time whose formula window would fit the budget
-        fit_r = r_used
+        # report the largest time whose window sector would fit the budget;
+        # windows stop growing at the chain ends, so the walk starts there
+        fit_r = min(r_used, center)
         while fit_r > 1:
             fit_r -= 1
-            n0_fit = boson_cutoff(fit_r, ell, assumption.mu, assumption.theta)
-            if count_states(2 * (fit_r + ell) + 1, min(n0_fit, 255), n0_fit) <= state_budget:
+            if window(fit_r)[-1] <= state_budget:
                 break
         t_fit = fit_r / (math.e * (2 * assumption.theta) ** (4 * ell + 2) * vprime)
         raise CapacityError(requested, state_budget,
                             hint=f"largest certifiable time under this budget ~ {t_fit:.3e}")
 
-    basis = FockBasis(width, per_site_cap=cap_used, total_cap=basis_total,
-                      state_budget=state_budget)
-    psi0 = np.zeros(basis.dim, dtype=np.complex128)
-    inside = fits
-    if inside:
-        psi0[basis.index(window_occ)] = 1.0  # projection keeps norm 1 here
+    width = sub_model.graph.num_vertices
+    window_occ = occ[lo:lo + width]
+    n_tot = sum(window_occ)
+    inside = all(n <= cap_used for n in window_occ) and n_tot <= n0_used
     notes = []
     if not inside:
         notes.append("initial state truncated by the caps; projected without renormalization")
@@ -325,26 +315,17 @@ def certified_expectation(model: ModelSpec, occupations, observable: MonomialOp,
     else:
         notes.append("declared density assumption could not be verified for this state")
 
-    # evolve inside the exact total-number sector when possible
-    value: complex
-    obs_mat = observable.translate(center - lo).to_matrix(basis).mat
+    # number conservation: the state evolves inside its own N sector, so only
+    # that sector is enumerated; a state cut by the caps projects to zero
+    value = 0j
     if inside:
-        sector = np.where(basis.totals == n_tot)[0]
-        h = build_hamiltonian(sub_model, basis, 0.0)
-        h_sec = h[sector][:, sector]
-        local = np.zeros(sector.size, dtype=np.complex128)
-        local[np.searchsorted(sector, basis.index(window_occ))] = 1.0
-        if sub_model.is_time_independent:
-            evolved = _expv_sector(h_sec, local, t, cfg)
-        else:
-            full = psi0.copy()
-            full = evolve_state(full, sub_model, basis, t, cfg)
-            evolved = full[sector]
-        obs_sec = obs_mat[sector][:, sector]
-        value = complex(np.vdot(evolved, obs_sec @ evolved))
-    else:
-        psi_t = evolve_state(psi0, sub_model, basis, t, cfg)
-        value = complex(np.vdot(psi_t, obs_mat @ psi_t))
+        basis = FockBasis(width, per_site_cap=cap_used, total_cap=n0_used,
+                          state_budget=state_budget, number=n_tot)
+        psi = np.zeros(basis.dim, dtype=np.complex128)
+        psi[basis.index(window_occ)] = 1.0
+        psi = evolve_state(psi, sub_model, basis, t, cfg)
+        obs_mat = observable.translate(center - lo).to_matrix(basis).mat
+        value = complex(np.vdot(psi, obs_mat @ psi))
 
     steps = max(1, math.ceil(abs(t) / cfg.max_step))
     restriction = restriction_error_bound(r_used, t, assumption.theta, ell, vprime, c3)
@@ -353,7 +334,7 @@ def certified_expectation(model: ModelSpec, occupations, observable: MonomialOp,
                  "the derivation leaves them unspecified")
     return CertifiedValue(
         value=value, restriction_error=restriction, cutoff_error=cutoff,
-        radius=r_used, boson_cap=n0_used if n0_used is not None else -1,
+        radius=r_used, boson_cap=n0_used,
         formula_radius=formula_radius, formula_boson_cap=formula_cap,
         window_sites=(lo - center, lo + width - 1 - center),
         assumption=assumption, assumption_status=status, vprime=vprime,
@@ -361,21 +342,3 @@ def certified_expectation(model: ModelSpec, occupations, observable: MonomialOp,
         constants={"C3": c3, "C4": c4, "eps": eps},
         notes=tuple(notes))
 
-
-def _expv_sector(h_sec, psi, t, cfg):
-    from .dynamics import EvolutionError, _lanczos_expv
-    out = psi.copy()
-    remaining = abs(t)
-    sign = -1j if t >= 0 else 1j
-    step = min(cfg.max_step, remaining) if remaining else 0.0
-    while remaining > 1e-15:
-        dt = min(step, remaining)
-        try:
-            out, _ = _lanczos_expv(h_sec, out, sign * dt, cfg.tolerance, cfg.krylov_dim)
-        except EvolutionError:
-            if dt < 1e-12:
-                raise
-            step = dt / 2.0
-            continue
-        remaining -= dt
-    return out

@@ -27,6 +27,7 @@ from . import cluster as cluster_mod
 from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
 from .dynamics import lightcone_scan, probe_sites
 from .fock import CapacityError, FockBasis
+from .lattice import is_path
 from .opspace import MonomialOp
 
 EXIT_OK = 0
@@ -189,6 +190,9 @@ def _run_certify(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
 def _run_cluster(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
     exp = cfg.experiment
     r_list = [int(r) for r in exp.get("r_values", [1, 2, 3])]
+    if not is_path(cfg.model.graph):
+        raise ConfigError("model.graph", "cluster needs a path graph: the clustering "
+                                         "bound and its separations are chain forms")
     try:
         report = cluster_mod.clustering_experiment(
             cfg.model, r_list, per_site_cap=cfg.per_site_cap,

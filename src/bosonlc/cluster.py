@@ -16,9 +16,10 @@ import numpy as np
 
 from .bounds import velocity_bound_1d
 from .certify import DensityAssumption
-from .dynamics import ground_state
+from .dynamics import connected_correlation, ground_state
 from .fock import FockBasis, ModelSpec, build_hamiltonian
-from .opspace import MonomialOp, MuWeights, OperatorMatrix, weighted_norm_sq
+from .lattice import is_path
+from .opspace import MonomialOp, OperatorMatrix, site_monomial_norm_sq
 
 
 class GaplessError(RuntimeError):
@@ -99,28 +100,23 @@ def clustering_experiment(model: ModelSpec, r_list, *, per_site_cap: int,
     r <= L/2, which the caller's r_list should respect.
     """
     length = model.graph.num_vertices
-    basis = FockBasis(length, per_site_cap=per_site_cap,
-                      total_cap=filling * length)
-    h = build_hamiltonian(model, basis, 0.0)
+    if not is_path(model.graph):
+        raise ValueError("clustering needs a path graph: separations are chain offsets")
     n_target = filling * length
-    sector = np.where(basis.totals == n_target)[0]
-    if sector.size == 0:
+    basis = FockBasis(length, per_site_cap=per_site_cap, number=n_target)
+    if basis.dim == 0:
         raise ValueError("filling sector is empty under these caps")
-    h_sec = h[sector][:, sector]
-    gs = ground_state(h_sec, degeneracy_threshold=gap_threshold)
+    gs = ground_state(build_hamiltonian(model, basis, 0.0),
+                      degeneracy_threshold=gap_threshold)
     if gs.degenerate:
         raise GaplessError(
             f"in-sector gap {gs.gap:.3e} below threshold {gap_threshold:.1e}")
-
-    psi = np.zeros(basis.dim, dtype=np.complex128)
-    psi[sector] = gs.vector
 
     if assumption is None:
         mu_a = (2 * (length // 2) + 1) / n_target if n_target else 1.0
         theta = math.e / (1.0 - math.exp(-mu_a))
         assumption = DensityAssumption(mu=mu_a, theta=theta, K0=theta)
     mu_w = mu if mu is not None else assumption.mu
-    w = MuWeights(mu_w, basis)
     ell = model.interaction_range
     vprime = (1.0 + eps) * velocity_bound_1d(assumption.mu / 2.0, K=2, ell=ell)
     velocity = (2.0 * assumption.theta) ** (8 * ell + 4) * vprime
@@ -129,17 +125,18 @@ def clustering_experiment(model: ModelSpec, r_list, *, per_site_cap: int,
     density_log: list[tuple[int, float]] = []
     for name in observables:
         template = _FAMILIES[name]
+        # unit weighted norm on the grand-canonical capped basis (total cap
+        # n_target); every site has the same norm
+        norm = math.sqrt(site_monomial_norm_sq(template, mu_w, length,
+                                               per_site_cap, n_target))
         left = template.translate(0).to_matrix(basis)
-        nl = math.sqrt(weighted_norm_sq(left, w))
-        left = OperatorMatrix(left.mat / nl, basis, left.support)
+        left = OperatorMatrix(left.mat / norm, basis, left.support)
         for r in sorted(set(int(x) for x in r_list)):
             if not (1 <= r < length):
                 raise ValueError(f"separation {r} outside the chain")
             right = template.translate(r).to_matrix(basis)
-            nr = math.sqrt(weighted_norm_sq(right, w))
-            right = OperatorMatrix(right.mat / nr, basis, right.support)
-            from .dynamics import connected_correlation
-            cor = abs(connected_correlation(psi, left, right))
+            right = OperatorMatrix(right.mat / norm, basis, right.support)
+            cor = abs(connected_correlation(gs.vector, left, right))
             bound = clustering_bound(r, gs.gap, assumption.mu, assumption.theta,
                                      assumption.K0, ell, eps, c5)
             minimal = cor / (bound / c5) if bound > 0 else math.inf
@@ -158,7 +155,7 @@ def clustering_experiment(model: ModelSpec, r_list, *, per_site_cap: int,
 
     meta = {
         "length": length, "per_site_cap": per_site_cap, "filling": filling,
-        "sector_dim": int(sector.size), "gap_threshold": gap_threshold,
+        "sector_dim": basis.dim, "gap_threshold": gap_threshold,
         "assumption": {"mu": assumption.mu, "theta": assumption.theta,
                        "K0": assumption.K0},
         "note": ("the bound scale C5 is a configuration input (default 1); "

@@ -37,35 +37,50 @@ class CapacityError(MemoryError):
         super().__init__(msg)
 
 
-def count_states(num_sites: int, per_site_cap: int, total_cap: int | None) -> int:
-    """Number of occupation vectors allowed by the caps (exact, no allocation)."""
-    if total_cap is None:
-        return (per_site_cap + 1) ** num_sites
-    # ways[k] = number of vectors so far with sum k
-    ways = [0] * (total_cap + 1)
+def counts_by_total(num_sites: int, per_site_cap: int, limit: int) -> list[int]:
+    """ways[k] = number of capped occupation vectors with sum k, k <= limit."""
+    ways = [0] * (limit + 1)
     ways[0] = 1
     for _ in range(num_sites):
-        new = [0] * (total_cap + 1)
+        new = [0] * (limit + 1)
         for k, w in enumerate(ways):
             if w == 0:
                 continue
-            for n in range(min(per_site_cap, total_cap - k) + 1):
+            for n in range(min(per_site_cap, limit - k) + 1):
                 new[k + n] += w
         ways = new
-    return sum(ways)
+    return ways
+
+
+def count_states(num_sites: int, per_site_cap: int, total_cap: int | None,
+                 number: int | None = None) -> int:
+    """Number of occupation vectors allowed by the caps (exact, no allocation).
+
+    With ``number`` only vectors holding exactly that many bosons count.
+    """
+    if number is not None:
+        if number < 0 or (total_cap is not None and number > total_cap):
+            return 0
+        return counts_by_total(num_sites, per_site_cap, number)[number]
+    if total_cap is None:
+        return (per_site_cap + 1) ** num_sites
+    return sum(counts_by_total(num_sites, per_site_cap, total_cap))
 
 
 class FockBasis:
     """Exhaustive, duplicate-free enumeration of capped occupation vectors.
 
     ``states`` is a read-only (dim, num_sites) uint8 array in lexicographic
-    order; ``index`` maps an occupation vector back to its row.  Lookups
-    during operator assembly go through a byte-packed key array so they can
-    be vectorized with searchsorted.
+    order; ``index`` maps an occupation vector back to its row.  Lookups go
+    through a byte-packed key array so they can be vectorized with
+    searchsorted.  With ``number`` the basis holds only the vectors with
+    exactly that many bosons: the N-sector rows of the capped basis, in the
+    same order.  Every Hamiltonian of the model class conserves N, so a
+    number eigenstate evolves inside that sector.
     """
 
     def __init__(self, num_sites: int, per_site_cap: int, total_cap: int | None = None,
-                 state_budget: int = DEFAULT_STATE_BUDGET):
+                 state_budget: int = DEFAULT_STATE_BUDGET, number: int | None = None):
         if num_sites < 1:
             raise ValueError("num_sites must be >= 1")
         if per_site_cap < 1:
@@ -74,48 +89,64 @@ class FockBasis:
             raise ValueError("per_site_cap above 255 not representable (byte-packed index)")
         if total_cap is not None and total_cap < 0:
             raise ValueError("total_cap must be >= 0 when given")
-        size = count_states(num_sites, per_site_cap, total_cap)
+        if number is not None and number < 0:
+            raise ValueError("number must be >= 0 when given")
+        size = count_states(num_sites, per_site_cap, total_cap, number)
         if size > state_budget:
-            raise CapacityError(size, state_budget,
-                                hint=f"{num_sites} sites, cap {per_site_cap}, total {total_cap}")
+            hint = f"{num_sites} sites, cap {per_site_cap}, total {total_cap}"
+            if number is not None:
+                hint += f", number {number}"
+            raise CapacityError(size, state_budget, hint=hint)
         self.num_sites = num_sites
         self.per_site_cap = per_site_cap
         self.total_cap = total_cap
-        self.states = self._enumerate(num_sites, per_site_cap, total_cap)
+        self.number = number
+        self.states = self._enumerate(num_sites, per_site_cap, total_cap, number)
         self.states.setflags(write=False)
         self.dim = self.states.shape[0]
         assert self.dim == size
         self.totals = self.states.sum(axis=1, dtype=np.int64)
         self._keys = np.ascontiguousarray(self.states).view(f"S{num_sites}").ravel()
-        # raw-bytes map (S-dtype views strip trailing nulls, so key separately)
-        self._index = {self.states[i].tobytes(): i for i in range(self.dim)}
 
     @staticmethod
-    def _enumerate(num_sites: int, cap: int, total_cap: int | None) -> np.ndarray:
+    def _enumerate(num_sites: int, cap: int, total_cap: int | None,
+                   number: int | None) -> np.ndarray:
         digits = np.arange(cap + 1, dtype=np.uint8)
         rows = np.zeros((1, 0), dtype=np.uint8)
         sums = np.zeros(1, dtype=np.int64)
-        for _ in range(num_sites):
+        for placed in range(1, num_sites + 1):
             rep = np.repeat(rows, cap + 1, axis=0)
             col = np.tile(digits, rows.shape[0])[:, None]
             rows = np.concatenate([rep, col], axis=1)
             sums = np.repeat(sums, cap + 1) + col.ravel()
+            keep = np.ones(sums.size, dtype=bool)
             if total_cap is not None:
-                keep = sums <= total_cap
-                rows = rows[keep]
-                sums = sums[keep]
+                keep &= sums <= total_cap
+            if number is not None:
+                # drop prefixes already above N or unable to reach it
+                keep &= (sums <= number) & (sums + (num_sites - placed) * cap >= number)
+            rows = rows[keep]
+            sums = sums[keep]
         return np.ascontiguousarray(rows)
 
     # -- lookups ---------------------------------------------------------
 
     def index(self, occupations) -> int:
-        """Row of one occupation vector; KeyError if outside the caps."""
-        key = np.asarray(occupations, dtype=np.uint8).tobytes()
-        return self._index[key]
+        """Row of one occupation vector; KeyError if outside the basis."""
+        occ = np.asarray(occupations)
+        if (occ.shape != (self.num_sites,) or occ.min() < 0
+                or occ.max() > self.per_site_cap):
+            raise KeyError(tuple(occ.tolist()))
+        row = int(self.lookup_rows(occ[None, :])[0])
+        if row < 0:
+            raise KeyError(tuple(occ.tolist()))
+        return row
 
     def lookup_rows(self, occ: np.ndarray) -> np.ndarray:
         """Vectorized index lookup; -1 marks vectors outside the basis."""
         keys = np.ascontiguousarray(occ.astype(np.uint8)).view(f"S{self.num_sites}").ravel()
+        if self.dim == 0:
+            return np.full(keys.shape, -1, dtype=np.int64)
         pos = np.searchsorted(self._keys, keys)
         pos = np.minimum(pos, self.dim - 1)
         hit = self._keys[pos] == keys
@@ -135,7 +166,7 @@ class FockBasis:
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"FockBasis(sites={self.num_sites}, cap={self.per_site_cap}, "
-                f"total={self.total_cap}, dim={self.dim})")
+                f"total={self.total_cap}, number={self.number}, dim={self.dim})")
 
 
 # ---------------------------------------------------------------------------

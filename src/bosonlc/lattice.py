@@ -107,6 +107,11 @@ def build_path(length: int) -> Graph:
     return Graph(length, [(i, i + 1) for i in range(length - 1)])
 
 
+def is_path(graph: Graph) -> bool:
+    """True iff ``graph`` is the open chain 0 - 1 - ... - (n-1)."""
+    return graph.edges == tuple((i, i + 1) for i in range(graph.num_vertices - 1))
+
+
 def build_cubic(dims: list[int]) -> Graph:
     """Nearest-neighbor lattice with open boundaries; interior degree 2*len(dims)."""
     if not dims:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import FockBasis
+from .fock import FockBasis, counts_by_total
 
 
 class MuWeights:
@@ -65,8 +65,8 @@ class MuWeights:
         return self.prefactor * self.q ** ((n_row + n_col) / 2.0)
 
     def require_product_basis(self):
-        if self.basis.total_cap is not None:
-            raise ValueError("sitewise projectors need a basis without total cap")
+        if self.basis.total_cap is not None or self.basis.number is not None:
+            raise ValueError("sitewise projectors need a product basis: no total cap, no fixed N")
 
 
 @dataclass
@@ -217,18 +217,77 @@ class MonomialOp:
                           tuple((s + offset, p) for s, p in self.zeta))
 
     def to_matrix(self, basis: FockBasis) -> OperatorMatrix:
-        from .fock import ladder_op
-        mat = sp.identity(basis.dim, dtype=np.complex128, format="csr")
-        # per-site creations act left of annihilations; sites commute
+        """Matrix over ``basis``, built by one vectorized lookup.
+
+        Annihilations act first, then creations (normal order; sites
+        commute), and each column's amplitude is the running product of the
+        sqrt ladder factors in that order, so it equals the product of the
+        ladder matrices bit for bit.  Targets outside the basis are dropped:
+        above a cap, or off the sector of a fixed-N basis, where density
+        monomials stay exact and N-changing ones give zero.
+        """
+        for site in sorted(self.support):
+            if not (0 <= site < basis.num_sites):
+                raise ValueError(f"site {site} out of range")
+        occ = {site: basis.states[:, site].astype(np.int64) for site in self.support}
+        amp = np.ones(basis.dim)
+        alive = np.ones(basis.dim, dtype=bool)
         for site, p in self.zeta:
-            op = ladder_op(basis, site, "annihilate")
             for _ in range(p):
-                mat = op @ mat
+                alive &= occ[site] >= 1
+                occ[site] = np.maximum(occ[site] - 1, 0)
+                amp = np.sqrt(occ[site] + 1.0) * amp
         for site, p in self.eta:
-            op = ladder_op(basis, site, "create")
             for _ in range(p):
-                mat = op @ mat
+                amp = np.sqrt(occ[site] + 1.0) * amp
+                occ[site] = occ[site] + 1
+        # creations only raise occupations: checking the caps at the end suffices
+        for site in self.support:
+            alive &= occ[site] <= basis.per_site_cap
+        cols = np.flatnonzero(alive)
+        eta, zeta = dict(self.eta), dict(self.zeta)
+        moved = [site for site in self.support if eta.get(site, 0) != zeta.get(site, 0)]
+        rows = cols
+        if moved:
+            target = basis.states[cols]
+            for site in moved:
+                target[:, site] = occ[site][cols]
+            rows = basis.lookup_rows(target)
+        hit = rows >= 0
+        mat = sp.csr_matrix((amp[cols[hit]].astype(np.complex128), (rows[hit], cols[hit])),
+                            shape=(basis.dim, basis.dim))
         return OperatorMatrix(mat, basis, support=self.support)
+
+
+def site_monomial_norm_sq(op: MonomialOp, mu: float, num_sites: int, per_site_cap: int,
+                          total_cap: int | None) -> float:
+    """(A|A) for a one-site monomial on the capped grand-canonical basis.
+
+    Closed form, no enumeration: the site marginal sum_k |a_k|^2 q^((k+k')/2)
+    for the transition k -> k' of the monomial, times the weighted count
+    sum_S ways(S) q^S of the other L-1 sites, whose total S must leave both
+    states under the total cap.  Every site gives the same value.
+    """
+    if len(op.support) != 1:
+        raise ValueError("closed-form norm needs a single-site monomial")
+    e, z = sum(p for _, p in op.eta), sum(p for _, p in op.zeta)
+    q = math.exp(-mu)
+    most = (num_sites - 1) * per_site_cap
+    ways = counts_by_total(num_sites - 1, per_site_cap, most if total_cap is None else total_cap)
+    rest = np.cumsum([w * q ** s for s, w in enumerate(ways)])  # rest[M]: S <= M
+    total = 0.0
+    for k in range(z, per_site_cap + 1):
+        k_new = k - z + e
+        room = most if total_cap is None else total_cap - max(k, k_new)
+        if k_new > per_site_cap or room < 0:
+            continue
+        amp_sq = 1.0
+        for j in range(z):
+            amp_sq *= k - j
+        for j in range(e):
+            amp_sq *= k - z + j + 1
+        total += amp_sq * q ** ((k + k_new) / 2.0) * rest[min(room, most)]
+    return (1.0 - q) ** num_sites * total
 
 
 # ---------------------------------------------------------------------------

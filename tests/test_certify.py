@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from bosonlc.certify import (DensityAssumption, boson_cutoff,
                              total_error_bound, truncation_radius,
                              validate_fock_assumption, windowed_model)
 from bosonlc.bounds import velocity_bound_1d
-from bosonlc.fock import CapacityError, FockBasis, bose_hubbard, build_hamiltonian
+from bosonlc.dynamics import evolve_state
+from bosonlc.fock import (CapacityError, FockBasis, ModelSpec, PiecewiseConstant,
+                          bose_hubbard, build_hamiltonian)
 from bosonlc.lattice import build_path
 from bosonlc.opspace import MonomialOp
 
@@ -282,3 +285,47 @@ def test_certified_refuses_radius_below_one(chain_model):
     a = fock_state_assumption(occ)
     with pytest.raises(ValueError):
         certified_expectation(chain_model, occ, DENSITY, 0.1, a, radius=0)
+
+
+def test_certified_capacity_walk_is_bounded_by_chain(chain_model):
+    # the formula radius is ~1.4e5; a walk over every smaller radius with a
+    # count at each step never ended, the window stops growing at the chain ends
+    occ = [1] * 9
+    a = fock_state_assumption(occ)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError) as err:
+        certified_expectation(chain_model, occ, DENSITY, 0.05, a, per_site_cap=None,
+                              state_budget=1000)
+    assert time.perf_counter() - start < 10.0
+    assert "certifiable time" in str(err.value)
+    assert err.value.requested == math.comb(17, 8)  # 9 bosons on 9 sites, cap 255
+
+
+def full_basis_value(model, occ, observable, t, radius, cap):
+    """The expectation on the whole capped window basis, no sector."""
+    sub, lo = windowed_model(model, radius)
+    window_occ = occ[lo:lo + sub.graph.num_vertices]
+    basis = FockBasis(sub.graph.num_vertices, cap, total_cap=sum(window_occ))
+    psi = np.zeros(basis.dim, dtype=np.complex128)
+    psi[basis.index(window_occ)] = 1.0
+    psi = evolve_state(psi, sub, basis, t)
+    center = chain_center(model)
+    obs = observable.translate(center - lo).to_matrix(basis).mat
+    return complex(np.vdot(psi, obs @ psi))
+
+
+@pytest.mark.parametrize("time_dependent", [False, True], ids=["constant", "piecewise"])
+def test_certified_sector_route_matches_full_basis(time_dependent):
+    graph = build_path(7)
+    model = bose_hubbard(graph, 1.0, 0.7)
+    if time_dependent:
+        sched = PiecewiseConstant((0.15,), (1.0, 0.6 - 0.3j))
+        model = ModelSpec(graph=graph, hopping={e: sched for e in graph.edges},
+                          interactions=model.interactions, interaction_range=0)
+    occ = [0, 1, 2, 1, 0, 2, 1]
+    a = fock_state_assumption(occ)
+    for observable in (DENSITY, MonomialOp.from_dicts(eta={0: 1}, zeta={1: 1})):
+        cv = certified_expectation(model, occ, observable, 0.4, a, radius=3, per_site_cap=3)
+        ref = full_basis_value(model, occ, observable, 0.4, radius=3, cap=3)
+        assert abs(cv.value - ref) <= 1e-13
+    assert abs(cv.value) > 1e-3  # the hop expectation is not trivially zero

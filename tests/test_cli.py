@@ -165,6 +165,25 @@ def test_exit_code_capacity(config_file):
     assert main(["scan", str(path)]) == 3
 
 
+def test_certify_formula_window_over_budget_exits_capacity(config_file, capsys):
+    # no window_radius: the formula window covers the whole 15-site chain,
+    # whose N = 15 sector (22.6 M states at cap 3) exceeds the default budget
+    path = config_file(kind="certify", **{"model.graph.length": 15,
+                                          "ensemble.per_site_cap": 3,
+                                          "experiment.time": 0.5})
+    assert main(["certify", str(path)]) == 3
+    assert "certifiable time" in capsys.readouterr().err
+
+
+def test_cluster_on_non_path_graph_is_config_error(config_file, capsys):
+    path = config_file(kind="cluster", **{
+        "model.graph": {"kind": "cubic", "dims": [2, 4]},
+        "model.interactions": [{"kind": "onsite", "strength": 20.0}],
+        "experiment.r_values": [1, 2, 3, 4]})
+    assert main(["cluster", str(path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_exit_code_gapless(config_file):
     path = config_file(kind="cluster", **{
         "model.graph.length": 6,

@@ -5,7 +5,7 @@ import pytest
 from bosonlc.cluster import (GaplessError, clustering_bound,
                              clustering_experiment, decay_rate)
 from bosonlc.fock import bose_hubbard
-from bosonlc.lattice import build_path
+from bosonlc.lattice import build_cubic, build_path
 
 
 def test_bound_at_zero_separation_is_scale():
@@ -77,6 +77,19 @@ def test_invalid_separation_rejected():
         clustering_experiment(model, [0], per_site_cap=2, filling=1)
     with pytest.raises(ValueError):
         clustering_experiment(model, [6], per_site_cap=2, filling=1)
+
+
+def test_non_path_graph_rejected():
+    # separations are chain offsets: on a 2x4 lattice vertex 4 neighbours vertex 0
+    model = bose_hubbard(build_cubic([2, 4]), 1.0, 20.0)
+    with pytest.raises(ValueError, match="path graph"):
+        clustering_experiment(model, [1, 4], per_site_cap=2, filling=1)
+
+
+def test_sector_dim_is_filling_sector():
+    model = bose_hubbard(build_path(6), 1.0, 15.0)
+    report = clustering_experiment(model, [1], per_site_cap=2, filling=1)
+    assert report.metadata["sector_dim"] == 141  # 6 bosons on 6 sites, cap 2
 
 
 def test_report_serialization():

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.special import jv
 
+from bosonlc import dynamics
 from bosonlc.dynamics import (EvolutionConfig, EvolutionError,
                               HeisenbergScanEngine, SectorEvolution,
                               connected_correlation, evolve_operator,
                               evolve_state, ground_state, lightcone_scan, otoc,
                               single_particle_propagator)
-from bosonlc.fock import (FockBasis, ModelSpec, PiecewiseConstant, bose_hubbard,
+from bosonlc.fock import (FockBasis, Interaction, ModelSpec, PiecewiseConstant, bose_hubbard,
                           build_hamiltonian, random_model_spec, total_number_op)
 from bosonlc.lattice import build_path
 from bosonlc.opspace import (BlockOp, MonomialOp, MuWeights, OperatorMatrix,
@@ -420,6 +422,61 @@ def test_ground_state_residual_contract():
     h = build_hamiltonian(model, basis)
     gs = ground_state(h)
     assert np.linalg.norm(h @ gs.vector - gs.energy * gs.vector) <= 1e-8
+
+
+@pytest.mark.parametrize("sites", [6, 8], ids=["dense", "arpack"])
+def test_ground_state_real_and_complex_paths_agree(sites, monkeypatch):
+    # the 6-site sector (141 states) goes to eigh, the 8-site one (1,107) to
+    # ARPACK; a diagonal phase gauge gives the same spectrum with complex
+    # entries.  The edge potential breaks the reflection symmetry, which the
+    # uniform ARPACK start vector would otherwise keep (see ground_state).
+    graph = build_path(sites)
+    edge = Interaction(support=(0,), monomials=((0.3, ((0, 1),)),))
+    model = ModelSpec(graph=graph, hopping=bose_hubbard(graph, 1.0, 0.0).hopping,
+                      interactions=bose_hubbard(graph, 1.0, 4.0).interactions + (edge,),
+                      interaction_range=0)
+    basis = FockBasis(sites, 2, number=sites)
+    h = build_hamiltonian(model, basis)
+    dense = np.linalg.eigvalsh(h.toarray())
+    phases = np.exp(1j * np.random.default_rng(3).uniform(0, 2 * np.pi, basis.dim))
+    gauge = sp.diags(phases)
+    h_complex = (gauge @ h @ gauge.conj()).tocsr()
+    assert np.any(h_complex.data.imag)
+    dtypes = []
+    real_eigsh = dynamics.eigsh
+
+    def spy(mat, **kwargs):
+        dtypes.append(mat.dtype)
+        return real_eigsh(mat, **kwargs)
+
+    monkeypatch.setattr(dynamics, "eigsh", spy)
+    real = ground_state(h)
+    cplx = ground_state(h_complex)
+    if sites == 8:
+        assert dtypes == [np.float64, np.complex128]
+    assert real.energy == pytest.approx(cplx.energy, rel=1e-12)
+    assert real.gap == pytest.approx(cplx.gap, rel=1e-10)
+    assert real.gap == pytest.approx(dense[1] - dense[0], rel=1e-10)
+    overlap = abs(np.vdot(phases * real.vector, cplx.vector))
+    assert overlap == pytest.approx(1.0, abs=1e-10)
+
+
+def test_heisenberg_solves_every_sector_before_products(monkeypatch):
+    graph = build_path(4)
+    sched = PiecewiseConstant((0.2,), (1.0, 0.5))
+    model = ModelSpec(graph=graph, hopping={e: sched for e in graph.edges},
+                      interactions=bose_hubbard(graph, 1.0, 1.0).interactions,
+                      interaction_range=0)
+    basis = FockBasis(4, 2)
+    op = MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis)
+    events = []
+    real_eigh, real_mm = dynamics.eigh, dynamics._mm
+    monkeypatch.setattr(dynamics, "eigh",
+                        lambda *a, **k: events.append("eig") or real_eigh(*a, **k))
+    monkeypatch.setattr(dynamics, "_mm", lambda *a: events.append("mm") or real_mm(*a))
+    SectorEvolution(model, basis).heisenberg(op, 0.5)
+    assert events.count("eig") == 2 * 9  # two segments, sectors 0..8 all touched
+    assert events.index("mm") > max(i for i, e in enumerate(events) if e == "eig")
 
 
 # -- connected correlations ------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -48,6 +49,35 @@ def test_index_roundtrip():
         assert basis.index(basis.states[i]) == i
     with pytest.raises(KeyError):
         basis.index([3, 3, 3, 3])  # total 12 > 6
+
+
+def test_fixed_number_basis_is_sector_of_capped_basis():
+    for sites, cap, total in [(5, 2, None), (4, 3, 6), (3, 4, 3), (6, 1, None)]:
+        full = FockBasis(sites, cap, total)
+        for number in range(sites * cap + 2):
+            sector = FockBasis(sites, cap, total, number=number)
+            assert np.array_equal(sector.states, full.states[full.totals == number])
+            assert sector.dim == count_states(sites, cap, total, number)
+            assert np.all(sector.totals == number)
+            for i in range(sector.dim):
+                assert sector.index(sector.states[i]) == i
+
+
+def test_count_states_number_matches_brute_force():
+    for sites, cap, total in [(3, 2, None), (4, 3, 5), (2, 5, 3), (5, 1, None)]:
+        sums = [sum(v) for v in itertools.product(range(cap + 1), repeat=sites)
+                if total is None or sum(v) <= total]
+        for number in range(-1, sites * cap + 2):
+            assert count_states(sites, cap, total, number) == sums.count(number)
+
+
+def test_fixed_number_index_misses_raise_key_error():
+    basis = FockBasis(4, 2, number=3)
+    assert basis.index([1, 0, 2, 0]) == basis.lookup_rows(np.array([[1, 0, 2, 0]]))[0]
+    for miss in ([1, 1, 1, 1], [0, 0, 0, 0], [3, 0, 0, 0], [1, 2], [-1, 2, 2, 0]):
+        with pytest.raises(KeyError):
+            basis.index(miss)
+    assert basis.lookup_rows(np.array([[1, 1, 1, 1]]))[0] == -1
 
 
 def test_capacity_error():

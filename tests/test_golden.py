@@ -1,0 +1,57 @@
+"""Golden outputs of three shipped configs.
+
+The reference JSON under ``tests/golden`` was written by the CLI before the
+fixed-N sector bases landed.  Closed-form fields must match exactly.  The
+certificate and the selftest report are compared whole: their measured
+values came out byte-identical.  The cluster report is measured by ARPACK
+at tolerance 1e-12, so its gap and energy must agree to 1e-12 relative, its
+correlations to 1e-12 absolute and 1e-6 relative, and the quantities
+derived from them to the same relative tolerance.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from bosonlc.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def run_config(name: str, kind: str, out: Path) -> dict:
+    assert main([kind, str(ROOT / "configs" / f"{name}.yaml"), "--out", str(out)]) == 0
+    filename = {"certify": "certificate.json", "cluster": "cluster.json",
+                "selftest": "selftest.json"}[kind]
+    return json.loads((out / filename).read_text())
+
+
+def golden(name: str) -> dict:
+    return json.loads((GOLDEN / f"{name}.json").read_text())
+
+
+@pytest.mark.parametrize("name,kind", [("certify_chain11", "certify"),
+                                       ("selftest", "selftest")])
+def test_golden_exact(name, kind, tmp_path):
+    assert run_config(name, kind, tmp_path) == golden(name)
+
+
+def test_golden_cluster_mott8(tmp_path):
+    got = run_config("cluster_mott8", "cluster", tmp_path)
+    ref = golden("cluster_mott8")
+    measured = {"gap", "energy", "fit_rate", "rows"}
+    assert {k: v for k, v in got.items() if k not in measured} == \
+        {k: v for k, v in ref.items() if k not in measured}
+    assert got["gap"] == pytest.approx(ref["gap"], rel=1e-12)
+    assert got["energy"] == pytest.approx(ref["energy"], rel=1e-12)
+    assert got["fit_rate"] == pytest.approx(ref["fit_rate"], rel=1e-6)
+    assert len(got["rows"]) == len(ref["rows"])
+    for row, want in zip(got["rows"], ref["rows"]):
+        assert (row["observable"], row["r"]) == (want["observable"], want["r"])
+        assert abs(row["exact"] - want["exact"]) <= 1e-12
+        assert row["exact"] == pytest.approx(want["exact"], rel=1e-6)
+        # the bound depends on the measured gap only
+        assert row["bound"] == pytest.approx(want["bound"], rel=1e-12)
+        for key in ("ratio", "minimal_c5"):
+            assert row[key] == pytest.approx(want[key], rel=1e-6)

@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bosonlc.fock import FockBasis, build_hamiltonian, bose_hubbard, random_model_spec
+from bosonlc.fock import (FockBasis, build_hamiltonian, bose_hubbard, ladder_op,
+                          random_model_spec)
 from bosonlc.lattice import build_path
 from bosonlc.opspace import (BlockOp, MonomialOp, MuWeights, OperatorMatrix,
                              apply_liouvillian, check_thermal_relation,
                              commutator_weighted_norm,
                              f_beta_expectation, identity_f_beta,
                              monomial_commutator_bound, project_nonidentity,
-                             project_strictly_inside, thermal_expectation,
-                             weighted_inner, weighted_norm_sq)
+                             project_strictly_inside, site_monomial_norm_sq,
+                             thermal_expectation, weighted_inner, weighted_norm_sq)
 from conftest import (geometric_series_inner_bb, random_operator, series_b_f,
                       series_identity_f)
 
@@ -20,6 +23,84 @@ from conftest import (geometric_series_inner_bb, random_operator, series_b_f,
 def single_site(cap=50, mu=1.0):
     basis = FockBasis(1, cap)
     return basis, MuWeights(mu, basis)
+
+
+# -- monomial matrices ----------------------------------------------------------
+
+def ladder_product(op, basis):
+    """The monomial as a product of ladder matrices, annihilations first."""
+    mat = sp.identity(basis.dim, dtype=np.complex128, format="csr")
+    for site, p in op.zeta:
+        for _ in range(p):
+            mat = ladder_op(basis, site, "annihilate") @ mat
+    for site, p in op.eta:
+        for _ in range(p):
+            mat = ladder_op(basis, site, "create") @ mat
+    return mat
+
+
+def stored_entries(mat):
+    coo = sp.coo_matrix(mat)
+    keep = coo.data != 0
+    return sorted(zip(coo.row[keep].tolist(), coo.col[keep].tolist(),
+                      coo.data[keep].tolist()))
+
+
+@st.composite
+def basis_and_monomial(draw):
+    sites = draw(st.integers(1, 4))
+    cap = draw(st.integers(1, 4))
+    total = draw(st.one_of(st.none(), st.integers(0, sites * cap)))
+    powers = st.dictionaries(st.integers(0, sites - 1), st.integers(1, 3), max_size=sites)
+    op = MonomialOp.from_dicts(eta=draw(powers), zeta=draw(powers))
+    return FockBasis(sites, cap, total), op
+
+
+@settings(max_examples=200, deadline=None)
+@given(basis_and_monomial())
+def test_to_matrix_bit_identical_to_ladder_products(case):
+    basis, op = case
+    assert stored_entries(op.to_matrix(basis).mat) == stored_entries(ladder_product(op, basis))
+
+
+def test_to_matrix_on_fixed_number_basis():
+    full = FockBasis(4, 3, total_cap=6)
+    sector = FockBasis(4, 3, total_cap=6, number=5)
+    rows = np.flatnonzero(full.totals == 5)
+    for op in (MonomialOp.from_dicts(eta={1: 1}, zeta={1: 1}),
+               MonomialOp.from_dicts(eta={0: 2}, zeta={0: 2}),
+               MonomialOp.from_dicts(eta={0: 1}, zeta={3: 1})):
+        want = op.to_matrix(full).mat[rows][:, rows]
+        assert (op.to_matrix(sector).mat != want).nnz == 0
+    # the ladder product would pass through N = 4 and lose the density
+    density = MonomialOp.from_dicts(eta={2: 1}, zeta={2: 1}).to_matrix(sector).mat
+    assert np.allclose(density.diagonal(), sector.states[:, 2], rtol=1e-15, atol=0)
+    for op in (MonomialOp.from_dicts(zeta={0: 1}), MonomialOp.from_dicts(eta={0: 2, 1: 1})):
+        assert op.to_matrix(sector).mat.nnz == 0
+
+
+def test_to_matrix_rejects_site_outside_basis():
+    with pytest.raises(ValueError):
+        MonomialOp.from_dicts(zeta={4: 1}).to_matrix(FockBasis(4, 2))
+
+
+@pytest.mark.parametrize("sites,cap,total,mu", [
+    (4, 2, 4, 1.0), (5, 3, None, 0.7), (6, 2, 6, 1.3), (3, 4, 5, 0.5), (8, 2, 8, 1.125)])
+def test_site_monomial_norm_matches_enumeration(sites, cap, total, mu):
+    basis = FockBasis(sites, cap, total)
+    w = MuWeights(mu, basis)
+    for template in (MonomialOp.from_dicts(eta={0: 1}, zeta={0: 1}),
+                     MonomialOp.from_dicts(zeta={0: 1}),
+                     MonomialOp.from_dicts(eta={0: 2}, zeta={0: 1})):
+        closed = site_monomial_norm_sq(template, mu, sites, cap, total)
+        for site in range(sites):
+            enumerated = weighted_norm_sq(template.translate(site).to_matrix(basis), w)
+            assert closed == pytest.approx(enumerated, rel=1e-14)
+
+
+def test_site_monomial_norm_needs_one_site():
+    with pytest.raises(ValueError):
+        site_monomial_norm_sq(MonomialOp.from_dicts(eta={0: 1}, zeta={1: 1}), 1.0, 3, 2, None)
 
 
 # -- inner product ------------------------------------------------------------

@@ -24,6 +24,10 @@ from .lattice import build_path
 from .opspace import MonomialOp
 
 
+class WindowError(ValueError):
+    """The observable does not lie inside the simulated window."""
+
+
 @dataclass(frozen=True)
 class DensityAssumption:
     """Finite-density hypothesis on the initial state.
@@ -289,6 +293,12 @@ def certified_expectation(model: ModelSpec, occupations, observable: MonomialOp,
 
     formula_cap = boson_cutoff(r_used, ell, assumption.mu, assumption.theta)
     sub_model, lo, n0_used, cap_used, requested = window(r_used)
+    width = sub_model.graph.num_vertices
+    sites = (lo - center, lo + width - 1 - center)
+    outside = sorted(x for x in observable.support if not sites[0] <= x <= sites[1])
+    if outside:
+        raise WindowError(f"observable site {outside[0]} (relative to the chain center) "
+                          f"outside the window {sites[0]}..{sites[1]}")
     if requested > state_budget:
         # report the largest time whose window sector would fit the budget;
         # windows stop growing at the chain ends, so the walk starts there
@@ -301,7 +311,6 @@ def certified_expectation(model: ModelSpec, occupations, observable: MonomialOp,
         raise CapacityError(requested, state_budget,
                             hint=f"largest certifiable time under this budget ~ {t_fit:.3e}")
 
-    width = sub_model.graph.num_vertices
     window_occ = occ[lo:lo + width]
     n_tot = sum(window_occ)
     inside = all(n <= cap_used for n in window_occ) and n_tot <= n0_used
@@ -336,7 +345,7 @@ def certified_expectation(model: ModelSpec, occupations, observable: MonomialOp,
         value=value, restriction_error=restriction, cutoff_error=cutoff,
         radius=r_used, boson_cap=n0_used,
         formula_radius=formula_radius, formula_boson_cap=formula_cap,
-        window_sites=(lo - center, lo + width - 1 - center),
+        window_sites=sites,
         assumption=assumption, assumption_status=status, vprime=vprime,
         evolution_tolerance_budget=cfg.tolerance * steps,
         constants={"C3": c3, "C4": c4, "eps": eps},

@@ -71,6 +71,18 @@ def _csv_with_header(cfg: ExperimentConfig, body: str, provenance: dict) -> str:
     return "\n".join(lines) + "\n" + body
 
 
+def _write_table(cfg: ExperimentConfig, out: Path, stem: str, result, provenance: dict,
+                 verbose: bool) -> None:
+    """``stem``.csv and ``stem``.json, each only if ``output.formats`` lists it."""
+    if "csv" in cfg.formats:
+        _write(out / f"{stem}.csv", _csv_with_header(cfg, result.to_csv(), provenance), verbose)
+    if "json" in cfg.formats:
+        payload = result.to_dict()
+        payload["resolved_config"] = cfg.resolved()
+        payload["constants_ledger"] = cfg.constants
+        _write(out / f"{stem}.json", _json_dump(payload), verbose)
+
+
 def _monomial_from_spec(spec: dict, path: str) -> MonomialOp:
     eta = {int(k): int(v) for k, v in (spec.get("eta") or {}).items()}
     zeta = {int(k): int(v) for k, v in (spec.get("zeta") or {}).items()}
@@ -139,12 +151,7 @@ def _run_scan(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
         "ratio": "derived:exact/bound_ensemble",
         "tail_estimate": "formula:documented truncation-tail heuristic",
     }
-    body = result.to_csv()
-    _write(out / "scan.csv", _csv_with_header(cfg, body, provenance), verbose)
-    payload = result.to_dict()
-    payload["resolved_config"] = cfg.resolved()
-    payload["constants_ledger"] = cfg.constants
-    _write(out / "scan.json", _json_dump(payload), verbose)
+    _write_table(cfg, out, "scan", result, provenance, verbose)
     violations = result.violations()
     if violations:
         print(f"light-cone soundness violated in {len(violations)} cells", file=sys.stderr)
@@ -174,12 +181,15 @@ def _run_certify(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
             mu=float(a["mu"]), theta=float(a["theta"]), K0=float(a["K0"]))
     else:
         assumption = certify_mod.fock_state_assumption(occupations)
-    value = certify_mod.certified_expectation(
-        cfg.model, occupations, observable, float(exp.get("time", 0.0)), assumption,
-        radius=exp.get("window_radius"),
-        per_site_cap=exp.get("per_site_cap", cfg.per_site_cap),
-        total_cap=exp.get("total_cap"),
-        c3=cfg.constants["C3"], c4=cfg.constants["C4"], eps=cfg.constants["epsilon"])
+    try:
+        value = certify_mod.certified_expectation(
+            cfg.model, occupations, observable, float(exp.get("time", 0.0)), assumption,
+            radius=exp.get("window_radius"),
+            per_site_cap=exp.get("per_site_cap", cfg.per_site_cap),
+            total_cap=exp.get("total_cap"),
+            c3=cfg.constants["C3"], c4=cfg.constants["C4"], eps=cfg.constants["epsilon"])
+    except certify_mod.WindowError as exc:
+        raise ConfigError("experiment.observable.site", str(exc)) from exc
     cert = value.to_dict()
     cert["resolved_config"] = cfg.resolved()
     cert["constants_ledger"] = cfg.constants
@@ -208,11 +218,7 @@ def _run_cluster(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
         "bound": "formula:gap-driven exponential clustering bound",
         "ratio": "derived:exact/bound",
     }
-    _write(out / "cluster.csv", _csv_with_header(cfg, report.to_csv(), provenance), verbose)
-    payload = report.to_dict()
-    payload["resolved_config"] = cfg.resolved()
-    payload["constants_ledger"] = cfg.constants
-    _write(out / "cluster.json", _json_dump(payload), verbose)
+    _write_table(cfg, out, "cluster", report, provenance, verbose)
     return EXIT_OK
 
 

@@ -82,6 +82,8 @@ _FAMILIES = {
     "density": MonomialOp.from_dicts(eta={0: 1}, zeta={0: 1}),
     "annihilation": MonomialOp.from_dicts(zeta={0: 1}),
 }
+# each row correlates the adjoint of the template at site 0 with the template
+# at site r: <n_0 n_r> - <n_0><n_r> for density, <b+_0 b_r> for annihilation
 
 
 def clustering_experiment(model: ModelSpec, r_list, *, per_site_cap: int,
@@ -129,14 +131,25 @@ def clustering_experiment(model: ModelSpec, r_list, *, per_site_cap: int,
         # n_target); every site has the same norm
         norm = math.sqrt(site_monomial_norm_sq(template, mu_w, length,
                                                per_site_cap, n_target))
-        left = template.translate(0).to_matrix(basis)
+        left_op = template.adjoint()
+        left = left_op.to_matrix(basis)
         left = OperatorMatrix(left.mat / norm, basis, left.support)
         for r in sorted(set(int(x) for x in r_list)):
             if not (1 <= r < length):
                 raise ValueError(f"separation {r} outside the chain")
-            right = template.translate(r).to_matrix(basis)
-            right = OperatorMatrix(right.mat / norm, basis, right.support)
-            cor = abs(connected_correlation(gs.vector, left, right))
+            right_op = template.translate(r)
+            if template.gamma == 0:
+                right = right_op.to_matrix(basis)
+                right = OperatorMatrix(right.mat / norm, basis, right.support)
+                cor = abs(connected_correlation(gs.vector, left, right))
+            else:
+                # A and B change N, so <A> = <B> = 0 in the number eigenstate,
+                # and only their product, one N-conserving monomial, has
+                # matrix elements on the fixed-N basis
+                product = MonomialOp(tuple(sorted(left_op.eta + right_op.eta)),
+                                     tuple(sorted(left_op.zeta + right_op.zeta)))
+                psi = gs.vector
+                cor = abs(complex(np.vdot(psi, product.to_matrix(basis).mat @ psi))) / norm ** 2
             bound = clustering_bound(r, gs.gap, assumption.mu, assumption.theta,
                                      assumption.K0, ell, eps, c5)
             minimal = cor / (bound / c5) if bound > 0 else math.inf

@@ -9,6 +9,10 @@ Two propagation routes are provided:
   block diagonal over sectors and each block is diagonalized once; this is
   what makes the commutator scans exact and fast.
 
+Light-cone scan cells come from a third route, the nested-commutator series
+of ``commutator_series``: no eigensolve, exact to a stated remainder in the
+cone, with the Heisenberg route as the fallback for large times.
+
 Evolved operators are :class:`~bosonlc.opspace.BlockOp` values: one dense
 block per (row sector, column sector) pair, never a global sparse matrix
 unless a caller reads ``.mat``.  A sector block of H whose imaginary part is
@@ -71,12 +75,16 @@ def _segments(model: ModelSpec, t0: float, t1: float):
 
 
 def _lanczos_expv(h: sp.spmatrix, v: np.ndarray, tau: complex, tol: float,
-                  m_max: int) -> tuple[np.ndarray, float]:
-    """exp(tau * H) v for Hermitian H via a Lanczos subspace; returns residual."""
+                  m_max: int, work: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """exp(tau * H) v for Hermitian H via a Lanczos subspace; returns residual.
+
+    ``work`` is an optional (m_max + 1, v.size) complex buffer for the
+    Lanczos vectors, reused across calls; its old contents are never read.
+    """
     norm = np.linalg.norm(v)
     if norm == 0:
         return v.copy(), 0.0
-    basis_vecs = np.empty((m_max + 1, v.size), dtype=np.complex128)
+    basis_vecs = work if work is not None else np.empty((m_max + 1, v.size), np.complex128)
     basis_vecs[0] = v / norm
     alphas: list[float] = []
     betas: list[float] = []
@@ -111,12 +119,15 @@ def evolve_state(psi: np.ndarray, model: ModelSpec, basis: FockBasis, t: float,
     """Propagate a state vector from t0 to t under the (piecewise) Hamiltonian."""
     cfg = cfg or EvolutionConfig()
     out = np.asarray(psi, dtype=np.complex128).copy()
+    work = None
     for a, b in _segments(model, t0, t):
         h = build_hamiltonian(model, basis, (min(a, b) + max(a, b)) / 2.0)
         span = b - a
         if cfg.integrator == "scaled-taylor":
             out = expm_multiply(-1j * span * h, out)
             continue
+        if work is None:
+            work = np.empty((cfg.krylov_dim + 1, out.size), dtype=np.complex128)
         direction = 1.0 if span >= 0 else -1.0
         remaining = abs(span)
         step = min(cfg.max_step, remaining) if remaining > 0 else 0.0
@@ -125,7 +136,7 @@ def evolve_state(psi: np.ndarray, model: ModelSpec, basis: FockBasis, t: float,
             dt = min(step, remaining)
             try:
                 out, _ = _lanczos_expv(h, out, -1j * direction * dt,
-                                       cfg.tolerance, cfg.krylov_dim)
+                                       cfg.tolerance, cfg.krylov_dim, work)
             except EvolutionError:
                 if dt < 1e-12:
                     raise
@@ -240,12 +251,10 @@ class SectorEvolution:
 
 
 def evolve_operator(op: OperatorMatrix | BlockOp, model: ModelSpec, t: float,
-                    cfg: EvolutionConfig | None = None,
                     engine: SectorEvolution | None = None) -> BlockOp:
     """Heisenberg-evolve an operator matrix; spectrum is unitarily preserved.
 
-    ``cfg`` is accepted for interface symmetry with evolve_state; the sector
-    route is exact per segment so no step control is needed.
+    The sector route is exact per segment, so no step control is needed.
     """
     if engine is None:
         engine = SectorEvolution(model, op.basis)
@@ -321,6 +330,216 @@ class HeisenbergScanEngine:
 
 
 # ---------------------------------------------------------------------------
+# scan cells from the nested-commutator series
+
+
+SERIES_RTOL = 1e-10
+SERIES_MAX_ORDER = 14
+_CHUNK_BYTES = 2 << 20
+
+
+def _probe_maps(probe: MonomialOp, basis: FockBasis) -> dict:
+    """Sector blocks of a one-site monomial as partial injections.
+
+    ``maps[(n_row, n_col)] = (rows, cols, amps)`` in sector-local indices:
+    column ``cols[i]`` goes to row ``rows[i]`` with amplitude ``amps[i]``.
+    No row or column repeats, so the operator norm is ``max |amps|``.
+    """
+    out = {}
+    for pair, block in sector_blocks(probe.to_matrix(basis).mat, basis).items():
+        coo = block.tocoo()
+        out[pair] = (coo.row, coo.col, real_if_exact(coo.data))
+    return out
+
+
+def _nested_commutators(h_row: sp.csr_matrix, h_col_t: sp.csr_matrix, block: np.ndarray,
+                        lowest: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """M_k = ad_H^k(A) on one sector pair for k = lowest..order, and every
+    ||M_k||_F^2 for k = 0..order.
+
+    ``h_col_t`` is the transpose of the column sector's block of H, so
+    M H = (H^T M^T)^T runs as a sparse-times-dense product.
+    """
+    seq = np.empty((order + 1 - lowest,) + block.shape, dtype=block.dtype)
+    norms_sq = np.empty(order + 1)
+    m = block
+    for k in range(order + 1):
+        if k >= lowest:
+            seq[k - lowest] = m
+        norms_sq[k] = np.vdot(m, m).real
+        if k < order:
+            m = h_row @ m - (h_col_t @ m.T).T
+    return seq, norms_sq
+
+
+def _add_target_gram(gram: np.ndarray, skip: int, weight: float, shape: tuple[int, int],
+                     right: np.ndarray | None, mb, left: np.ndarray | None, bm) -> None:
+    """Add weight * (D_k | D_l) of one target sector block to the Gram matrix.
+
+    D_k = M_k B - B M'_k with ``right``/``left`` the stored sequences of M
+    and M' (first ``skip`` orders unused) and ``mb``/``bm`` the probe's
+    index maps for the two products; either may be None.  The block is
+    formed in row chunks of at most _CHUNK_BYTES.
+    """
+    if mb is None and bm is None:
+        return
+    seq = right if mb is not None else left
+    terms = seq.shape[0] - skip
+    n_rows, n_cols = shape
+    step = max(1, _CHUNK_BYTES // (seq.itemsize * terms * n_cols))
+    for lo in range(0, n_rows, step):
+        hi = min(n_rows, lo + step)
+        d = np.zeros((terms, hi - lo, n_cols), dtype=seq.dtype)
+        if mb is not None:
+            rows, cols, amps = mb
+            d[:, :, cols] = right[skip:, lo:hi][:, :, rows] * amps
+        if bm is not None:
+            rows, cols, amps = bm
+            sel = (rows >= lo) & (rows < hi)
+            d[:, rows[sel] - lo, :] -= amps[sel][:, None] * left[skip:, cols[sel], :]
+        flat = d.reshape(terms, -1)
+        # a real product of flat with its own transpose runs as syrk
+        gram[-terms:, -terms:] += weight * ((flat.conj() if d.dtype.kind == "c" else flat)
+                                            @ flat.T)
+
+
+@dataclass
+class CommutatorSeries:
+    """Gram matrices of D_k = [ad_H^k(A), B_r] for every probe placement.
+
+    ``grams[r][k, l] = (D_k | D_l)_w`` for k, l = 0..order, zero where k or
+    l is below ``first[r]`` (there D_k vanishes because the support of
+    ad_H^k(A) does not reach the probe).  ``m_norms[k] = ||ad_H^k(A)||_w``.
+    ``spread`` bounds the spectral spread of H between any two sectors A
+    connects (Gershgorin), hence ||ad_H||; ``probe_factor`` is
+    2 cosh(mu gamma_B / 4) ||B||, which bounds ||[M, B]||_w / ||M||_w.
+    """
+
+    order: int
+    grams: dict[int, np.ndarray]
+    first: dict[int, int]
+    m_norms: np.ndarray
+    spread: float
+    probe_factor: float
+
+    def cell(self, r: int, t: float) -> tuple[float, float, int] | None:
+        """(value, remainder bound, order) of ||[A(t), B_r]||_w^2, or None.
+
+        The value is the quadratic form c^dag G c with c_k = (it)^k / k!,
+        truncated at the smallest order K whose remainder bound is at most
+        SERIES_RTOL times the value.  The remainder bounds the dropped
+        terms, ||sum_{k>K} c_k D_k||_w <= probe_factor ||M_K||_w
+        sum_{j>=1} |t|^(K+j) spread^j / (K+j)!, entering the squared norm as
+        2 sqrt(value) e + e^2, plus the rounding of the quadratic form.
+        None when no order up to ``order`` meets the tolerance.
+        """
+        gram, k0 = self.grams[r], self.first[r]
+        if t == 0.0:
+            return float(gram[0, 0].real), 0.0, k0
+        ks = np.arange(self.order + 1)
+        coef = np.array([(1j * t) ** k / math.factorial(k) for k in ks])
+        x = abs(t) * self.spread
+        for order in range(k0, self.order + 1):
+            if x >= order + 2:
+                continue
+            c = coef[: order + 1]
+            g = gram[: order + 1, : order + 1]
+            value = float(np.real(np.vdot(c, g @ c)))
+            tail = (self.probe_factor * self.m_norms[order] * abs(t) ** order
+                    * x / math.factorial(order + 1) / (1.0 - x / (order + 2)))
+            scale = float(np.sum(np.abs(c) * np.sqrt(np.abs(np.diag(g))))) ** 2
+            remainder = (2.0 * math.sqrt(max(value, 0.0)) * tail + tail ** 2
+                         + 4.0 * (order + 1) * np.finfo(float).eps * scale)
+            if remainder <= SERIES_RTOL * value:
+                return value, remainder, order
+        return None
+
+
+def commutator_series(model: ModelSpec, basis: FockBasis, a0: BlockOp,
+                      probes: dict[int, MonomialOp], first: dict[int, int],
+                      mu: float) -> CommutatorSeries:
+    """Stream the nested commutators of ``a0`` through every probe's Gram matrix.
+
+    Orders run up to SERIES_MAX_ORDER: enough for every in-cone cell of the
+    6- and 7-site cap-3 chains (the deepest, r = 6 at t = 0.01, needs 14).
+
+    Works sector pair by sector pair: for each column sector j the target
+    block of D_k = M_k B - B M_k takes M_k on the pair with column j + gamma_B
+    (times B, read off the probe's index map as a column gather) and M_k on
+    the pair with column j (B times it, a row gather).  Sequences are made
+    in increasing column order and dropped once no later target needs them,
+    so at most |gamma_B| + 1 pairs' sequences are live; the target blocks are
+    formed in row chunks.  H is used in its sparse sector blocks, real when
+    its imaginary part is exactly zero.
+    """
+    order = SERIES_MAX_ORDER
+    h = build_hamiltonian(model, basis)
+    if not np.any(h.data.imag):
+        h = h.real
+    h_blocks = {n: blk.tocsr() for (n, m), blk in sector_blocks(h, basis).items() if n == m}
+    sizes = [ix.size for ix in basis.sectors]
+
+    def h_block(n: int) -> sp.csr_matrix:
+        return h_blocks.get(n, sp.csr_matrix((sizes[n], sizes[n]), dtype=h.dtype))
+
+    pairs = {n_col: (n_row, block) for (n_row, n_col), block in a0.blocks.items()}
+    if len(pairs) != len(a0.blocks):
+        raise ValueError("series route needs an operator of definite number change")
+    if not pairs:   # A = 0 on this basis: every commutator vanishes
+        return CommutatorSeries(order, {r: np.zeros((order + 1, order + 1)) for r in probes},
+                                first, np.zeros(order + 1), 0.0, 0.0)
+    maps = {r: _probe_maps(p, basis) for r, p in probes.items()}
+    gamma_b = next(iter(probes.values())).gamma
+    dtype = np.result_type(h.dtype, *(b.dtype for b in a0.blocks.values()))
+    w = MuWeights(mu, basis)
+
+    # spectral spread between the sectors A connects; Gershgorin per sector
+    diag = h.diagonal().real
+    radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
+    lo = {n: float(np.min(diag[ix] - radius[ix])) for n, ix in enumerate(basis.sectors) if ix.size}
+    hi = {n: float(np.max(diag[ix] + radius[ix])) for n, ix in enumerate(basis.sectors) if ix.size}
+    spread = max(max(hi[a] - lo[b], hi[b] - lo[a]) for b, (a, _) in pairs.items())
+    b_norm = max((float(np.max(np.abs(amps))) for m in maps.values()
+                  for _, _, amps in m.values() if amps.size), default=0.0)
+    probe_factor = 2.0 * math.cosh(mu * gamma_b / 4.0) * b_norm
+
+    grams = {r: np.zeros((order + 1, order + 1), dtype=dtype) for r in probes}
+    m_norms_sq = np.zeros(order + 1)
+    live: dict[int, np.ndarray] = {}    # column sector -> M_k, k = lowest..order
+    lowest = min(min(first.values()), order)
+
+    def sequence(n_col: int) -> np.ndarray | None:
+        if n_col not in pairs:
+            return None
+        if n_col not in live:
+            n_row, block = pairs[n_col]
+            live[n_col], norms_sq = _nested_commutators(
+                h_block(n_row), h_block(n_col).T.tocsr(), block.astype(dtype, copy=False),
+                lowest, order)
+            m_norms_sq[:] += w.pair_weight(n_row, n_col) * norms_sq
+        return live[n_col]
+
+    gamma_a = next(iter(a0.blocks))[0] - next(iter(a0.blocks))[1]
+    for j in sorted({n - gamma_b for n in pairs} | set(pairs)):
+        i = j + gamma_a + gamma_b
+        right = sequence(j + gamma_b)      # M on (i, j + gamma_b), then B
+        left = sequence(j)                 # B after M on (j + gamma_a, j)
+        if 0 <= i < len(sizes) and 0 <= j < len(sizes):
+            for r, probe_map in maps.items():
+                if first[r] <= order:
+                    mb = probe_map.get((j + gamma_b, j)) if right is not None else None
+                    bm = probe_map.get((i, j + gamma_a)) if left is not None else None
+                    _add_target_gram(grams[r], first[r] - lowest, w.pair_weight(i, j),
+                                     (sizes[i], sizes[j]), right, mb, left, bm)
+        right = left = None
+        for n_col in [n for n in live if n < j + 1 + min(0, gamma_b)]:
+            del live[n_col]
+    return CommutatorSeries(order=order, grams=grams, first=first,
+                            m_norms=np.sqrt(m_norms_sq), spread=spread,
+                            probe_factor=probe_factor)
+
+
+# ---------------------------------------------------------------------------
 # scan results
 
 
@@ -387,8 +606,7 @@ def probe_sites(graph: Graph, support) -> dict[int, int]:
 
 
 def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: float,
-                   r_list, t_list, cfg: EvolutionConfig | None = None,
-                   cells: list[tuple[int, float]] | None = None,
+                   r_list, t_list, cells: list[tuple[int, float]] | None = None,
                    basis: FockBasis | None = None,
                    engine: HeisenbergScanEngine | None = None,
                    workers: int = 1, eps: float = 0.1, c1: float = 1.0) -> ScanResult:
@@ -397,14 +615,19 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
     ``op`` is evolved; ``probe`` is a single-site monomial template placed,
     for each requested separation r, on the smallest-id vertex at distance r
     from the support of ``op``.  ``cells`` overrides the rectangular
-    r x t grid when given.  ``workers`` parallelizes over time groups; cell
-    order in the result is independent of the worker count.  ``eps`` and
-    ``c1`` enter the worst-case matrix-element bound.
+    r x t grid when given.  ``eps`` and ``c1`` enter the worst-case
+    matrix-element bound.
+
+    Each cell comes from the nested-commutator series (``commutator_series``)
+    when some order up to SERIES_MAX_ORDER meets its remainder tolerance;
+    the others (large t) take the dense route of ``engine``, built on first
+    need.  ``workers`` parallelizes the dense route over time groups; cell
+    order in the result is independent of the worker count.
     """
+    if not model.is_time_independent:
+        raise ValueError("scan expects a time-independent model")
     if basis is None:
         basis = FockBasis(model.graph.num_vertices, per_site_cap=3)
-    if engine is None:
-        engine = HeisenbergScanEngine(model, basis, op)
     w = MuWeights(mu, basis)
     graph = model.graph
     support = sorted(op.support)
@@ -417,7 +640,7 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
     k = graph.max_degree
     ell = model.interaction_range
     velocity = bounds_mod.velocity_bound(mu, k, ell, beta)
-    a0 = engine.initial
+    a0 = engine.initial if engine is not None else BlockOp.from_matrix(op.to_matrix(basis))
     seeds = {x: f_beta_expectation(a0, x, beta, w, projected=False) for x in support}
     norm_sq = weighted_norm_sq(a0, w)
     r_ell = len(fatten(graph, support, ell))
@@ -434,30 +657,54 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
     missing = sorted({r for r, _ in cells} - set(sites))
     if missing:
         raise ValueError(f"no vertex at distance {missing[0]} from {support}")
+    placed = {r: probe.translate(sites[r] - probe_anchor) for r, _ in cells}
 
-    # deterministic evaluation order; group by time so evolution is shared
+    # ad_H grows a support by one hop or one interaction range per order; on
+    # a product basis an operator commutes with a probe its support misses
+    growth = max(1, ell)
+    first = {}
+    for r in placed:
+        order = 0
+        if basis.total_cap is None and basis.number is None:
+            while sites[r] not in fatten(graph, support, order * growth):
+                order += 1
+        first[r] = order
+
+    def make_cell(r: int, t: float, exact: float) -> ScanCell:
+        bound = bounds_mod.ensemble_commutator_bound(r, t, params)
+        bound_me = bounds_mod.matrix_element_bound(
+            r, t, m=basis.per_site_cap, ell=ell, eps=eps, c1=c1).value
+        ratio = exact / bound if math.isfinite(bound) and bound > 0 else 0.0
+        return ScanCell(r=r, t=t, exact=exact, bound_ensemble=bound,
+                        bound_matrix_element=bound_me, ratio=ratio, tail_estimate=tail)
+
+    out_cells: dict[tuple[int, float], ScanCell] = {}
+    orders, worst = [], 0.0
+    series = commutator_series(model, basis, a0, placed, first, mu) if placed else None
+    for r, t in sorted(set(cells)):
+        got = series.cell(r, t)
+        if got is None:
+            continue
+        value, remainder, order = got
+        orders.append(order)
+        if value > 0.0:
+            worst = max(worst, float(remainder / value))
+        out_cells[(r, t)] = make_cell(r, t, value)
+
+    # the remaining cells: dense route, grouped by time so evolution is shared
     by_time: dict[float, list[int]] = {}
-    for r, t in cells:
+    for r, t in sorted(set(cells) - set(out_cells)):
         by_time.setdefault(t, []).append(r)
+    if by_time and engine is None:
+        engine = HeisenbergScanEngine(model, basis, op)
 
     def eval_time_group(t: float) -> list[ScanCell]:
         evolved = engine.evolved_blocks(t)
-        group = []
-        for r in sorted(set(by_time[t])):
-            placed = probe.translate(sites[r] - probe_anchor)
-            probe_mat = placed.to_matrix(basis).mat
-            exact = engine.commutator_norm(t, probe_mat, w, evolved=evolved)
-            bound = bounds_mod.ensemble_commutator_bound(r, t, params)
-            bound_me = bounds_mod.matrix_element_bound(
-                r, t, m=basis.per_site_cap, ell=ell, eps=eps, c1=c1).value
-            ratio = exact / bound if math.isfinite(bound) and bound > 0 else 0.0
-            group.append(ScanCell(r=r, t=t, exact=exact, bound_ensemble=bound,
-                                  bound_matrix_element=bound_me, ratio=ratio,
-                                  tail_estimate=tail))
-        return group
+        return [make_cell(r, t, engine.commutator_norm(
+                    t, placed[r].to_matrix(basis).mat, w, evolved=evolved))
+                for r in by_time[t]]
 
     times = sorted(by_time)
-    out_cells: dict[tuple[int, float], ScanCell] = {}
     if workers > 1 and len(times) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             groups = list(pool.map(eval_time_group, times))
@@ -472,6 +719,9 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
         "interaction_range": ell, "max_degree": k, "beta": beta, "gamma": gamma,
         "velocity": velocity, "seeds": seeds, "norm_sq": norm_sq,
         "size_R": len(support), "size_R_ell": r_ell,
+        "series": {"max_order": SERIES_MAX_ORDER, "order": max(orders, default=0),
+                   "max_remainder_ratio": worst,
+                   "dense_cells": [[r, t] for t in times for r in by_time[t]]},
     }
     return ScanResult(cells=ordered, metadata=meta)
 
@@ -487,7 +737,6 @@ class OtocResult:
 
 
 def otoc(model: ModelSpec, a: OperatorMatrix, b: OperatorMatrix, mu: float, t: float,
-         cfg: EvolutionConfig | None = None,
          engine: SectorEvolution | None = None) -> OtocResult:
     """Weighted squared commutator of the evolved and static operators."""
     engine = engine or SectorEvolution(model, a.basis)

@@ -212,6 +212,10 @@ class MonomialOp:
         """Net particle number raised by the monomial."""
         return sum(p for _, p in self.eta) - sum(p for _, p in self.zeta)
 
+    def adjoint(self) -> "MonomialOp":
+        """The Hermitian conjugate prod_x (b+_x)^zeta_x (b_x)^eta_x."""
+        return MonomialOp(self.zeta, self.eta)
+
     def translate(self, offset: int) -> "MonomialOp":
         return MonomialOp(tuple((s + offset, p) for s, p in self.eta),
                           tuple((s + offset, p) for s, p in self.zeta))

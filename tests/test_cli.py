@@ -184,6 +184,30 @@ def test_cluster_on_non_path_graph_is_config_error(config_file, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("site", [12, -6, 4])
+def test_certify_observable_outside_window_is_config_error(config_file, capsys, site):
+    # 11-site chain, window radius 3: sites -3..3 relative to the center
+    path = config_file(kind="certify", **{
+        "model.graph.length": 11, "ensemble.per_site_cap": 3,
+        "experiment.time": 0.5, "experiment.window_radius": 3,
+        "experiment.observable": {"kind": "density", "site": site}})
+    assert main(["certify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "experiment.observable.site" in err
+
+
+def test_output_formats_select_files(config_file, tmp_path):
+    out = tmp_path / "out"
+    assert main(["scan", str(config_file(**{"output.formats": ["json"]}))]) == 0
+    assert (out / "scan.json").exists() and not (out / "scan.csv").exists()
+    path = config_file(kind="cluster", **{
+        "model.graph.length": 6,
+        "model.interactions": [{"kind": "onsite", "strength": 15.0}],
+        "experiment.r_values": [1, 2], "output.formats": ["csv"]})
+    assert main(["cluster", str(path)]) == 0
+    assert (out / "cluster.csv").exists() and not (out / "cluster.json").exists()
+
+
 def test_exit_code_gapless(config_file):
     path = config_file(kind="cluster", **{
         "model.graph.length": 6,

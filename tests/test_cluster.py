@@ -101,3 +101,33 @@ def test_report_serialization():
     assert d["gap"] == report.gap
     assert len(d["rows"]) == 2
     assert "note" in d["metadata"]
+
+
+def test_annihilation_family_matches_dense_oracle():
+    """<b+_0 b_r> from the filling-sector solver against a dense solve on the
+    full capped basis, both scaled by the enumerated unit norm."""
+    import numpy as np
+    from bosonlc.fock import FockBasis, build_hamiltonian, ladder_op
+    from bosonlc.opspace import MonomialOp, MuWeights, weighted_norm_sq
+
+    length, cap = 6, 2
+    model = bose_hubbard(build_path(length), 1.0, 4.0)
+    report = clustering_experiment(model, [1, 2, 3], per_site_cap=cap, filling=1,
+                                   observables=("density", "annihilation"))
+    full = FockBasis(length, cap)
+    sector = np.flatnonzero(full.totals == length)
+    h = build_hamiltonian(model, full).toarray()[np.ix_(sector, sector)]
+    evals, evecs = np.linalg.eigh(h)
+    psi = np.zeros(full.dim, complex)
+    psi[sector] = evecs[:, 0]
+    mu = report.metadata["assumption"]["mu"]
+    grand = FockBasis(length, cap, total_cap=length)
+    norm_sq = weighted_norm_sq(MonomialOp.from_dicts(zeta={0: 1}).to_matrix(grand),
+                               MuWeights(mu, grand))
+    rows = {row.r: row.exact for row in report.rows if row.observable == "annihilation"}
+    assert sorted(rows) == [1, 2, 3]
+    for r, got in rows.items():
+        hop = ladder_op(full, 0, "create") @ ladder_op(full, r, "annihilate")
+        want = abs(np.vdot(psi, hop @ psi)) / norm_sq
+        assert want > 1e-4
+        assert got == pytest.approx(want, rel=1e-9)

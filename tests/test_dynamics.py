@@ -354,6 +354,94 @@ def test_lightcone_scan_free_bessel_column():
         assert val == pytest.approx(pred, abs=1e-8)
 
 
+def _dense_cell(engine, basis, w, r, t):
+    """The dense route's value of one cell: evolve, then the commutator norm."""
+    probe = MonomialOp.from_dicts(eta={r: 1}).to_matrix(basis).mat
+    return engine.commutator_norm(t, probe, w)
+
+
+def test_series_cells_match_dense_route():
+    model = bose_hubbard(build_path(5), 1.0, 1.0)
+    basis = FockBasis(5, 3)
+    w = MuWeights(1.0, basis)
+    op = MonomialOp.from_dicts(zeta={0: 1})
+    probe = MonomialOp.from_dicts(eta={0: 1})
+    cells = [(r, f * r / 880.0) for r in (1, 2, 3, 4) for f in (0.4, 0.95)]
+    cells += [(r, t) for r in (1, 2, 3, 4) for t in (0.01, 0.02, 0.03, 0.05, 0.1)]
+    res = lightcone_scan(model, op, probe, 1.0, [], [], cells=cells, basis=basis)
+    series = res.metadata["series"]
+    assert 0.0 < series["max_remainder_ratio"] <= 1e-10
+    dense_routed = {tuple(cell) for cell in series["dense_cells"]}
+    assert all(t >= 0.05 for _, t in dense_routed)
+    engine = HeisenbergScanEngine(model, basis, op)
+    compared = 0
+    for cell in res.cells:
+        dense = _dense_cell(engine, basis, w, cell.r, cell.t)
+        if dense >= 1e-12 and (cell.r, cell.t) not in dense_routed:
+            assert cell.exact == pytest.approx(dense, rel=1e-9)
+            compared += 1
+    assert compared >= 12
+
+
+def test_series_deepest_cell_leading_order_closed_form():
+    """To leading order only the r-hop path from 0 to r contributes:
+    D_r = +-prod_{x<=r} [b_x, b+_x], so ||[A(t), B_r]||^2 ~ (t^r/r!)^2
+    g^(r+1) s^(L-r-1) with g = <[b,b+]^2> and s = 1 - q^(cap+1) per site."""
+    length, cap, mu = 6, 3, 1.0
+    model = bose_hubbard(build_path(length), 1.0, 1.0)
+    basis = FockBasis(length, cap)
+    r = length - 1
+    t = 0.4 * r / 880.0
+    res = lightcone_scan(model, MonomialOp.from_dicts(zeta={0: 1}),
+                         MonomialOp.from_dicts(eta={0: 1}), mu, [], [], cells=[(r, t)],
+                         basis=basis)
+    q = math.exp(-mu)
+    g = (1 - q) * (sum(q ** n for n in range(cap)) + cap ** 2 * q ** cap)
+    s = 1 - q ** (cap + 1)
+    predicted = (t ** r / math.factorial(r)) ** 2 * g ** (r + 1) * s ** (length - r - 1)
+    # the next order is O(t^2) relative, about 2e-6 here
+    assert res.cells[0].exact == pytest.approx(predicted, rel=1e-4)
+    assert res.metadata["series"]["dense_cells"] == []
+
+
+def test_series_zero_time_cells_are_exact_zeros():
+    model = bose_hubbard(build_path(5), 1.0, 1.0)
+    basis = FockBasis(5, 3)
+    cells = [(r, 0.0) for r in (1, 2, 3, 4)]
+    res = lightcone_scan(model, MonomialOp.from_dicts(zeta={0: 1}),
+                         MonomialOp.from_dicts(eta={0: 1}), 1.0, [], [], cells=cells,
+                         basis=basis)
+    assert res.metadata["series"]["dense_cells"] == []
+    for cell in res.cells:
+        assert cell.exact == 0.0 and math.copysign(1.0, cell.exact) == 1.0
+
+
+def test_large_time_cell_takes_dense_route_bit_for_bit():
+    model = bose_hubbard(build_path(5), 1.0, 1.0)
+    basis = FockBasis(5, 3)
+    w = MuWeights(1.0, basis)
+    op = MonomialOp.from_dicts(zeta={0: 1})
+    res = lightcone_scan(model, op, MonomialOp.from_dicts(eta={0: 1}), 1.0, [], [],
+                         cells=[(2, 0.5), (2, 0.001)], basis=basis)
+    assert res.metadata["series"]["dense_cells"] == [[2, 0.5]]
+    dense = _dense_cell(HeisenbergScanEngine(model, basis, op), basis, w, 2, 0.5)
+    got = {cell.t: cell.exact for cell in res.cells}
+    assert got[0.5] == dense
+
+
+def test_lanczos_work_buffer_is_bit_identical(rng):
+    from bosonlc.dynamics import _lanczos_expv
+    model = bose_hubbard(build_path(4), 1.0, 1.0)
+    basis = FockBasis(4, 3)
+    h = build_hamiltonian(model, basis)
+    psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    work = np.full((31, basis.dim), np.nan, dtype=complex)
+    for tau in (-0.1j, -0.05j):
+        fresh, err = _lanczos_expv(h, psi, tau, 1e-10, 30)
+        reused, err_reused = _lanczos_expv(h, psi, tau, 1e-10, 30, work)
+        assert np.array_equal(fresh, reused) and err == err_reused
+
+
 def test_scan_result_violations_and_csv():
     model = bose_hubbard(build_path(5), 1.0, 1.0)
     basis = FockBasis(5, 2)

@@ -127,6 +127,8 @@ def _run_scan(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
         raise ConfigError("experiment.probe", "probe must be a single-site monomial")
     reachable = probe_sites(cfg.model.graph, op.support)
     for r in r_values:
+        if r < 1:
+            raise ConfigError("experiment.r_values", f"separation {r} is below 1")
         if r not in reachable:
             raise ConfigError("experiment.r_values",
                               f"no vertex at distance {r} from the evolved operator")

@@ -335,7 +335,7 @@ class HeisenbergScanEngine:
 
 SERIES_RTOL = 1e-10
 SERIES_MAX_ORDER = 14
-_CHUNK_BYTES = 2 << 20
+_CHUNK_BYTES = 512 << 10
 
 
 def _probe_maps(probe: MonomialOp, basis: FockBasis) -> dict:
@@ -362,13 +362,15 @@ def _nested_commutators(h_row: sp.csr_matrix, h_col_t: sp.csr_matrix, block: np.
     """
     seq = np.empty((order + 1 - lowest,) + block.shape, dtype=block.dtype)
     norms_sq = np.empty(order + 1)
+    if lowest == 0:
+        seq[0] = block
     m = block
     for k in range(order + 1):
-        if k >= lowest:
-            seq[k - lowest] = m
         norms_sq[k] = np.vdot(m, m).real
         if k < order:
-            m = h_row @ m - (h_col_t @ m.T).T
+            # M_{k+1} goes straight into its slot once it is kept
+            out = seq[k + 1 - lowest] if k + 1 >= lowest else None
+            m = np.subtract(h_row @ m, (h_col_t @ np.ascontiguousarray(m.T)).T, out=out)
     return seq, norms_sq
 
 
@@ -378,29 +380,69 @@ def _add_target_gram(gram: np.ndarray, skip: int, weight: float, shape: tuple[in
 
     D_k = M_k B - B M'_k with ``right``/``left`` the stored sequences of M
     and M' (first ``skip`` orders unused) and ``mb``/``bm`` the probe's
-    index maps for the two products; either may be None.  The block is
-    formed in row chunks of at most _CHUNK_BYTES.
+    index maps (rows, cols, amps) for the two products; either may be None.
+
+    D is never scattered into a zeroed block: its Gram is summed over two
+    row sets, each read from the sequences by gathers only.
+
+    * Rows outside the image U of B (the rows ``bm`` writes) hold M B
+      alone, so the rows of M with each column x scaled by B's amplitude on
+      x (zero off B's domain) carry the same nonzero entries: a row gather
+      and a broadcast product.
+    * A row u in U holds a M[u, x(c)] - a' M'[u', c] on the columns c that
+      M B writes and -a' M'[u', c] on the others.  One gather reads
+      M[u, x(c)] for every c (column 0 where M B does not write c) and
+      scales it by a (zero there), so every entry is formed as in D itself.
+
+    Temporaries hold at most _CHUNK_BYTES (or one row).
     """
     if mb is None and bm is None:
         return
     seq = right if mb is not None else left
     terms = seq.shape[0] - skip
     n_rows, n_cols = shape
-    step = max(1, _CHUNK_BYTES // (seq.itemsize * terms * n_cols))
-    for lo in range(0, n_rows, step):
-        hi = min(n_rows, lo + step)
-        d = np.zeros((terms, hi - lo, n_cols), dtype=seq.dtype)
-        if mb is not None:
-            rows, cols, amps = mb
-            d[:, :, cols] = right[skip:, lo:hi][:, :, rows] * amps
-        if bm is not None:
-            rows, cols, amps = bm
-            sel = (rows >= lo) & (rows < hi)
-            d[:, rows[sel] - lo, :] -= amps[sel][:, None] * left[skip:, cols[sel], :]
-        flat = d.reshape(terms, -1)
+    block = gram[-terms:, -terms:]
+
+    def add(piece: np.ndarray) -> None:
+        flat = piece.reshape(terms, -1)
         # a real product of flat with its own transpose runs as syrk
-        gram[-terms:, -terms:] += weight * ((flat.conj() if d.dtype.kind == "c" else flat)
-                                            @ flat.T)
+        block[...] += weight * ((flat.conj() if flat.dtype.kind == "c" else flat) @ flat.T)
+
+    def chunks(rows: np.ndarray, width: int):
+        step = max(1, _CHUNK_BYTES // (seq.itemsize * terms * width))
+        return (rows[lo:lo + step] for lo in range(0, rows.size, step))
+
+    if mb is not None:
+        m_rows, q, amps = mb
+        width = right.shape[2]
+        scale = np.zeros(width, dtype=amps.dtype)
+        scale[m_rows] = amps
+        outside = np.ones(n_rows, dtype=bool)
+        if bm is not None:
+            outside[bm[0]] = False
+        for rows in chunks(np.flatnonzero(outside), width):
+            piece = np.take(right[skip:], rows, axis=1)
+            piece *= scale
+            add(piece)
+    if bm is None:
+        return
+    u, src, amps_b = bm
+    if mb is not None:
+        # column c of M B reads column x(c) of M, scaled by B's amplitude
+        x_of = np.zeros(n_cols, dtype=np.intp)
+        x_of[q] = m_rows
+        col_scale = np.zeros(n_cols, dtype=amps.dtype)
+        col_scale[q] = amps
+        flat_right = right[skip:].reshape(terms, -1)
+    for sel in chunks(np.arange(u.size), n_cols):
+        piece = np.take(left[skip:], src[sel], axis=1)
+        piece *= amps_b[sel][:, None]
+        if mb is not None:
+            mb_part = np.take(flat_right, (u[sel][:, None] * width + x_of).ravel(), axis=1)
+            mb_part = mb_part.reshape(piece.shape)
+            mb_part *= col_scale
+            piece = np.subtract(mb_part, piece, out=mb_part)
+        add(piece)
 
 
 @dataclass
@@ -465,12 +507,13 @@ def commutator_series(model: ModelSpec, basis: FockBasis, a0: BlockOp,
 
     Works sector pair by sector pair: for each column sector j the target
     block of D_k = M_k B - B M_k takes M_k on the pair with column j + gamma_B
-    (times B, read off the probe's index map as a column gather) and M_k on
-    the pair with column j (B times it, a row gather).  Sequences are made
-    in increasing column order and dropped once no later target needs them,
-    so at most |gamma_B| + 1 pairs' sequences are live; the target blocks are
-    formed in row chunks.  H is used in its sparse sector blocks, real when
-    its imaginary part is exactly zero.
+    (times B) and M_k on the pair with column j (B times it), both read
+    through the probe's index maps.  ``_add_target_gram`` adds the block's
+    Gram matrix without assembling it, from row and column gathers in row
+    chunks of at most _CHUNK_BYTES.  Sequences are made in increasing column
+    order and dropped once no later target needs them, so at most
+    |gamma_B| + 1 pairs' sequences are live.  H is used in its sparse sector
+    blocks, real when its imaginary part is exactly zero.
     """
     order = SERIES_MAX_ORDER
     h = build_hamiltonian(model, basis)
@@ -719,6 +762,7 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
         "interaction_range": ell, "max_degree": k, "beta": beta, "gamma": gamma,
         "velocity": velocity, "seeds": seeds, "norm_sq": norm_sq,
         "size_R": len(support), "size_R_ell": r_ell,
+        "truncation_weight": 1.0 - w.total_weight(),
         "series": {"max_order": SERIES_MAX_ORDER, "order": max(orders, default=0),
                    "max_remainder_ratio": worst,
                    "dense_cells": [[r, t] for t in times for r in by_time[t]]},

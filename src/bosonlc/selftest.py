@@ -16,7 +16,7 @@ from .fock import (FockBasis, build_hamiltonian, check_number_conservation,
                    random_model_spec, total_number_op)
 from .lattice import build_cubic, build_path, build_regular_tree, count_covering_edges, distance
 from .opspace import (MonomialOp, MuWeights, OperatorMatrix, apply_liouvillian,
-                      check_thermal_relation, monomial_commutator_bound,
+                      check_thermal_relation, identity_f_beta, monomial_commutator_bound,
                       weighted_inner, weighted_norm_sq)
 
 
@@ -111,18 +111,11 @@ def _single_site_projections(rng, samples, mu=0.7, cap=30):
     for mu_i in (0.3, 0.7, 1.0, 2.5):
         for beta in (1, 2, 3):
             cap_i = max(cap, int(8 / mu_i))
-            val = _identity_f(mu_i, beta, cap_i)
+            val = identity_f_beta(mu_i, beta, cap_i)
             if val > beta ** beta * (1 - math.exp(-mu_i)) ** (-beta) * (1 + 1e-12):
                 bad += 1
     return _check("single-site projection/growth bounds", samples, bad == 0,
                   f"{bad} violations")
-
-
-def _identity_f(mu, beta, cap):
-    q = math.exp(-mu)
-    js = np.arange(cap + 1, dtype=float)
-    z = 1.0 - q ** (cap + 1)
-    return float(np.sum((1 - q) * q ** js * (js + beta) ** beta) / z)
 
 
 def _monomial_bound(rng, samples):

@@ -219,10 +219,11 @@ def test_exit_code_gapless(config_file):
 
 @pytest.mark.parametrize("tweaks", [
     {"model.graph.length": 6, "experiment.r_values": [9]},
+    {"experiment.r_values": [0, 2]},
     {"experiment.evolve": {"zeta": {7: 1}}},
     {"experiment.probe": {"eta": {0: 1, 1: 1}}},
     {"model.hopping": {"segments": [{"until": 0.5, "value": 1.0}, {"value": 0.5}]}},
-], ids=["r_beyond_graph", "evolve_site_outside", "two_site_probe", "time_dependent"])
+], ids=["r_beyond_graph", "r_below_one", "evolve_site_outside", "two_site_probe", "time_dependent"])
 def test_scan_invalid_request_is_config_error(config_file, capsys, tweaks):
     assert main(["scan", str(config_file(**tweaks))]) == 2
     assert "config error:" in capsys.readouterr().err

@@ -416,6 +416,18 @@ def test_series_zero_time_cells_are_exact_zeros():
         assert cell.exact == 0.0 and math.copysign(1.0, cell.exact) == 1.0
 
 
+@pytest.mark.parametrize("length,cap,mu", [(5, 3, 1.0), (4, 2, 0.7), (3, 1, 2.5)])
+def test_scan_truncation_weight_closed_form(length, cap, mu):
+    """On a product basis the kept weight is (1 - q^(cap+1))^L."""
+    model = bose_hubbard(build_path(length), 1.0, 1.0)
+    res = lightcone_scan(model, MonomialOp.from_dicts(zeta={0: 1}),
+                         MonomialOp.from_dicts(eta={0: 1}), mu, [], [], cells=[(1, 0.0)],
+                         basis=FockBasis(length, cap))
+    q = math.exp(-mu)
+    want = 1.0 - (1.0 - q ** (cap + 1)) ** length
+    assert res.metadata["truncation_weight"] == pytest.approx(want, rel=1e-12)
+
+
 def test_large_time_cell_takes_dense_route_bit_for_bit():
     model = bose_hubbard(build_path(5), 1.0, 1.0)
     basis = FockBasis(5, 3)
@@ -427,6 +439,63 @@ def test_large_time_cell_takes_dense_route_bit_for_bit():
     dense = _dense_cell(HeisenbergScanEngine(model, basis, op), basis, w, 2, 0.5)
     got = {cell.t: cell.exact for cell in res.cells}
     assert got[0.5] == dense
+
+
+def _injection(rng, n_from, n_to, size, dtype):
+    """A random partial injection: column cols[i] -> row rows[i], amplitude amps[i]."""
+    cols = rng.choice(n_from, size=size, replace=False)
+    rows = rng.choice(n_to, size=size, replace=False)
+    amps = rng.uniform(0.5, 2.0, size)
+    if dtype == complex:
+        amps = amps * np.exp(1j * rng.uniform(0, 2 * np.pi, size))
+    return rows, cols, amps
+
+
+def _injection_matrix(shape, injection):
+    rows, cols, amps = injection
+    mat = np.zeros(shape, dtype=amps.dtype)
+    mat[rows, cols] = amps
+    return mat
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("case", ["mb_only", "bm_only", "both", "empty_image", "full_image"])
+@pytest.mark.parametrize("skip", [0, 2])
+@pytest.mark.parametrize("chunk_bytes", [1, 3000, 512 << 10])
+def test_add_target_gram_matches_explicit_commutators(rng, monkeypatch, dtype, case, skip,
+                                                      chunk_bytes):
+    """The region-wise Gram equals the Gram of explicitly formed
+    D_k = M_k B - B M'_k, at every chunking (one row per chunk at 1 byte)."""
+    monkeypatch.setattr(dynamics, "_CHUNK_BYTES", chunk_bytes)
+    n_terms, n_rows, n_cols, n_right, n_left = 6, 9, 11, 8, 12
+
+    def block(*shape):
+        out = rng.normal(size=shape)
+        return out + 1j * rng.normal(size=shape) if dtype == complex else out
+
+    right = block(n_terms, n_rows, n_right)
+    left = block(n_terms, n_left, n_cols)
+    mb = _injection(rng, n_cols, n_right, 7, dtype) if case != "bm_only" else None
+    image = {"mb_only": None, "bm_only": 5, "both": 5, "empty_image": 0, "full_image": n_rows}
+    bm = _injection(rng, n_left, n_rows, image[case], dtype) if image[case] is not None else None
+    d = np.zeros((n_terms - skip, n_rows, n_cols), dtype=dtype)
+    if mb:
+        d += right[skip:] @ _injection_matrix((n_right, n_cols), mb)
+    if bm:
+        d -= _injection_matrix((n_rows, n_left), bm) @ left[skip:]
+    flat = d.reshape(n_terms - skip, -1)
+    weight = 0.37
+    want = weight * (flat.conj() @ flat.T)
+    # one order below the stored ones, as when a sequence starts at order 1
+    start = rng.normal(size=(n_terms + 1, n_terms + 1)).astype(dtype)
+    got = start.copy()
+    dynamics._add_target_gram(got, skip, weight, (n_rows, n_cols), right if mb else None, mb,
+                              left if bm else None, bm)
+    added = got[1 + skip:, 1 + skip:] - start[1 + skip:, 1 + skip:]
+    assert np.abs(added - want).max() <= 1e-13 * np.abs(want).max()
+    untouched = np.ones(got.shape, dtype=bool)
+    untouched[1 + skip:, 1 + skip:] = False
+    assert np.array_equal(got[untouched], start[untouched])
 
 
 def test_lanczos_work_buffer_is_bit_identical(rng):

@@ -55,3 +55,36 @@ def test_golden_cluster_mott8(tmp_path):
         assert row["bound"] == pytest.approx(want["bound"], rel=1e-12)
         for key in ("ratio", "minimal_c5"):
             assert row[key] == pytest.approx(want[key], rel=1e-6)
+
+
+def test_golden_scan_5site(tmp_path):
+    """A 5-site cap-3 scan: 20 series cells and 4 dense-routed cells (t = 0.5).
+
+    The reference was written by the CLI before the scatter-free Gram kernel.
+    Config, constants, bounds, times, tails and the series' orders and
+    dense-routed cells must match exactly; ``exact`` (and ``ratio``, which is
+    exact over a closed-form bound) to 1e-12 relative, the summation-order
+    round-off of the Gram matrix; ``max_remainder_ratio`` to 1e-9 relative.
+    Metadata keys added since then are not compared here.
+    """
+    assert main(["scan", str(GOLDEN / "scan_5site.yaml"), "--out", str(tmp_path)]) == 0
+    assert not (tmp_path / "scan.csv").exists()
+    got = json.loads((tmp_path / "scan.json").read_text())
+    ref = golden("scan_5site")
+    for key in ("resolved_config", "constants_ledger"):
+        assert got[key] == ref[key]
+    meta, ref_meta = got["metadata"], ref["metadata"]
+    assert {k: meta[k] for k in ref_meta if k != "series"} == \
+        {k: v for k, v in ref_meta.items() if k != "series"}
+    series, ref_series = meta["series"], ref_meta["series"]
+    for key in ("max_order", "order", "dense_cells"):
+        assert series[key] == ref_series[key]
+    assert series["max_remainder_ratio"] == pytest.approx(ref_series["max_remainder_ratio"],
+                                                          rel=1e-9)
+    assert len(got["cells"]) == len(ref["cells"]) == 24
+    measured = {"exact", "ratio"}
+    for cell, want in zip(got["cells"], ref["cells"]):
+        assert {k: v for k, v in cell.items() if k not in measured} == \
+            {k: v for k, v in want.items() if k not in measured}
+        for key in measured:
+            assert cell[key] == pytest.approx(want[key], rel=1e-12, abs=0.0)

@@ -14,11 +14,11 @@ actually used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dynamics import EvolutionConfig, evolve_state
+from .dynamics import evolve_state
 from .fock import CapacityError, FockBasis, ModelSpec, count_states
 from .lattice import build_path
 from .opspace import MonomialOp
@@ -189,28 +189,22 @@ class CertifiedValue:
     assumption: DensityAssumption
     assumption_status: str
     vprime: float
-    evolution_tolerance_budget: float
+    evolution_terms: int            # Chebyshev terms summed by the state propagation
+    evolution_error_bound: float    # bound on ||psi(t) - exact||, from the truncated series
     constants: dict = field(default_factory=dict)
     notes: tuple[str, ...] = ()
 
+    @property
+    def status(self) -> str:
+        """"vacuous" if an error term is not finite or radius < formula_radius."""
+        finite = math.isfinite(self.restriction_error) and math.isfinite(self.cutoff_error)
+        return "informative" if finite and self.radius >= self.formula_radius else "vacuous"
+
     def to_dict(self) -> dict:
-        return {
-            "value": {"re": self.value.real, "im": self.value.imag},
-            "restriction_error": self.restriction_error,
-            "cutoff_error": self.cutoff_error,
-            "radius": self.radius,
-            "boson_cap": self.boson_cap,
-            "formula_radius": self.formula_radius,
-            "formula_boson_cap": self.formula_boson_cap,
-            "window_sites": list(self.window_sites),
-            "assumption": {"mu": self.assumption.mu, "theta": self.assumption.theta,
-                           "K0": self.assumption.K0, "form": self.assumption.form},
-            "assumption_status": self.assumption_status,
-            "vprime": self.vprime,
-            "evolution_tolerance_budget": self.evolution_tolerance_budget,
-            "constants": self.constants,
-            "notes": list(self.notes),
-        }
+        out = asdict(self)   # the assumption becomes a dict too
+        out.update(value={"re": self.value.real, "im": self.value.imag}, status=self.status,
+                   window_sites=list(self.window_sites), notes=list(self.notes))
+        return out
 
 
 def chain_center(model: ModelSpec) -> int:
@@ -253,8 +247,7 @@ def windowed_model(model: ModelSpec, radius: int) -> tuple[ModelSpec, int]:
 
 
 def certified_expectation(model: ModelSpec, occupations, observable: MonomialOp,
-                          t: float, assumption: DensityAssumption,
-                          cfg: EvolutionConfig | None = None, *,
+                          t: float, assumption: DensityAssumption, *,
                           radius: int | None = None,
                           per_site_cap: int | None = None,
                           total_cap: int | None = None,
@@ -269,7 +262,6 @@ def certified_expectation(model: ModelSpec, occupations, observable: MonomialOp,
     """
     from .bounds import velocity_bound_1d
 
-    cfg = cfg or EvolutionConfig()
     ell = model.interaction_range
     center = chain_center(model)
     occ = list(occupations)
@@ -326,17 +318,16 @@ def certified_expectation(model: ModelSpec, occupations, observable: MonomialOp,
 
     # number conservation: the state evolves inside its own N sector, so only
     # that sector is enumerated; a state cut by the caps projects to zero
-    value = 0j
+    value, terms, evolution_bound = 0j, 0, 0.0
     if inside:
         basis = FockBasis(width, per_site_cap=cap_used, total_cap=n0_used,
                           state_budget=state_budget, number=n_tot)
         psi = np.zeros(basis.dim, dtype=np.complex128)
         psi[basis.index(window_occ)] = 1.0
-        psi = evolve_state(psi, sub_model, basis, t, cfg)
+        psi, terms, evolution_bound = evolve_state(psi, sub_model, basis, t)
         obs_mat = observable.translate(center - lo).to_matrix(basis).mat
         value = complex(np.vdot(psi, obs_mat @ psi))
 
-    steps = max(1, math.ceil(abs(t) / cfg.max_step))
     restriction = restriction_error_bound(r_used, t, assumption.theta, ell, vprime, c3)
     cutoff = total_error_bound(r_used, c4, ell)
     notes.append("error-scale constants are configuration inputs (default 1); "
@@ -347,7 +338,7 @@ def certified_expectation(model: ModelSpec, occupations, observable: MonomialOp,
         formula_radius=formula_radius, formula_boson_cap=formula_cap,
         window_sites=sites,
         assumption=assumption, assumption_status=status, vprime=vprime,
-        evolution_tolerance_budget=cfg.tolerance * steps,
+        evolution_terms=terms, evolution_error_bound=evolution_bound,
         constants={"C3": c3, "C4": c4, "eps": eps},
         notes=tuple(notes))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -169,13 +170,19 @@ def _run_certify(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
     if kind == "unit_filling":
         occupations = [1] * length
     elif kind == "fock":
-        occupations = [int(n) for n in state_spec["occupations"]]
+        occupations = state_spec.get("occupations")
+        if (not isinstance(occupations, list) or len(occupations) != length
+                or not all(type(n) is int and n >= 0 for n in occupations)):
+            raise ConfigError("experiment.state.occupations",
+                              f"need {length} nonnegative integers, one per site")
     else:
         raise ConfigError("experiment.state.kind", f"unknown state kind {kind!r}")
     obs_spec = exp.get("observable", {"kind": "density", "site": 0})
     if obs_spec.get("kind", "density") != "density":
         raise ConfigError("experiment.observable.kind", "only density is wired up")
-    site = int(obs_spec.get("site", 0))
+    site = obs_spec.get("site", 0)
+    if type(site) is not int:
+        raise ConfigError("experiment.observable.site", f"expected an integer, got {site!r}")
     observable = MonomialOp.from_dicts(eta={site: 1}, zeta={site: 1})
     if "assumption" in exp:
         a = exp["assumption"]
@@ -183,10 +190,15 @@ def _run_certify(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
             mu=float(a["mu"]), theta=float(a["theta"]), K0=float(a["K0"]))
     else:
         assumption = certify_mod.fock_state_assumption(occupations)
+    t = exp.get("time", 0.0)
+    if type(t) not in (int, float) or not 0 <= t < math.inf:
+        raise ConfigError("experiment.time", f"expected a finite time >= 0, got {t!r}")
+    radius = exp.get("window_radius")
+    if radius is not None and (type(radius) is not int or radius < 1):
+        raise ConfigError("experiment.window_radius", f"expected an integer >= 1, got {radius!r}")
     try:
         value = certify_mod.certified_expectation(
-            cfg.model, occupations, observable, float(exp.get("time", 0.0)), assumption,
-            radius=exp.get("window_radius"),
+            cfg.model, occupations, observable, float(t), assumption, radius=radius,
             per_site_cap=exp.get("per_site_cap", cfg.per_site_cap),
             total_cap=exp.get("total_cap"),
             c3=cfg.constants["C3"], c4=cfg.constants["C4"], eps=cfg.constants["epsilon"])

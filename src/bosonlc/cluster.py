@@ -26,7 +26,7 @@ class GaplessError(RuntimeError):
     """Ground state is degenerate (or gap below threshold); refusing to certify."""
 
 
-def clustering_bound(r: int, gap: float, mu: float, theta: float, K0: float,
+def clustering_bound(r: int, gap: float, mu: float, theta: float,
                      ell: int, eps: float = 0.1, c5: float = 1.0) -> float:
     """C5 exp(-gap r / (2 v)) with v = (2 theta)^(8 ell + 4) (1+eps) v_{mu/2}."""
     if gap <= 0:
@@ -36,12 +36,6 @@ def clustering_bound(r: int, gap: float, mu: float, theta: float, K0: float,
     vprime = (1.0 + eps) * velocity_bound_1d(mu / 2.0, K=2, ell=ell)
     v = (2.0 * theta) ** (8 * ell + 4) * vprime
     return c5 * math.exp(-gap * r / (2.0 * v))
-
-
-def decay_rate(r: int, gap: float, mu: float, theta: float, K0: float, ell: int,
-               eps: float = 0.1) -> float:
-    vprime = (1.0 + eps) * velocity_bound_1d(mu / 2.0, K=2, ell=ell)
-    return gap / (2.0 * (2.0 * theta) ** (8 * ell + 4) * vprime)
 
 
 @dataclass
@@ -150,8 +144,7 @@ def clustering_experiment(model: ModelSpec, r_list, *, per_site_cap: int,
                                      tuple(sorted(left_op.zeta + right_op.zeta)))
                 psi = gs.vector
                 cor = abs(complex(np.vdot(psi, product.to_matrix(basis).mat @ psi))) / norm ** 2
-            bound = clustering_bound(r, gs.gap, assumption.mu, assumption.theta,
-                                     assumption.K0, ell, eps, c5)
+            bound = clustering_bound(r, gs.gap, assumption.mu, assumption.theta, ell, eps, c5)
             minimal = cor / (bound / c5) if bound > 0 else math.inf
             rows.append(ClusterRow(observable=name, r=r, exact=cor, bound=bound,
                                    ratio=cor / bound if bound > 0 else math.inf,

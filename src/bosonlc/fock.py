@@ -423,12 +423,13 @@ def build_hamiltonian(model: ModelSpec, basis: FockBasis, t: float = 0.0) -> sp.
 
     if not rows_acc:
         return sp.csr_matrix((dim, dim), dtype=np.complex128)
-    mat = sp.coo_matrix(
-        (np.concatenate(data_acc),
-         (np.concatenate(rows_acc), np.concatenate(cols_acc))),
-        shape=(dim, dim), dtype=np.complex128).tocsr()
-    mat.sum_duplicates()
-    return mat
+    parts = []
+    for acc in (data_acc, rows_acc, cols_acc):  # free each term list once joined:
+        parts.append(np.concatenate(acc))        # this assembly sets certify's peak RSS
+        acc.clear()
+    mat = sp.coo_matrix((parts[0], tuple(parts[1:])), shape=(dim, dim), dtype=np.complex128)
+    parts.clear()
+    return mat.tocsr()      # sums the duplicate entries
 
 
 def check_number_conservation(h: sp.spmatrix, n_op: sp.spmatrix) -> bool:

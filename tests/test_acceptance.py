@@ -387,7 +387,11 @@ def test_criterion_7_certified_truncation():
                                     radius=r + 2, per_site_cap=5)
         observed = abs(small.value - big.value)
         budget = small.restriction_error + small.cutoff_error
-        # with unit scale constants the budget must cover the observation
+        # with unit scale constants the budget must cover the observation.
+        # At desk scale this is vacuous: radius r is far below the formula
+        # radius (~1.4e5), so restriction_error is inf and the certificate
+        # status reads "vacuous"
+        assert small.status == "vacuous"
         assert observed <= budget
         errors[r] = observed
     rs = np.array(sorted(errors), dtype=float)

@@ -1,8 +1,10 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from bosonlc.certify import (DensityAssumption, boson_cutoff,
                              boson_cutoff_branches, certified_expectation,
@@ -220,6 +222,7 @@ def test_certified_zero_time_exact(chain_model):
     assert cv.assumption_status.startswith("validated")
     assert cv.radius == 2
     assert cv.formula_radius >= 0
+    assert (cv.evolution_terms, cv.evolution_error_bound) == (0, 0.0)
 
 
 def test_certified_cross_check_against_larger_truncation(chain_model):
@@ -308,7 +311,7 @@ def full_basis_value(model, occ, observable, t, radius, cap):
     basis = FockBasis(sub.graph.num_vertices, cap, total_cap=sum(window_occ))
     psi = np.zeros(basis.dim, dtype=np.complex128)
     psi[basis.index(window_occ)] = 1.0
-    psi = evolve_state(psi, sub, basis, t)
+    psi = evolve_state(psi, sub, basis, t)[0]
     center = chain_center(model)
     obs = observable.translate(center - lo).to_matrix(basis).mat
     return complex(np.vdot(psi, obs @ psi))
@@ -329,3 +332,32 @@ def test_certified_sector_route_matches_full_basis(time_dependent):
         ref = full_basis_value(model, occ, observable, 0.4, radius=3, cap=3)
         assert abs(cv.value - ref) <= 1e-13
     assert abs(cv.value) > 1e-3  # the hop expectation is not trivially zero
+
+
+def test_certified_value_matches_dense_expm(chain_model):
+    occ = [1, 0, 2, 1, 1, 0, 1, 2, 1]
+    a = fock_state_assumption(occ)
+    t = 0.5
+    cv = certified_expectation(chain_model, occ, DENSITY, t, a, radius=2, per_site_cap=3)
+    sub, lo = windowed_model(chain_model, 2)
+    window_occ = occ[lo:lo + sub.graph.num_vertices]
+    basis = FockBasis(sub.graph.num_vertices, 3, number=sum(window_occ))
+    psi = np.zeros(basis.dim, dtype=np.complex128)
+    psi[basis.index(window_occ)] = 1.0
+    psi = expm(-1j * t * build_hamiltonian(sub, basis).toarray()) @ psi
+    obs = DENSITY.translate(chain_center(chain_model) - lo).to_matrix(basis).mat
+    assert abs(cv.value - np.vdot(psi, obs @ psi)) <= 1e-12
+    assert cv.evolution_terms > 1 and 0.0 < cv.evolution_error_bound <= 1e-14
+
+
+def test_certificate_status(chain_model):
+    occ = [1] * 9
+    cv = certified_expectation(chain_model, occ, DENSITY, 0.2, fock_state_assumption(occ),
+                               radius=2, per_site_cap=3)
+    # the formula radius is ~6e4, so the restriction error is infinite
+    assert math.isinf(cv.restriction_error) and cv.status == "vacuous"
+    assert cv.to_dict()["status"] == "vacuous"
+    finite = replace(cv, restriction_error=0.1, formula_radius=1.5)
+    assert finite.status == "informative"
+    assert replace(finite, radius=1).status == "vacuous"
+    assert replace(finite, cutoff_error=math.nan).status == "vacuous"

@@ -229,6 +229,29 @@ def test_scan_invalid_request_is_config_error(config_file, capsys, tweaks):
     assert "config error:" in capsys.readouterr().err
 
 
+FOCK = "experiment.state.occupations"
+
+
+@pytest.mark.parametrize("field,tweak", [
+    ("experiment.time", {"experiment.time": -0.5}),
+    ("experiment.time", {"experiment.time": "abc"}),
+    ("experiment.time", {"experiment.time": math.nan}),
+    (FOCK, {"experiment.state": {"kind": "fock", "occupations": [1, 1, 1]}}),
+    (FOCK, {"experiment.state": {"kind": "fock", "occupations": [1, 1, 1, -1] + [1] * 7}}),
+    ("experiment.window_radius", {"experiment.window_radius": 0}),
+    ("experiment.window_radius", {"experiment.window_radius": 2.5}),
+    ("experiment.observable.site", {"experiment.observable": {"kind": "density", "site": "x"}}),
+], ids=["time_negative", "time_text", "time_nan", "occupations_short",
+        "occupation_negative", "radius_zero", "radius_fraction", "site_text"])
+def test_certify_invalid_request_is_config_error(config_file, capsys, field, tweak):
+    path = config_file(kind="certify", **{
+        "model.graph.length": 11, "ensemble.per_site_cap": 3,
+        "experiment.time": 0.5, "experiment.window_radius": 3, **tweak})
+    assert main(["certify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and field in err
+
+
 def test_scan_constants_move_only_matrix_element_bound(config_file, tmp_path):
     # The worst-case cone is so wide that only tiny times give finite bounds.
     # There the ensemble bound is far below the cap-2 truncation tail, so the

@@ -2,31 +2,37 @@ import math
 
 import pytest
 
-from bosonlc.cluster import (GaplessError, clustering_bound,
-                             clustering_experiment, decay_rate)
+from bosonlc.bounds import velocity_bound_1d
+from bosonlc.cluster import GaplessError, clustering_bound, clustering_experiment
 from bosonlc.fock import bose_hubbard
 from bosonlc.lattice import build_cubic, build_path
 
 
 def test_bound_at_zero_separation_is_scale():
-    assert clustering_bound(0, 1.0, 1.0, 4.3, 4.3, 0, c5=2.5) == 2.5
+    assert clustering_bound(0, 1.0, 1.0, 4.3, 0, c5=2.5) == 2.5
 
 
 def test_bound_decay_rate():
-    gap, mu, theta = 3.0, 1.0, 4.3
-    rate = decay_rate(1, gap, mu, theta, 4.3, 0)
-    b1 = clustering_bound(3, gap, mu, theta, 4.3, 0)
-    b2 = clustering_bound(7, gap, mu, theta, 4.3, 0)
-    assert math.log(b1 / b2) == pytest.approx(4 * rate, rel=1e-12)
+    # a gap large enough for an O(1) rate, so the log of a bound ratio keeps
+    # its relative precision
+    gap, mu, theta = 2e4, 1.0, 1.0
+
+    def rate(r: int, g: float = gap) -> float:
+        return -math.log(clustering_bound(r + 1, g, mu, theta, 0)
+                         / clustering_bound(r, g, mu, theta, 0))
+
+    vprime = 1.1 * velocity_bound_1d(mu / 2.0, K=2, ell=0)
+    assert rate(1) == pytest.approx(gap / (2.0 * (2.0 * theta) ** 4 * vprime), rel=1e-12)
+    assert rate(6) == pytest.approx(rate(1), rel=1e-12)
     # doubling the gap halves the decay length
-    assert decay_rate(1, 2 * gap, mu, theta, 4.3, 0) == pytest.approx(2 * rate, rel=1e-12)
+    assert rate(1, 2 * gap) == pytest.approx(2 * rate(1), rel=1e-12)
 
 
 def test_bound_refuses_gapless():
     with pytest.raises(GaplessError):
-        clustering_bound(2, 0.0, 1.0, 4.3, 4.3, 0)
+        clustering_bound(2, 0.0, 1.0, 4.3, 0)
     with pytest.raises(GaplessError):
-        clustering_bound(2, -1.0, 1.0, 4.3, 4.3, 0)
+        clustering_bound(2, -1.0, 1.0, 4.3, 0)
 
 
 def test_product_ground_state_zero_correlations():

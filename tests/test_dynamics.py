@@ -7,8 +7,7 @@ from scipy.linalg import expm
 from scipy.special import jv
 
 from bosonlc import dynamics
-from bosonlc.dynamics import (EvolutionConfig, EvolutionError,
-                              HeisenbergScanEngine, SectorEvolution,
+from bosonlc.dynamics import (EvolutionConfig, HeisenbergScanEngine, SectorEvolution,
                               connected_correlation, evolve_operator,
                               evolve_state, ground_state, lightcone_scan, otoc,
                               single_particle_propagator)
@@ -28,8 +27,9 @@ def test_evolve_state_zero_time():
     basis = FockBasis(3, 2)
     psi = np.zeros(basis.dim, complex)
     psi[3] = 1.0
-    out = evolve_state(psi, model, basis, 0.0)
-    assert np.array_equal(out, psi)
+    out, terms, bound = evolve_state(psi, model, basis, 0.0)
+    assert np.array_equal(out, psi) and out is not psi
+    assert (terms, bound) == (0, 0.0)
 
 
 def test_evolve_state_diagonal_phases():
@@ -39,7 +39,7 @@ def test_evolve_state_diagonal_phases():
     rng = np.random.default_rng(0)
     psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     psi /= np.linalg.norm(psi)
-    out = evolve_state(psi, model, basis, 0.8)
+    out = evolve_state(psi, model, basis, 0.8)[0]
     expected = np.exp(-1j * h.diagonal() * 0.8) * psi
     assert np.max(np.abs(out - expected)) < 1e-10
 
@@ -49,7 +49,7 @@ def test_evolve_state_single_boson_matches_propagator():
     basis = FockBasis(5, 1, total_cap=1)
     psi = np.zeros(basis.dim, complex)
     psi[basis.index([0, 0, 1, 0, 0])] = 1.0
-    out = evolve_state(psi, model, basis, 2.3)
+    out = evolve_state(psi, model, basis, 2.3)[0]
     g = single_particle_propagator(model, 2.3)
     for y in range(5):
         occ = [0] * 5
@@ -57,16 +57,78 @@ def test_evolve_state_single_boson_matches_propagator():
         assert out[basis.index(occ)] == pytest.approx(g[y, 2], abs=1e-9)
 
 
-def test_evolve_state_taylor_route_agrees():
+@pytest.mark.parametrize("start", ["real", "complex"])
+@pytest.mark.parametrize("t", [1.1, -0.6, 4.0])
+def test_evolve_state_matches_dense_expm(start, t):
+    # a real start on a real H takes the float64 recursion, a complex one the
+    # complex recursion; both against the dense exponential
     model = bose_hubbard(build_path(4), 1.0, 0.7)
     basis = FockBasis(4, 2)
     rng = np.random.default_rng(1)
+    psi = rng.normal(size=basis.dim) + (1j * rng.normal(size=basis.dim) if start == "complex" else 0)
+    psi /= np.linalg.norm(psi)
+    out, terms, bound = evolve_state(psi, model, basis, t)
+    dense = expm(-1j * t * build_hamiltonian(model, basis).toarray()) @ psi
+    assert np.max(np.abs(out - dense)) < 1e-12
+    assert np.linalg.norm(out - dense) <= bound + 1e-14
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+    assert terms > 1 and 0.0 < bound <= 1e-14
+
+
+def test_evolve_state_complex_phase_hopping_matches_dense_expm():
+    g = build_path(4)
+    model = ModelSpec(graph=g, hopping={e: PiecewiseConstant.constant(0.9 * np.exp(0.7j))
+                                        for e in g.edges},
+                      interactions=bose_hubbard(g, 1.0, 0.8).interactions, interaction_range=0)
+    basis = FockBasis(4, 2)
+    h = build_hamiltonian(model, basis)
+    assert np.any(h.data.imag)
+    psi = np.zeros(basis.dim, complex)
+    psi[basis.index([2, 0, 1, 0])] = 1.0
+    out, _, bound = evolve_state(psi, model, basis, 1.3)
+    dense = expm(-1.3j * h.toarray()) @ psi
+    assert np.max(np.abs(out - dense)) < 1e-12
+    assert np.linalg.norm(out - dense) <= bound + 1e-14
+
+
+@pytest.mark.parametrize("t0,t1", [(0.0, 1.0), (1.0, 0.1), (0.7, -0.4)])
+def test_evolve_state_piecewise_spans_match_dense_expm(t0, t1):
+    # forward and backward spans across both breakpoints, one dense
+    # exponential per constant segment
+    g = build_path(3)
+    sched = PiecewiseConstant((0.2, 0.55), (1.0, 0.4 - 0.6j, -0.8))
+    model = ModelSpec(graph=g, hopping={e: sched for e in g.edges},
+                      interactions=bose_hubbard(g, 1.0, 1.2).interactions, interaction_range=0)
+    basis = FockBasis(3, 3)
+    rng = np.random.default_rng(5)
     psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     psi /= np.linalg.norm(psi)
-    a = evolve_state(psi, model, basis, 1.1, EvolutionConfig(integrator="krylov-expv"))
-    b = evolve_state(psi, model, basis, 1.1, EvolutionConfig(integrator="scaled-taylor"))
-    assert np.max(np.abs(a - b)) < 1e-8
-    assert abs(np.linalg.norm(a) - 1.0) < 1e-9
+    out, terms, bound = evolve_state(psi, model, basis, t1, t0=t0)
+    dense = psi
+    for a, b in dynamics._segments(model, t0, t1):
+        h = build_hamiltonian(model, basis, (a + b) / 2.0).toarray()
+        dense = expm(-1j * (b - a) * h) @ dense
+    assert np.max(np.abs(out - dense)) < 1e-12
+    assert np.linalg.norm(out - dense) <= bound + 1e-14
+    # three segments, each with its own expansion and bound
+    assert len(list(dynamics._segments(model, t0, t1))) == 3 and terms > 3
+
+
+def test_chebyshev_zero_vector_stays_zero():
+    h = build_hamiltonian(bose_hubbard(build_path(3), 1.0, 1.0), FockBasis(3, 2))
+    out, terms, bound = dynamics._chebyshev_expv(h, np.zeros(h.shape[0], complex), 2.0)
+    assert not np.any(out) and (terms, bound) == (0, 0.0)
+
+
+def test_chebyshev_order_from_factorial_bound():
+    # 2 sum_{k>K} (x/2)^k / k! <= tol at x = 32
+    assert dynamics._chebyshev_terms(32.0, 1e-14)[0] == 67
+    assert dynamics._chebyshev_terms(32.0, 1e-10)[0] == 61
+    for x, tol in ((32.0, 1e-14), (3.0, 1e-6), (500.0, 1e-12)):
+        order, bound = dynamics._chebyshev_terms(x, tol)
+        tail = 2.0 * sum(math.exp(k * math.log(x / 2) - math.lgamma(k + 1))
+                         for k in range(order + 1, order + 400))
+        assert tail <= bound <= tol
 
 
 def test_evolve_state_piecewise_schedule_and_subdivision():
@@ -82,8 +144,8 @@ def test_evolve_state_piecewise_schedule_and_subdivision():
     rng = np.random.default_rng(2)
     psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     psi /= np.linalg.norm(psi)
-    a = evolve_state(psi, plain, basis, 1.0)
-    b = evolve_state(psi, split, basis, 1.0)
+    a = evolve_state(psi, plain, basis, 1.0)[0]
+    b = evolve_state(psi, split, basis, 1.0)[0]
     assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -96,7 +158,7 @@ def test_evolve_state_time_dependent_schedule():
     basis = FockBasis(4, 1, total_cap=1)
     psi = np.zeros(basis.dim, complex)
     psi[basis.index([0, 1, 0, 0])] = 1.0
-    out = evolve_state(psi, model, basis, 1.0)
+    out = evolve_state(psi, model, basis, 1.0)[0]
     assert np.max(np.abs(out - psi)) < 1e-9  # echo
 
 
@@ -498,17 +560,20 @@ def test_add_target_gram_matches_explicit_commutators(rng, monkeypatch, dtype, c
     assert np.array_equal(got[untouched], start[untouched])
 
 
-def test_lanczos_work_buffer_is_bit_identical(rng):
-    from bosonlc.dynamics import _lanczos_expv
+def test_chebyshev_route_follows_values_not_dtypes(rng):
+    # zero imaginary parts select the float64 recursion whatever the dtypes;
+    # the input vector is never written
     model = bose_hubbard(build_path(4), 1.0, 1.0)
     basis = FockBasis(4, 3)
     h = build_hamiltonian(model, basis)
-    psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
-    work = np.full((31, basis.dim), np.nan, dtype=complex)
-    for tau in (-0.1j, -0.05j):
-        fresh, err = _lanczos_expv(h, psi, tau, 1e-10, 30)
-        reused, err_reused = _lanczos_expv(h, psi, tau, 1e-10, 30, work)
-        assert np.array_equal(fresh, reused) and err == err_reused
+    assert h.dtype == np.complex128 and not np.any(h.data.imag)
+    psi = rng.normal(size=basis.dim)
+    psi_c = psi.astype(complex)
+    for t in (0.1, -0.05):
+        real = dynamics._chebyshev_expv(h.real, psi, t)
+        typed = dynamics._chebyshev_expv(h, psi_c, t)
+        assert np.array_equal(real[0], typed[0]) and real[1:] == typed[1:]
+    assert np.array_equal(psi_c, psi)
 
 
 def test_scan_result_violations_and_csv():
@@ -657,25 +722,35 @@ def test_connected_correlation_product_state():
     assert abs(connected_correlation(psi, n0, n3)) < 1e-14
 
 
-def test_krylov_step_reports_residual_on_failure(rng):
-    from bosonlc.dynamics import _lanczos_expv
+def test_chebyshev_error_within_reported_bound(rng):
+    # loose tolerances leave a visible truncation error; it stays below the
+    # a-priori bound, which scales with ||v||
     model = bose_hubbard(build_path(3), 1.0, 1.0)
     basis = FockBasis(3, 3)
     h = build_hamiltonian(model, basis)
-    psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
-    psi /= np.linalg.norm(psi)
-    with pytest.raises(EvolutionError, match="residual"):
-        _lanczos_expv(h, psi, -10.0j, 1e-30, 4)
+    psi = 3.0 * (rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim))
+    dense = expm(10.0j * h.toarray()) @ psi
+    orders = []
+    for tol in (1e-2, 1e-5, 1e-8):    # truncation, not rounding, dominates
+        out, terms, bound = dynamics._chebyshev_expv(h, psi, -10.0, tol)
+        assert np.linalg.norm(out - dense) <= bound + 1e-14
+        assert bound <= tol * np.linalg.norm(psi)
+        assert dynamics._chebyshev_expv(h, 2.0 * psi, -10.0, tol)[2] == 2.0 * bound
+        orders.append(terms)
+    assert orders == sorted(orders) and orders[0] < orders[-1]
+    with pytest.raises(ValueError, match="tolerance"):
+        EvolutionConfig(tolerance=0.0)
 
 
-def test_krylov_happy_breakdown_is_exact():
-    # a state inside a tiny invariant sector converges by breakdown, exactly
+def test_chebyshev_long_span_in_small_sector_matches_dense_expm():
+    # one expansion over t = 10 on the full capped basis, the state inside the
+    # single-boson sector: no stepping, and the other sectors stay empty
     model = bose_hubbard(build_path(3), 1.0, 1.0)
     basis = FockBasis(3, 3)
     h = build_hamiltonian(model, basis)
     psi = np.zeros(basis.dim, complex)
-    psi[1] = 1.0  # single-boson sector: 3-dimensional Krylov space
-    out = evolve_state(psi, model, basis, 10.0,
-                       EvolutionConfig(tolerance=1e-12, max_step=10.0, krylov_dim=6))
+    psi[1] = 1.0
+    out, terms, bound = evolve_state(psi, model, basis, 10.0, EvolutionConfig(tolerance=1e-12))
     dense = expm(-1j * h.toarray() * 10.0) @ psi
-    assert np.max(np.abs(out - dense)) < 1e-9
+    assert np.max(np.abs(out - dense)) < 1e-12
+    assert np.linalg.norm(out - dense) <= bound + 1e-14 and bound <= 1e-12

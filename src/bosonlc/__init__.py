@@ -14,9 +14,8 @@ from .certify import (CertifiedValue, DensityAssumption, boson_cutoff,
                       restriction_error_bound, total_error_bound, truncation_radius)
 from .cluster import ClusterReport, GaplessError, clustering_bound, clustering_experiment
 from .dynamics import (EvolutionConfig, HeisenbergScanEngine, ScanResult,
-                       SectorEvolution, connected_correlation, evolve_operator,
-                       evolve_state, ground_state, lightcone_scan, otoc,
-                       single_particle_propagator)
+                       connected_correlation, evolve_operator, evolve_state,
+                       ground_state, lightcone_scan, otoc, single_particle_propagator)
 from .fock import (CapacityError, FockBasis, Interaction, ModelSpec,
                    PiecewiseConstant, bose_hubbard, build_hamiltonian,
                    check_number_conservation, ladder_op, total_number_op)

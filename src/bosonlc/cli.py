@@ -6,9 +6,8 @@ violation.  Outputs are byte-deterministic for a fixed config and seed: no
 timestamps, sorted JSON keys, shortest-roundtrip float formatting, and the
 resolved config embedded in every file.
 
-Thread count comes from --threads or the BOSONLC_THREADS environment
-variable; all parallelism lives below this module and reductions are
-ordered, so row order never depends on it.
+``--threads`` is accepted and ignored: the library runs single-threaded
+above BLAS, whose own thread count it leaves alone.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -144,7 +142,7 @@ def _run_scan(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
             cells.extend((r, float(t_extra)) for r in r_values)
     t_values = [float(t) for t in exp.get("t_values", [0.0])]
     result = lightcone_scan(cfg.model, op, probe, cfg.mu, r_values, t_values,
-                            cells=cells, basis=basis, workers=cfg.threads,
+                            cells=cells, basis=basis,
                             eps=cfg.constants["epsilon"], c1=cfg.constants["C1"])
     provenance = {
         "r": "config:experiment.r_values", "t": "config:experiment grid",
@@ -255,8 +253,7 @@ def _run_selftest(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
 
 
 def run(config_path: str, overrides: list[str] | None = None,
-        out_dir: str | None = None, verbose: bool = False,
-        threads: int | None = None) -> int:
+        out_dir: str | None = None, verbose: bool = False) -> int:
     try:
         text = Path(config_path).read_text()
     except OSError as exc:
@@ -268,9 +265,6 @@ def run(config_path: str, overrides: list[str] | None = None,
     except (ConfigError, ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if threads is None:
-        threads = int(os.environ.get("BOSONLC_THREADS", cfg.threads))
-    cfg.threads = max(1, threads)
     out = Path(out_dir) if out_dir else Path(cfg.output_dir)
     runner = {
         "bounds": _run_bounds, "scan": _run_scan, "certify": _run_certify,
@@ -304,12 +298,12 @@ def main(argv: list[str] | None = None) -> int:
                        metavar="KEY=VALUE", help="override a config key")
         p.add_argument("--out", dest="out_dir", default=None, help="output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: BOSONLC_THREADS or config)")
+                       help="accepted and ignored")
         p.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args(argv)
     overrides = list(args.overrides) + [f"experiment.kind={args.command}"]
     return run(args.config, overrides=overrides, out_dir=args.out_dir,
-               verbose=args.verbose, threads=args.threads)
+               verbose=args.verbose)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -62,7 +62,6 @@ class ExperimentConfig:
     formats: tuple[str, ...]
     constants: dict
     seed: int
-    threads: int = 1
 
     def resolved(self) -> dict:
         """The fully resolved config embedded in every output file."""
@@ -179,13 +178,10 @@ def load_config(path_or_text, is_text: bool = False) -> ExperimentConfig:
     seed = raw.get("seed", 0)
     if not isinstance(seed, int):
         raise ConfigError("seed", "must be an integer")
-    threads = raw.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
-        raise ConfigError("threads", "must be a positive integer")
     return ExperimentConfig(raw=raw, model=model, mu=mu, per_site_cap=cap,
                             total_cap=total_cap, kind=kind, experiment=experiment,
                             output_dir=out_dir, formats=formats, constants=constants,
-                            seed=seed, threads=threads)
+                            seed=seed)
 
 
 def apply_overrides(raw_text: str, overrides: list[str]) -> str:

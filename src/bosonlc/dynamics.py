@@ -5,14 +5,14 @@ Two propagation routes are provided:
 * state evolution by one Chebyshev expansion of e^{-iHt} per schedule
   segment, on H's Gershgorin interval, truncated where an a-priori bound on
   the dropped terms meets the tolerance (``evolve_state``);
-* Heisenberg evolution via per-number-sector eigendecomposition.  Every
+* Heisenberg evolution by one engine, ``HeisenbergScanEngine``.  Every
   Hamiltonian in the model class conserves total boson number, so U(t) is
-  block diagonal over sectors and each block is diagonalized once; this is
-  what makes the commutator scans exact and fast.
+  block diagonal over sectors; each block is diagonalized once per schedule
+  piece, when a time first needs it, and reused for every later time.
 
 Light-cone scan cells come from a third route, the nested-commutator series
 of ``commutator_series``: no eigensolve, exact to a stated remainder in the
-cone, with the Heisenberg route as the fallback for large times.
+cone, with the Heisenberg engine as the fallback for large times.
 
 Evolved operators are :class:`~bosonlc.opspace.BlockOp` values: one dense
 block per (row sector, column sector) pair, never a global sparse matrix
@@ -29,7 +29,7 @@ propagators, so no expansion ever straddles a schedule discontinuity.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,7 +170,7 @@ def single_particle_propagator(model: ModelSpec, t: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sector-resolved Heisenberg evolution
+# Heisenberg evolution, sector by sector
 
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -187,122 +187,87 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a @ np.ascontiguousarray(b).view(np.float64)).view(np.complex128)
 
 
-class SectorEvolution:
-    """Per-number-sector eigendecompositions of a (piecewise constant) model.
+class HeisenbergScanEngine:
+    """Heisenberg evolution O(t) = U(t)^dag O U(t) of one operator, block by block.
 
-    Number conservation makes H block diagonal over total-occupation sectors;
-    each block is Hermitian-diagonalized once per schedule segment and reused
-    for every time and every operator.
+    Number conservation makes H block diagonal over total-occupation sectors.
+    Each sector block of each schedule piece is diagonalized on first need
+    and reused for every later time; the operator rotated into the eigenbases
+    of a piece is cached too, so on a constant model a new time costs two
+    dense products per block (plus phase scalings).  ``initial`` is the
+    operator at t = 0.  Construction runs no eigensolve.
     """
 
-    def __init__(self, model: ModelSpec, basis: FockBasis):
+    def __init__(self, model: ModelSpec, basis: FockBasis,
+                 op: MonomialOp | OperatorMatrix | BlockOp):
         self.model = model
         self.basis = basis
-        self._eigs: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._h_cache: dict[float, sp.csr_matrix] = {}
+        self.initial = BlockOp.from_matrix(
+            op.to_matrix(basis) if isinstance(op, MonomialOp) else op)
+        self._breaks = model.breakpoints()
+        self._h: dict[int, sp.csr_matrix] = {}
+        self._eigs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._rotated: dict[int, dict[tuple[int, int], np.ndarray]] = {}
 
-    def _h_at(self, t_mid: float) -> sp.csr_matrix:
-        if t_mid not in self._h_cache:
-            self._h_cache[t_mid] = build_hamiltonian(self.model, self.basis, t_mid)
-        return self._h_cache[t_mid]
-
-    def eig(self, t_mid: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenpairs of the sector-n block of H(t_mid); real eigenvectors
-        when the block's imaginary part is exactly zero.
+    def eig(self, t: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs of the sector-n block of H on the schedule piece holding
+        t; real eigenvectors when the block's imaginary part is exactly zero.
 
         The divide-and-conquer driver is faster than scipy's default on
         these block sizes (all real sectors of the 6-site cap-3 chain: 0.18 s
         against 0.28 s on 2 cores), and its residuals and loss of
         orthogonality are ~2e-14 instead of ~5e-13.
         """
-        key = (t_mid, n)
-        if key not in self._eigs:
+        piece = bisect_right(self._breaks, t)   # the piece holding t, as in .at(t)
+        if (piece, n) not in self._eigs:
+            if piece not in self._h:
+                self._h[piece] = build_hamiltonian(self.model, self.basis, t)
             ix = self.basis.sectors[n]
-            block = real_if_exact(self._h_at(t_mid)[ix][:, ix].toarray())
-            self._eigs[key] = eigh(block, driver="evd")
-        return self._eigs[key]
+            block = real_if_exact(self._h[piece][ix][:, ix].toarray())
+            self._eigs[(piece, n)] = eigh(block, driver="evd")
+        return self._eigs[(piece, n)]
 
-    def sector_propagator(self, n: int, t: float, t0: float = 0.0) -> np.ndarray:
-        """Dense unitary for sector n from t0 to t (segment-composed)."""
-        u = np.eye(self.basis.sectors[n].size, dtype=np.complex128)
-        for a, b in _segments(self.model, t0, t):
-            evals, evecs = self.eig((min(a, b) + max(a, b)) / 2.0, n)
-            u = _mm(evecs * np.exp(-1j * evals * (b - a)), evecs.conj().T) @ u
-        return u
-
-    def solve(self, sectors, t_mids) -> None:
-        """Eigendecompose the given sectors at each segment midpoint.
-
-        Run before any product: interleaved with the threaded BLAS products,
-        the eigensolves ran 2x slower (OpenBLAS, 2 cores, 6-site chain).
-        """
-        for t_mid in t_mids:
-            for n in sorted(sectors):
-                self.eig(t_mid, n)
-
-    def heisenberg(self, op: OperatorMatrix | BlockOp, t: float) -> BlockOp:
-        """O(t) = U(t)^dag O U(t), block by block."""
-        blocks = BlockOp.from_matrix(op).blocks
-        sectors = {n for pair in blocks for n in pair}
-        self.solve(sectors, [(min(a, b) + max(a, b)) / 2.0
-                             for a, b in _segments(self.model, 0.0, t)])
-        u = {n: self.sector_propagator(n, t) for n in sorted(sectors)}
-        return BlockOp(op.basis, {
-            (n_row, n_col): _mm(u[n_row].conj().T, dense) @ u[n_col]
-            for (n_row, n_col), dense in blocks.items()})
-
-
-def evolve_operator(op: OperatorMatrix | BlockOp, model: ModelSpec, t: float,
-                    engine: SectorEvolution | None = None) -> BlockOp:
-    """Heisenberg-evolve an operator matrix; spectrum is unitarily preserved.
-
-    The sector route is exact per segment, so no step control is needed.
-    """
-    if engine is None:
-        engine = SectorEvolution(model, op.basis)
-    return engine.heisenberg(op, t)
-
-
-# ---------------------------------------------------------------------------
-# scan engine: constant models, streamed blocks
-
-
-class HeisenbergScanEngine:
-    """Evolution engine for commutator scans of one traveling operator.
-
-    For time-independent models each sector is diagonalized once and the
-    rotated operator blocks are cached, so a new time costs two dense
-    multiplications per block (plus phase scalings).  ``initial`` is the
-    operator at t = 0.
-    """
-
-    def __init__(self, model: ModelSpec, basis: FockBasis, op: MonomialOp):
-        if not model.is_time_independent:
-            raise ValueError("scan engine expects a time-independent model")
-        self.model = model
-        self.basis = basis
-        self.op = op
-        self.evolution = SectorEvolution(model, basis)
-        self.initial = BlockOp.from_matrix(op.to_matrix(basis))
-        self.evolution.solve({n for pair in self.initial.blocks for n in pair}, [0.0])
-        self._rotated = {}
-        for (n_row, n_col), dense in self.initial.blocks.items():
-            _, v_row = self.evolution.eig(0.0, n_row)
-            _, v_col = self.evolution.eig(0.0, n_col)
-            self._rotated[(n_row, n_col)] = _mm(_mm(v_row.conj().T, dense), v_col)
+    def _to_eigenbasis(self, t: float, blocks: dict) -> dict[tuple[int, int], np.ndarray]:
+        """V_row^dag B V_col for every block, in the eigenbases of t's piece."""
+        out = {}
+        for (n_row, n_col), dense in blocks.items():
+            _, v_row = self.eig(t, n_row)
+            _, v_col = self.eig(t, n_col)
+            out[(n_row, n_col)] = _mm(_mm(v_row.conj().T, dense), v_col)
+        return out
 
     def evolved_blocks(self, t: float) -> dict[tuple[int, int], np.ndarray]:
-        """Sector blocks {(n_row, n_col): dense block} of O(t)."""
-        if t == 0.0:
-            # skip the eigenbasis round trip: exact zeros stay zero
-            return dict(self.initial.blocks)
-        out = {}
-        for (n_row, n_col), tilde in self._rotated.items():
-            e_row, v_row = self.evolution.eig(0.0, n_row)
-            e_col, v_col = self.evolution.eig(0.0, n_col)
-            phased = (np.exp(1j * e_row * t)[:, None] * tilde) * np.exp(-1j * e_col * t)[None, :]
-            out[(n_row, n_col)] = _mm(_mm(v_row, phased), v_col.conj().T)
-        return out
+        """Sector blocks {(n_row, n_col): dense block} of O(t).
+
+        With U(t) = U_k ... U_1 over the spans of ``_segments``, O(t) =
+        U_1^dag ... U_k^dag O U_k ... U_1: the last span acts first, each as
+        B <- V (e^{iE_row dt} * V^dag B V * e^{-iE_col dt}) V^dag.  Every
+        eigensolve the spans need runs before the first product: interleaved
+        with the threaded BLAS products, the eigensolves ran 2x slower
+        (OpenBLAS, 2 cores, 6-site chain).
+        """
+        spans = list(_segments(self.model, 0.0, t))
+        sectors = sorted({n for pair in self.initial.blocks for n in pair})
+        for a, b in spans:
+            for n in sectors:
+                self.eig((a + b) / 2.0, n)
+        blocks = dict(self.initial.blocks)   # t = 0: exact zeros stay zero
+        for step, (a, b) in enumerate(reversed(spans)):
+            mid, dt = (a + b) / 2.0, b - a
+            if step == 0:   # still O itself: its rotation is cached per piece
+                piece = bisect_right(self._breaks, mid)
+                if piece not in self._rotated:
+                    self._rotated[piece] = self._to_eigenbasis(mid, blocks)
+                tildes = self._rotated[piece]
+            else:
+                tildes = self._to_eigenbasis(mid, blocks)
+            blocks = {}
+            for (n_row, n_col), tilde in tildes.items():
+                e_row, v_row = self.eig(mid, n_row)
+                e_col, v_col = self.eig(mid, n_col)
+                phased = (np.exp(1j * e_row * dt)[:, None] * tilde) * np.exp(-1j * e_col * dt)[None, :]
+                blocks[(n_row, n_col)] = _mm(_mm(v_row, phased), v_col.conj().T)
+        return blocks
 
     def evolved_operator(self, t: float) -> BlockOp:
         return BlockOp(self.basis, self.evolved_blocks(t))
@@ -329,6 +294,11 @@ class HeisenbergScanEngine:
                         (b_block.shape[0], dense.shape[1]), np.complex128))
                     acc -= b_block @ dense
         return weighted_norm_sq(BlockOp(self.basis, pieces), w)
+
+
+def evolve_operator(op: OperatorMatrix | BlockOp, model: ModelSpec, t: float) -> BlockOp:
+    """O(t) = U(t)^dag O U(t), exact per schedule piece: no step control."""
+    return HeisenbergScanEngine(model, op.basis, op).evolved_operator(t)
 
 
 # ---------------------------------------------------------------------------
@@ -652,8 +622,7 @@ def probe_sites(graph: Graph, support) -> dict[int, int]:
 def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: float,
                    r_list, t_list, cells: list[tuple[int, float]] | None = None,
                    basis: FockBasis | None = None,
-                   engine: HeisenbergScanEngine | None = None,
-                   workers: int = 1, eps: float = 0.1, c1: float = 1.0) -> ScanResult:
+                   eps: float = 0.1, c1: float = 1.0) -> ScanResult:
     """Exact weighted commutator norms against the analytic cone bounds.
 
     ``op`` is evolved; ``probe`` is a single-site monomial template placed,
@@ -664,9 +633,8 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
 
     Each cell comes from the nested-commutator series (``commutator_series``)
     when some order up to SERIES_MAX_ORDER meets its remainder tolerance;
-    the others (large t) take the dense route of ``engine``, built on first
-    need.  ``workers`` parallelizes the dense route over time groups; cell
-    order in the result is independent of the worker count.
+    the others (large t) take the dense route of ``HeisenbergScanEngine``,
+    which solves sectors only when such a cell exists.
     """
     if not model.is_time_independent:
         raise ValueError("scan expects a time-independent model")
@@ -684,7 +652,7 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
     k = graph.max_degree
     ell = model.interaction_range
     velocity = bounds_mod.velocity_bound(mu, k, ell, beta)
-    a0 = engine.initial if engine is not None else BlockOp.from_matrix(op.to_matrix(basis))
+    a0 = BlockOp.from_matrix(op.to_matrix(basis))
     seeds = {x: f_beta_expectation(a0, x, beta, w, projected=False) for x in support}
     norm_sq = weighted_norm_sq(a0, w)
     r_ell = len(fatten(graph, support, ell))
@@ -739,24 +707,13 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
     by_time: dict[float, list[int]] = {}
     for r, t in sorted(set(cells) - set(out_cells)):
         by_time.setdefault(t, []).append(r)
-    if by_time and engine is None:
-        engine = HeisenbergScanEngine(model, basis, op)
-
-    def eval_time_group(t: float) -> list[ScanCell]:
-        evolved = engine.evolved_blocks(t)
-        return [make_cell(r, t, engine.commutator_norm(
-                    t, placed[r].to_matrix(basis).mat, w, evolved=evolved))
-                for r in by_time[t]]
-
+    engine = HeisenbergScanEngine(model, basis, a0)   # solves sectors on first need
     times = sorted(by_time)
-    if workers > 1 and len(times) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(eval_time_group, times))
-    else:
-        groups = [eval_time_group(t) for t in times]
-    for group in groups:
-        for cell in group:
-            out_cells[(cell.r, cell.t)] = cell
+    for t in times:
+        evolved = engine.evolved_blocks(t)
+        for r in by_time[t]:
+            out_cells[(r, t)] = make_cell(r, t, engine.commutator_norm(
+                t, placed[r].to_matrix(basis).mat, w, evolved=evolved))
     ordered = [out_cells[(r, t)] for (r, t) in sorted(out_cells)]
     meta = {
         "mu": mu, "per_site_cap": basis.per_site_cap, "total_cap": basis.total_cap,
@@ -781,12 +738,11 @@ class OtocResult:
     thermal_commutator: complex  # tr(rho [A(t), B])
 
 
-def otoc(model: ModelSpec, a: OperatorMatrix, b: OperatorMatrix, mu: float, t: float,
-         engine: SectorEvolution | None = None) -> OtocResult:
+def otoc(model: ModelSpec, a: OperatorMatrix, b: OperatorMatrix, mu: float,
+         t: float) -> OtocResult:
     """Weighted squared commutator of the evolved and static operators."""
-    engine = engine or SectorEvolution(model, a.basis)
     w = MuWeights(mu, a.basis)
-    a_t = engine.heisenberg(a, t)
+    a_t = evolve_operator(a, model, t)
     comm = OperatorMatrix(a_t.mat @ b.mat - b.mat @ a_t.mat, a.basis, None)
     sq = weighted_norm_sq(comm, w)
     coo = sp.coo_matrix(comm.mat)

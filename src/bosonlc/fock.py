@@ -196,10 +196,6 @@ class PiecewiseConstant:
     def max_abs(self) -> float:
         return max(abs(v) for v in self.values)
 
-    @property
-    def is_constant(self) -> bool:
-        return len(self.values) == 1
-
 
 @dataclass(frozen=True)
 class Interaction:

@@ -62,10 +62,6 @@ class Graph:
         """K, the maximum vertex degree."""
         return max((len(a) for a in self.adjacency), default=0)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check(u)
-        return v in self.adjacency[u]
-
     def _check(self, v: int) -> None:
         if not (0 <= v < self.num_vertices):
             raise GraphError(f"unknown vertex id {v}")

@@ -286,6 +286,15 @@ def test_byte_identical_reruns(config_file, tmp_path):
     assert (tmp_path / "out" / "scan.json").read_bytes() == first_json
 
 
+def test_threads_flag_is_accepted_and_ignored(tmp_path):
+    config = Path(__file__).resolve().parent / "golden" / "scan_5site.yaml"
+    assert main(["scan", str(config), "--out", str(tmp_path / "plain")]) == 0
+    assert main(["scan", str(config), "--out", str(tmp_path / "threads"),
+                 "--threads", "3"]) == 0
+    assert (tmp_path / "threads" / "scan.json").read_bytes() == \
+        (tmp_path / "plain" / "scan.json").read_bytes()
+
+
 def test_module_invocation_smoke(config_file, tmp_path):
     """The CLI is reachable as python -m bosonlc.cli."""
     path = config_file(kind="bounds")

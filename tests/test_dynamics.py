@@ -7,7 +7,7 @@ from scipy.linalg import expm
 from scipy.special import jv
 
 from bosonlc import dynamics
-from bosonlc.dynamics import (EvolutionConfig, HeisenbergScanEngine, SectorEvolution,
+from bosonlc.dynamics import (EvolutionConfig, HeisenbergScanEngine,
                               connected_correlation, evolve_operator,
                               evolve_state, ground_state, lightcone_scan, otoc,
                               single_particle_propagator)
@@ -192,53 +192,104 @@ def test_propagator_bessel_window():
 
 # -- Heisenberg evolution ------------------------------------------------------------
 
+def _dense_heisenberg(model, basis, op, t):
+    """U^dag O U as a dense array, with U the product of dense expm over the
+    schedule segments from 0 to t: an oracle independent of the eigensolves."""
+    u = np.eye(basis.dim, dtype=np.complex128)
+    for a, b in dynamics._segments(model, 0.0, t):
+        h = build_hamiltonian(model, basis, (a + b) / 2.0).toarray()
+        u = expm(-1j * h * (b - a)) @ u
+    return u.conj().T @ op.mat.toarray() @ u
+
+
 @pytest.fixture(scope="module")
 def small_system():
     model = bose_hubbard(build_path(4), 1.0, 1.0)
     basis = FockBasis(4, 3, total_cap=3)  # closed sectors
-    return model, basis, SectorEvolution(model, basis)
+    return model, basis
 
 
 def test_heisenberg_total_number_invariant(small_system):
-    model, basis, engine = small_system
+    model, basis = small_system
     n_op = OperatorMatrix(total_number_op(basis), basis)
-    n_t = engine.heisenberg(n_op, 0.9)
+    n_t = evolve_operator(n_op, model, 0.9)
     assert np.max(np.abs((n_t.mat - n_op.mat).toarray())) < 1e-10
 
 
 def test_heisenberg_zero_time(small_system):
-    model, basis, engine = small_system
+    model, basis = small_system
     b0 = MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis)
-    bt = engine.heisenberg(b0, 0.0)
+    bt = evolve_operator(b0, model, 0.0)
     assert np.max(np.abs((bt.mat - b0.mat).toarray())) < 1e-14
 
 
 def test_norm_preservation_long_time(small_system):
-    model, basis, engine = small_system
+    model, basis = small_system
     w = MuWeights(1.0, basis)
     b0 = MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis)
     norm0 = weighted_norm_sq(b0, w)
+    engine = HeisenbergScanEngine(model, basis, b0)
     for t in (1.0, 5.0, 10.0):
-        bt = engine.heisenberg(b0, t)
+        bt = engine.evolved_operator(t)
         ratio = weighted_norm_sq(bt, w) / norm0
         assert abs(ratio - 1.0) < 1e-9
 
 
 def test_time_reversal(small_system):
-    model, basis, engine = small_system
+    model, basis = small_system
     w = MuWeights(1.0, basis)
     b0 = MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis)
-    bt = engine.heisenberg(b0, 1.3)
-    back = engine.heisenberg(bt, -1.3)
+    bt = evolve_operator(b0, model, 1.3)
+    back = evolve_operator(bt, model, -1.3)
     assert weighted_norm_sq(back - b0, w) < 1e-16
 
 
 def test_evolve_operator_wrapper(small_system):
-    model, basis, _ = small_system
+    model, basis = small_system
     b0 = MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis)
     bt = evolve_operator(b0, model, 0.4)
-    direct = SectorEvolution(model, basis).heisenberg(b0, 0.4)
-    assert np.max(np.abs((bt.mat - direct.mat).toarray())) < 1e-13
+    direct = _dense_heisenberg(model, basis, b0, 0.4)
+    assert np.max(np.abs(bt.mat.toarray() - direct)) < 1e-13
+
+
+def test_piecewise_evolution_matches_dense_expm():
+    """Three schedule pieces, one of them a complex hopping phase; forward
+    and backward times, and a time inside the first piece after it."""
+    graph = build_path(4)
+    sched = PiecewiseConstant((0.2, 0.55), (1.0, 0.4 - 0.6j, -0.8))
+    model = ModelSpec(graph=graph, hopping={e: sched for e in graph.edges},
+                      interactions=bose_hubbard(graph, 1.0, 1.0).interactions,
+                      interaction_range=0)
+    basis = FockBasis(4, 2)
+    rng = np.random.default_rng(11)
+    for op in (MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis),
+               random_operator(rng, basis)):
+        engine = HeisenbergScanEngine(model, basis, op)
+        for t in (0.7, -0.4, 0.1):
+            got = engine.evolved_operator(t).mat.toarray()
+            assert np.max(np.abs(got - _dense_heisenberg(model, basis, op, t))) < 1e-12
+
+
+def test_eigensolves_once_per_schedule_piece_and_sector(monkeypatch):
+    graph = build_path(4)
+    basis = FockBasis(4, 2)
+    op = MonomialOp.from_dicts(zeta={0: 1})
+    touched = len(basis.sectors)     # b_0 links every sector to the one below
+    constant = bose_hubbard(graph, 1.0, 1.0)
+    sched = PiecewiseConstant((0.2,), (1.0, 0.5))
+    two_piece = ModelSpec(graph=graph, hopping={e: sched for e in graph.edges},
+                          interactions=constant.interactions, interaction_range=0)
+    solved = []
+    real_eigh = dynamics.eigh
+    monkeypatch.setattr(dynamics, "eigh",
+                        lambda a, **k: solved.append(a.shape[0]) or real_eigh(a, **k))
+    for model, pieces in ((constant, 1), (two_piece, 2)):
+        solved.clear()
+        engine = HeisenbergScanEngine(model, basis, op)
+        assert solved == []
+        for t in (0.3, 0.5, 0.7):
+            engine.evolved_blocks(t)
+        assert len(solved) == pieces * touched
 
 
 def test_commutator_oracle_free_model():
@@ -248,12 +299,11 @@ def test_commutator_oracle_free_model():
     length = 6
     model = bose_hubbard(build_path(length), 1.0, 0.0)
     basis = FockBasis(length, 2, total_cap=2)
-    engine = SectorEvolution(model, basis)
     t = 0.9
     g = single_particle_propagator(model, t)
     for x in (2, 4):
         bx = MonomialOp.from_dicts(zeta={x: 1}).to_matrix(basis)
-        bxt = engine.heisenberg(bx, t)
+        bxt = evolve_operator(bx, model, t)
         bdag0 = MonomialOp.from_dicts(eta={0: 1}).to_matrix(basis)
         comm = (bxt.mat @ bdag0.mat - bdag0.mat @ bxt.mat).toarray()
         # on states with total < total_cap the commutator is exactly G_x0 * I
@@ -263,16 +313,15 @@ def test_commutator_oracle_free_model():
         assert np.max(np.abs(sub - expected)) < 1e-8
 
 
-def test_scan_engine_matches_general_path():
+def test_scan_engine_matches_dense_expm():
     model = bose_hubbard(build_path(4), 1.0, 1.0)
     basis = FockBasis(4, 2)
     w = MuWeights(1.0, basis)
     op = MonomialOp.from_dicts(zeta={0: 1})
     engine = HeisenbergScanEngine(model, basis, op)
-    general = SectorEvolution(model, basis)
     t = 0.4
     a_t = engine.evolved_operator(t)
-    a_t2 = general.heisenberg(op.to_matrix(basis), t)
+    a_t2 = OperatorMatrix(_dense_heisenberg(model, basis, op.to_matrix(basis), t), basis)
     assert weighted_norm_sq(a_t - a_t2, w) < 1e-18
     probe = MonomialOp.from_dicts(eta={3: 1}).to_matrix(basis)
     direct = commutator_weighted_norm(a_t2, OperatorMatrix(probe.mat, basis), w)
@@ -280,18 +329,17 @@ def test_scan_engine_matches_general_path():
     assert fast == pytest.approx(direct, rel=1e-10, abs=1e-18)
 
 
-def test_evolved_operator_matches_heisenberg_matrix():
+def test_evolved_operator_matches_dense_expm():
     model = bose_hubbard(build_path(5), 1.0, 1.0)
     basis = FockBasis(5, 2)
     w = MuWeights(1.0, basis)
     op = MonomialOp.from_dicts(zeta={0: 1})
     engine = HeisenbergScanEngine(model, basis, op)
-    general = SectorEvolution(model, basis)
     for t in (0.0, 0.3, 1.7):
         a_t = engine.evolved_operator(t)
         assert isinstance(a_t, BlockOp)
         assert sorted(a_t.blocks) == [(n - 1, n) for n in range(1, 11)]
-        ref = general.heisenberg(op.to_matrix(basis), t).mat
+        ref = sp.csr_matrix(_dense_heisenberg(model, basis, op.to_matrix(basis), t))
         assert weighted_norm_sq(OperatorMatrix(a_t.mat - ref, basis), w) < 1e-18
         assert weighted_norm_sq(a_t, w) == pytest.approx(
             weighted_norm_sq(OperatorMatrix(ref, basis), w), rel=1e-12)
@@ -318,7 +366,7 @@ def test_real_model_takes_real_eigh():
     op = MonomialOp.from_dicts(zeta={1: 1})
     engine = HeisenbergScanEngine(model, basis, op)
     for n in range(len(basis.sectors)):
-        evals, evecs = engine.evolution.eig(0.0, n)
+        evals, evecs = engine.eig(0.0, n)
         assert evecs.dtype == np.float64
     t = 0.8
     got = engine.evolved_blocks(t)
@@ -332,7 +380,7 @@ def test_complex_model_keeps_complex_eigenvectors():
     rng = np.random.default_rng(5)
     model = random_model_spec(rng, graph=build_path(4))
     basis = FockBasis(4, 2)
-    engine = SectorEvolution(model, basis)
+    engine = HeisenbergScanEngine(model, basis, MonomialOp.from_dicts(zeta={0: 1}))
     h = build_hamiltonian(model, basis, 0.1)
     for n in range(1, len(basis.sectors) - 1):
         ix = basis.sectors[n]
@@ -696,7 +744,7 @@ def test_heisenberg_solves_every_sector_before_products(monkeypatch):
     monkeypatch.setattr(dynamics, "eigh",
                         lambda *a, **k: events.append("eig") or real_eigh(*a, **k))
     monkeypatch.setattr(dynamics, "_mm", lambda *a: events.append("mm") or real_mm(*a))
-    SectorEvolution(model, basis).heisenberg(op, 0.5)
+    evolve_operator(op, model, 0.5)
     assert events.count("eig") == 2 * 9  # two segments, sectors 0..8 all touched
     assert events.index("mm") > max(i for i, e in enumerate(events) if e == "eig")
 

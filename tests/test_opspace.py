@@ -472,14 +472,14 @@ def test_monomial_bound_random(rng):
 
 def test_monomial_bound_evolved_operator(rng):
     # the inequality holds for Heisenberg-evolved operators across a time grid
-    from bosonlc.dynamics import SectorEvolution
+    from bosonlc.dynamics import HeisenbergScanEngine
     model = bose_hubbard(build_path(4), 1.0, 1.0)
     basis = FockBasis(4, 4)
     w = MuWeights(1.0, basis)
-    engine = SectorEvolution(model, basis)
     b0 = MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis)
+    engine = HeisenbergScanEngine(model, basis, b0)
     probe = MonomialOp.from_dicts(eta={3: 1})
     for t in (0.0, 0.05, 0.2, 0.5):
-        bt = engine.heisenberg(b0, t)
+        bt = engine.evolved_operator(t)
         lhs, rhs = monomial_commutator_bound(bt, probe, w)
         assert lhs <= rhs * (1 + 1e-9) + 1e-12

@@ -237,8 +237,7 @@ def _run_cluster(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
 def _run_selftest(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
     from .selftest import run_selftest
     exp = cfg.experiment
-    report = run_selftest(seed=cfg.seed, samples=int(exp.get("samples", 20000)),
-                          verbose=verbose)
+    report = run_selftest(seed=cfg.seed, samples=int(exp.get("samples", 20000)))
     payload = {"resolved_config": cfg.resolved(), "checks": report}
     _write(out / "selftest.json", _json_dump(payload), verbose)
     failed = [c for c in report if not c["passed"]]

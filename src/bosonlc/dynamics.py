@@ -16,11 +16,10 @@ cone, with the Heisenberg engine as the fallback for large times.
 
 Evolved operators are :class:`~bosonlc.opspace.BlockOp` values: one dense
 block per (row sector, column sector) pair, never a global sparse matrix
-unless a caller reads ``.mat``.  A sector block of H whose imaginary part is
-exactly zero (every hopping amplitude real) is diagonalized by the
-real-symmetric solver and keeps real eigenvectors; the products of real
-eigenvectors with complex blocks then run as real matrix products.  The
-choice follows from the Hamiltonian's entries alone.
+unless a caller reads ``.mat``.  ``build_hamiltonian`` returns a real H when
+every hopping amplitude is real; its sector blocks then go to the
+real-symmetric solver and keep real eigenvectors, and the products of real
+eigenvectors with complex blocks run as real matrix products.
 
 Piecewise-constant schedules are handled by composing per-segment
 propagators, so no expansion ever straddles a schedule discontinuity.
@@ -41,20 +40,11 @@ from . import bounds as bounds_mod
 from .fock import FockBasis, ModelSpec, build_hamiltonian
 from .lattice import Graph, fatten, set_distance
 from .opspace import (BlockOp, MonomialOp, MuWeights, OperatorMatrix, f_beta_expectation,
-                      real_if_exact, sector_blocks, weighted_norm_sq)
+                      sector_blocks, weighted_norm_sq)
 
 
 class EvolutionError(RuntimeError):
     """An eigensolve failed or missed its residual target."""
-
-
-@dataclass
-class EvolutionConfig:
-    tolerance: float = 1e-14   # truncation bound of each segment, relative to ||psi||
-
-    def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
 
 
 def _segments(model: ModelSpec, t0: float, t1: float):
@@ -133,7 +123,6 @@ def _chebyshev_expv(h: sp.spmatrix, v: np.ndarray, t: float,
 
 
 def evolve_state(psi: np.ndarray, model: ModelSpec, basis: FockBasis, t: float,
-                 cfg: EvolutionConfig | None = None,
                  t0: float = 0.0) -> tuple[np.ndarray, int, float]:
     """Propagate a state vector from t0 to t under the (piecewise) Hamiltonian.
 
@@ -141,12 +130,11 @@ def evolve_state(psi: np.ndarray, model: ModelSpec, basis: FockBasis, t: float,
     segment takes one expansion; the bound on ||state - exact state|| is the
     sum of the segments' truncation bounds, as every propagator is unitary.
     """
-    cfg = cfg or EvolutionConfig()
     out = np.array(psi, dtype=np.complex128)
     terms, bound = 0, 0.0
     for a, b in _segments(model, t0, t):
         h = build_hamiltonian(model, basis, (min(a, b) + max(a, b)) / 2.0)
-        out, k, err = _chebyshev_expv(h, out, b - a, cfg.tolerance)
+        out, k, err = _chebyshev_expv(h, out, b - a)
         terms += k
         bound += err
     return out, terms, bound
@@ -211,7 +199,7 @@ class HeisenbergScanEngine:
 
     def eig(self, t: float, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs of the sector-n block of H on the schedule piece holding
-        t; real eigenvectors when the block's imaginary part is exactly zero.
+        t; real eigenvectors when H is real.
 
         The divide-and-conquer driver is faster than scipy's default on
         these block sizes (all real sectors of the 6-site cap-3 chain: 0.18 s
@@ -223,7 +211,7 @@ class HeisenbergScanEngine:
             if piece not in self._h:
                 self._h[piece] = build_hamiltonian(self.model, self.basis, t)
             ix = self.basis.sectors[n]
-            block = real_if_exact(self._h[piece][ix][:, ix].toarray())
+            block = self._h[piece][ix][:, ix].toarray()
             self._eigs[(piece, n)] = eigh(block, driver="evd")
         return self._eigs[(piece, n)]
 
@@ -320,7 +308,7 @@ def _probe_maps(probe: MonomialOp, basis: FockBasis) -> dict:
     out = {}
     for pair, block in sector_blocks(probe.to_matrix(basis).mat, basis).items():
         coo = block.tocoo()
-        out[pair] = (coo.row, coo.col, real_if_exact(coo.data))
+        out[pair] = (coo.row, coo.col, coo.data)
     return out
 
 
@@ -485,12 +473,10 @@ def commutator_series(model: ModelSpec, basis: FockBasis, a0: BlockOp,
     chunks of at most _CHUNK_BYTES.  Sequences are made in increasing column
     order and dropped once no later target needs them, so at most
     |gamma_B| + 1 pairs' sequences are live.  H is used in its sparse sector
-    blocks, real when its imaginary part is exactly zero.
+    blocks, real when every hopping amplitude is.
     """
     order = SERIES_MAX_ORDER
     h = build_hamiltonian(model, basis)
-    if not np.any(h.data.imag):
-        h = h.real
     h_blocks = {n: blk.tocsr() for (n, m), blk in sector_blocks(h, basis).items() if n == m}
     sizes = [ix.size for ix in basis.sectors]
 
@@ -761,16 +747,14 @@ class GroundState:
 def ground_state(h: sp.spmatrix, degeneracy_threshold: float = 1e-6) -> GroundState:
     """Two lowest eigenpairs of a Hermitian sparse matrix; gap = E1 - E0.
 
-    A matrix whose imaginary part is exactly zero goes to the real-symmetric
-    solvers (every hopping amplitude real): 2.0 -> 1.2 s for ARPACK on the
-    73,789-state sector of a 12-site chain, 2 cores.  The ARPACK start vector is uniform, so
-    when a symmetry of H fixes it (the reflection of a uniform chain), the
-    excited states odd under that symmetry are missed and the gap is the
-    gap to the lowest even state.
+    A real matrix (``build_hamiltonian`` with every hopping amplitude real)
+    goes to the real-symmetric solvers, faster than the complex ones: 2.0 ->
+    1.2 s for ARPACK on the 73,789-state sector of a 12-site chain, 2 cores.
+    The ARPACK start vector is uniform, so when a symmetry of H fixes it (the
+    reflection of a uniform chain), the excited states odd under that
+    symmetry are missed and the gap is the gap to the lowest even state.
     """
     dim = h.shape[0]
-    if np.iscomplexobj(h.data) and not np.any(h.data.imag):
-        h = h.real
     if dim <= 600:
         evals, evecs = eigh(h.toarray())
         e0 = float(evals[0])

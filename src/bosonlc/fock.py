@@ -329,7 +329,7 @@ def random_model_spec(rng: np.random.Generator, graph: Graph | None = None,
 
 
 # ---------------------------------------------------------------------------
-# operators over a basis (SparseOp = scipy CSR, complex128)
+# operators over a basis (SparseOp = scipy CSR; float64 unless an entry is complex)
 
 
 def ladder_op(basis: FockBasis, site: int, kind: str) -> sp.csr_matrix:
@@ -343,7 +343,7 @@ def ladder_op(basis: FockBasis, site: int, kind: str) -> sp.csr_matrix:
     occ = basis.states[:, site].astype(np.int64)
     if kind == "number":
         return sp.csr_matrix(
-            (occ.astype(np.complex128), (np.arange(basis.dim), np.arange(basis.dim))),
+            (occ.astype(np.float64), (np.arange(basis.dim), np.arange(basis.dim))),
             shape=(basis.dim, basis.dim))
     if kind == "annihilate":
         cols = np.where(occ >= 1)[0]
@@ -359,13 +359,13 @@ def ladder_op(basis: FockBasis, site: int, kind: str) -> sp.csr_matrix:
         raise ValueError(f"unknown ladder kind {kind!r}")
     good = rows >= 0
     return sp.csr_matrix(
-        (amp[good].astype(np.complex128), (rows[good], cols[good])),
+        (amp[good], (rows[good], cols[good])),
         shape=(basis.dim, basis.dim))
 
 
 def total_number_op(basis: FockBasis) -> sp.csr_matrix:
     idx = np.arange(basis.dim)
-    return sp.csr_matrix((basis.totals.astype(np.complex128), (idx, idx)),
+    return sp.csr_matrix((basis.totals.astype(np.float64), (idx, idx)),
                          shape=(basis.dim, basis.dim))
 
 
@@ -373,7 +373,9 @@ def build_hamiltonian(model: ModelSpec, basis: FockBasis, t: float = 0.0) -> sp.
     """Assemble H(t) = sum_edges J_xy(t) b+_x b_y + h.c. + sum_S U_S(n, t).
 
     The forward and reverse hopping entries are emitted from the same float
-    amplitude, so the matrix is Hermitian to the bit.
+    amplitude, so the matrix is Hermitian to the bit.  It is float64 when
+    every hopping amplitude at t is real (then H is real symmetric), and
+    complex128 otherwise.
     """
     if basis.num_sites != model.graph.num_vertices:
         raise ValueError("basis sites must match graph vertices")
@@ -392,11 +394,14 @@ def build_hamiltonian(model: ModelSpec, basis: FockBasis, t: float = 0.0) -> sp.
         idx = np.arange(dim)
         rows_acc.append(idx)
         cols_acc.append(idx)
-        data_acc.append(diag.astype(np.complex128))
+        data_acc.append(diag)
 
+    hops = {edge: complex(sched.at(t)) for edge, sched in model.hopping.items()}
+    if not any(j.imag for j in hops.values()):
+        hops = {edge: j.real for edge, j in hops.items()}
+    dtype = np.result_type(float, *hops.values())
     cap = basis.per_site_cap
-    for (x, y), sched in model.hopping.items():
-        j = complex(sched.at(t))
+    for (x, y), j in hops.items():
         if j == 0:
             continue
         # term j * b+_x b_y maps |n> -> sqrt(n_y (n_x + 1)) |n - e_y + e_x>
@@ -418,12 +423,12 @@ def build_hamiltonian(model: ModelSpec, basis: FockBasis, t: float = 0.0) -> sp.
         data_acc.extend((j * amp, np.conj(j) * amp))
 
     if not rows_acc:
-        return sp.csr_matrix((dim, dim), dtype=np.complex128)
+        return sp.csr_matrix((dim, dim), dtype=dtype)
     parts = []
     for acc in (data_acc, rows_acc, cols_acc):  # free each term list once joined:
         parts.append(np.concatenate(acc))        # this assembly sets certify's peak RSS
         acc.clear()
-    mat = sp.coo_matrix((parts[0], tuple(parts[1:])), shape=(dim, dim), dtype=np.complex128)
+    mat = sp.coo_matrix((parts[0], tuple(parts[1:])), shape=(dim, dim), dtype=dtype)
     parts.clear()
     return mat.tocsr()      # sums the duplicate entries
 

@@ -71,27 +71,25 @@ class MuWeights:
 
 @dataclass
 class OperatorMatrix:
-    """A matrix over a Fock basis, with optional (best-effort) support metadata."""
+    """A matrix over a Fock basis, with optional (best-effort) support metadata.
+
+    A real or complex matrix keeps its dtype, widened to 64-bit parts; any
+    other dtype becomes float64.
+    """
 
     mat: sp.csr_matrix
     basis: FockBasis
     support: frozenset[int] | None = None
 
     def __post_init__(self):
-        if not sp.issparse(self.mat):
-            self.mat = sp.csr_matrix(np.asarray(self.mat, dtype=np.complex128))
-        else:
-            self.mat = self.mat.tocsr().astype(np.complex128)
+        mat = sp.csr_matrix(self.mat)
+        self.mat = mat.astype(np.result_type(mat.dtype, np.float64))
         if self.mat.shape != (self.basis.dim, self.basis.dim):
             raise ValueError("matrix dimension does not match basis size")
 
     @classmethod
     def identity(cls, basis: FockBasis) -> "OperatorMatrix":
-        return cls(sp.identity(basis.dim, dtype=np.complex128, format="csr"), basis,
-                   support=frozenset())
-
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.mat.conjugate().transpose().tocsr(), self.basis, self.support)
+        return cls(sp.identity(basis.dim, format="csr"), basis, support=frozenset())
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return OperatorMatrix(self.mat + other.mat, self.basis, None)
@@ -101,13 +99,6 @@ class OperatorMatrix:
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return OperatorMatrix(self.mat @ other.mat, self.basis, None)
-
-
-def real_if_exact(a: np.ndarray) -> np.ndarray:
-    """``a`` as a real array when its imaginary part is exactly zero."""
-    if np.iscomplexobj(a) and not np.any(a.imag):
-        return np.ascontiguousarray(a.real)
-    return a
 
 
 def sector_blocks(mat: sp.spmatrix, basis: FockBasis) -> dict[tuple[int, int], sp.csr_matrix]:
@@ -139,7 +130,7 @@ class BlockOp:
 
     ``blocks[(n_row, n_col)]`` holds the entries between the rows of sector
     n_row and the columns of sector n_col (``basis.sectors``); absent pairs
-    are zero.  A block is real when its imaginary part is exactly zero.
+    are zero.  Blocks split from a real operator are real.
     ``mat`` assembles the global sparse matrix on first access and caches it.
     Support metadata is not tracked, as for any derived OperatorMatrix.
     """
@@ -156,7 +147,7 @@ class BlockOp:
         """Dense sector blocks of an OperatorMatrix; a BlockOp passes through."""
         if isinstance(op, BlockOp):
             return op
-        return cls(op.basis, {pair: real_if_exact(block.toarray()) for pair, block
+        return cls(op.basis, {pair: block.toarray() for pair, block
                               in sector_blocks(op.mat, op.basis).items()})
 
     @property
@@ -171,7 +162,7 @@ class BlockOp:
                 data.append(block.ravel())
             self._mat = sp.coo_matrix(
                 (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(self.basis.dim, self.basis.dim), dtype=np.complex128).tocsr()
+                shape=(self.basis.dim, self.basis.dim)).tocsr()
         return self._mat
 
     def __sub__(self, other) -> "OperatorMatrix":
@@ -258,7 +249,7 @@ class MonomialOp:
                 target[:, site] = occ[site][cols]
             rows = basis.lookup_rows(target)
         hit = rows >= 0
-        mat = sp.csr_matrix((amp[cols[hit]].astype(np.complex128), (rows[hit], cols[hit])),
+        mat = sp.csr_matrix((amp[cols[hit]], (rows[hit], cols[hit])),
                             shape=(basis.dim, basis.dim))
         return OperatorMatrix(mat, basis, support=self.support)
 
@@ -368,13 +359,13 @@ def _site_average(a: OperatorMatrix, site: int, w: MuWeights):
     ks = occ_r[sel]
     if rows.size == 0:
         empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, np.zeros(0, dtype=np.complex128), (rows, cols, vals, ks, empty)
+        return empty, empty, np.zeros(0, dtype=vals.dtype), (rows, cols, vals, ks, empty)
     rs = basis.shifted_rows(rows, site, 0)
     cs = basis.shifted_rows(cols, site, 0)
     key = rs.astype(np.int64) * basis.dim + cs
     uniq, inv = np.unique(key, return_inverse=True)
     geom = ((1.0 - w.q) / w.site_partition) * w.q ** ks.astype(np.float64)
-    t_vals = np.zeros(uniq.size, dtype=np.complex128)
+    t_vals = np.zeros(uniq.size, dtype=vals.dtype)
     np.add.at(t_vals, inv, geom * vals)
     return uniq // basis.dim, uniq % basis.dim, t_vals, (rows, cols, vals, ks, inv)
 
@@ -384,7 +375,7 @@ def _one_minus_p_site(a: OperatorMatrix, site: int, w: MuWeights) -> OperatorMat
     basis = a.basis
     urow, ucol, t_vals, _ = _site_average(a, site, w)
     if urow.size == 0:
-        return OperatorMatrix(sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128), basis)
+        return OperatorMatrix(sp.csr_matrix((basis.dim, basis.dim)), basis)
     cap = basis.per_site_cap
     out_rows = []
     out_cols = []

@@ -215,7 +215,7 @@ def _envelope_dominance():
                   bad == 0, f"{bad} violations")
 
 
-def run_selftest(seed: int = 0, samples: int = 20000, verbose: bool = False) -> list[dict]:
+def run_selftest(seed: int = 0, samples: int = 20000) -> list[dict]:
     rng = np.random.default_rng(seed)
     checks = [
         _velocity_identities(),

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosonlc.config import load_config
 from bosonlc.fock import (FockBasis, build_hamiltonian, bose_hubbard, ladder_op,
-                          random_model_spec)
+                          random_model_spec, total_number_op)
 from bosonlc.lattice import build_path
 from bosonlc.opspace import (BlockOp, MonomialOp, MuWeights, OperatorMatrix,
                              apply_liouvillian, check_thermal_relation,
@@ -23,6 +25,35 @@ from conftest import (geometric_series_inner_bb, random_operator, series_b_f,
 def single_site(cap=50, mu=1.0):
     basis = FockBasis(1, cap)
     return basis, MuWeights(mu, basis)
+
+
+# -- dtypes ----------------------------------------------------------------------
+
+def test_matrices_are_real_by_construction():
+    # real entries give float64 matrices; only a complex hopping amplitude
+    # makes H complex
+    config = Path(__file__).resolve().parents[1] / "configs" / "cluster_mott8.yaml"
+    loaded = load_config(str(config)).model
+    assert all(type(s.at(0.0)) is complex for s in loaded.hopping.values())
+    for model in (bose_hubbard(build_path(4), 1.0, 1.0), loaded):
+        basis = FockBasis(model.graph.num_vertices, 1)
+        assert build_hamiltonian(model, basis).dtype == np.float64
+    basis = FockBasis(3, 2)
+    for kind in ("annihilate", "create", "number"):
+        assert ladder_op(basis, 1, kind).dtype == np.float64
+    assert total_number_op(basis).dtype == np.float64
+    op = MonomialOp.from_dicts(eta={0: 2}, zeta={1: 1}).to_matrix(basis)
+    assert op.mat.dtype == np.float64
+    assert OperatorMatrix.identity(basis).mat.dtype == np.float64
+    for dense in (np.eye(basis.dim), np.eye(basis.dim, dtype=np.int64)):
+        assert OperatorMatrix(dense, basis).mat.dtype == np.float64
+    blocks = BlockOp.from_matrix(op)
+    assert blocks.blocks and all(b.dtype == np.float64 for b in blocks.blocks.values())
+    assert blocks.mat.dtype == np.float64
+
+    model = random_model_spec(np.random.default_rng(5), build_path(4))
+    h = build_hamiltonian(model, FockBasis(4, 2))
+    assert h.dtype == np.complex128 and np.any(h.data.imag)
 
 
 # -- monomial matrices ----------------------------------------------------------

@@ -92,6 +92,14 @@ def velocity_bound_1d(mu: float, K: int = 2, ell: int = 0) -> float:
     return velocity_bound(mu, K, ell, beta=1)
 
 
+def worst_case_velocities(mu: float, theta: float, ell: int,
+                          eps: float) -> tuple[float, float]:
+    """(v', v*) under a density assumption (mu, theta): v' = (1+eps) v_{mu/2}
+    (K = 2, beta = 1) and the worst-case cone velocity v* = (2 theta)^(8l+4) v'."""
+    vprime = (1.0 + eps) * velocity_bound_1d(mu / 2.0, K=2, ell=ell)
+    return vprime, (2.0 * theta) ** (8 * ell + 4) * vprime
+
+
 # ---------------------------------------------------------------------------
 # envelopes
 
@@ -280,8 +288,7 @@ def finite_density_commutator_bound(r: int, t: float, mu: float, theta: float,
         raise ValueError("separation r must be >= 1")
     if theta <= 0 or K0 <= 0:
         raise ValueError("theta and K0 must be positive")
-    vprime = (1.0 + eps) * velocity_bound_1d(mu / 2.0, K=2, ell=ell)
-    cone = (2.0 * theta) ** (8 * ell + 4) * vprime * abs(t)
+    cone = worst_case_velocities(mu, theta, ell, eps)[1] * abs(t)
     if cone >= r:
         return math.inf
     return c1 * K0 * (cone / r) ** (r / (2 * ell + 1))
@@ -308,8 +315,7 @@ def matrix_element_bound(r: int, t: float, m: int, ell: int, eps: float = 0.1,
     mu = 1.0 / m
     theta = math.e * (1.0 + m)
     k0 = 4.0
-    vprime = (1.0 + eps) * velocity_bound_1d(mu / 2.0, K=2, ell=ell)
-    v_star = (2.0 * theta) ** (8 * ell + 4) * vprime
+    v_star = worst_case_velocities(mu, theta, ell, eps)[1]
     value = finite_density_commutator_bound(r, t, mu, theta, k0, ell, eps, c1)
     return MatrixElementBound(value=value, v_star=v_star, mu=mu, theta=theta, K0=k0)
 

@@ -260,7 +260,7 @@ def certified_expectation(model: ModelSpec, occupations, observable: MonomialOp,
     center.  The window radius and caps default to the closed forms; explicit
     overrides are recorded in the certificate.
     """
-    from .bounds import velocity_bound_1d
+    from .bounds import worst_case_velocities
 
     ell = model.interaction_range
     center = chain_center(model)
@@ -268,7 +268,7 @@ def certified_expectation(model: ModelSpec, occupations, observable: MonomialOp,
     if len(occ) != model.graph.num_vertices:
         raise ValueError("initial occupations must cover the whole chain")
 
-    vprime = (1.0 + eps) * velocity_bound_1d(assumption.mu / 2.0, K=2, ell=ell)
+    vprime = worst_case_velocities(assumption.mu, assumption.theta, ell, eps)[0]
     formula_radius = truncation_radius(t, assumption.theta, ell, vprime)
     r_used = radius if radius is not None else max(1, math.ceil(formula_radius))
     if r_used < 1:

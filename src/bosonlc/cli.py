@@ -82,12 +82,38 @@ def _write_table(cfg: ExperimentConfig, out: Path, stem: str, result, provenance
         _write(out / f"{stem}.json", _json_dump(payload), verbose)
 
 
-def _monomial_from_spec(spec: dict, path: str) -> MonomialOp:
-    eta = {int(k): int(v) for k, v in (spec.get("eta") or {}).items()}
-    zeta = {int(k): int(v) for k, v in (spec.get("zeta") or {}).items()}
-    if not eta and not zeta:
+def _integer(value, path: str, least: int = 0) -> int:
+    """A config integer >= least; digit strings pass, as JSON keys are strings."""
+    if isinstance(value, str) and value.isdigit():
+        value = int(value)
+    if type(value) is not int or value < least:
+        raise ConfigError(path, f"expected an integer >= {least}, got {value!r}")
+    return value
+
+
+def _times(exp: dict, key: str, default: list) -> list[float]:
+    """experiment.<key> (default when absent or null): finite numbers >= 0."""
+    values = exp.get(key)
+    values = default if values is None else values
+    if not (isinstance(values, list)
+            and all(type(t) in (int, float) and 0 <= t < math.inf for t in values)):
+        raise ConfigError(f"experiment.{key}", f"expected finite numbers >= 0, got {values!r}")
+    return [float(t) for t in values]
+
+
+def _monomial_from_spec(spec, path: str) -> MonomialOp:
+    if not isinstance(spec, dict):
+        raise ConfigError(path, f"expected a mapping of eta/zeta factors, got {spec!r}")
+    factors = {}
+    for kind in ("eta", "zeta"):
+        sites = spec.get(kind) or {}
+        if not isinstance(sites, dict):
+            raise ConfigError(f"{path}.{kind}", f"expected site: exponent pairs, got {sites!r}")
+        factors[kind] = {_integer(x, f"{path}.{kind}"): _integer(k, f"{path}.{kind}", least=1)
+                         for x, k in sites.items()}
+    if not factors["eta"] and not factors["zeta"]:
         raise ConfigError(path, "monomial needs at least one ladder factor")
-    return MonomialOp.from_dicts(eta=eta, zeta=zeta)
+    return MonomialOp.from_dicts(**factors)
 
 
 # ---------------------------------------------------------------------------
@@ -117,17 +143,20 @@ def _run_scan(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
     exp = cfg.experiment
     op = _monomial_from_spec(exp.get("evolve", {"zeta": {0: 1}}), "experiment.evolve")
     probe = _monomial_from_spec(exp.get("probe", {"eta": {0: 1}}), "experiment.probe")
-    r_values = [int(r) for r in exp.get("r_values", [2, 3, 4])]
+    r_values = exp.get("r_values", [2, 3, 4])
+    if not isinstance(r_values, list):
+        raise ConfigError("experiment.r_values", f"expected a list, got {r_values!r}")
+    r_values = [_integer(r, "experiment.r_values", least=1) for r in r_values]
     if not cfg.model.is_time_independent:
         raise ConfigError("model", "scan needs a time-independent model")
+    if cfg.model.graph.max_degree < 1:
+        raise ConfigError("model.graph", "scan needs a graph with at least one edge")
     if not all(0 <= x < cfg.model.graph.num_vertices for x in op.support):
         raise ConfigError("experiment.evolve", "site outside the graph")
     if len(probe.support) != 1:
         raise ConfigError("experiment.probe", "probe must be a single-site monomial")
     reachable = probe_sites(cfg.model.graph, op.support)
     for r in r_values:
-        if r < 1:
-            raise ConfigError("experiment.r_values", f"separation {r} is below 1")
         if r not in reachable:
             raise ConfigError("experiment.r_values",
                               f"no vertex at distance {r} from the evolved operator")
@@ -137,10 +166,11 @@ def _run_scan(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
     if "cone_fractions" in exp:
         k = cfg.model.graph.max_degree
         v = bounds_mod.velocity_bound(cfg.mu, k, cfg.model.interaction_range, probe.beta)
-        cells = [(r, alpha * r / v) for r in r_values for alpha in exp["cone_fractions"]]
-        for t_extra in exp.get("extra_times", []) or []:
-            cells.extend((r, float(t_extra)) for r in r_values)
-    t_values = [float(t) for t in exp.get("t_values", [0.0])]
+        fractions = _times(exp, "cone_fractions", [])
+        cells = [(r, alpha * r / v) for r in r_values for alpha in fractions]
+        for t_extra in _times(exp, "extra_times", []):
+            cells.extend((r, t_extra) for r in r_values)
+    t_values = _times(exp, "t_values", [0.0])
     result = lightcone_scan(cfg.model, op, probe, cfg.mu, r_values, t_values,
                             cells=cells, basis=basis,
                             eps=cfg.constants["epsilon"], c1=cfg.constants["C1"])

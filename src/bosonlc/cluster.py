@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import velocity_bound_1d
+from .bounds import worst_case_velocities
 from .certify import DensityAssumption
 from .dynamics import connected_correlation, ground_state
 from .fock import FockBasis, ModelSpec, build_hamiltonian
@@ -33,8 +33,7 @@ def clustering_bound(r: int, gap: float, mu: float, theta: float,
         raise GaplessError("spectral gap must be positive for the clustering bound")
     if r < 0:
         raise ValueError("separation must be nonnegative")
-    vprime = (1.0 + eps) * velocity_bound_1d(mu / 2.0, K=2, ell=ell)
-    v = (2.0 * theta) ** (8 * ell + 4) * vprime
+    v = worst_case_velocities(mu, theta, ell, eps)[1]
     return c5 * math.exp(-gap * r / (2.0 * v))
 
 
@@ -114,8 +113,7 @@ def clustering_experiment(model: ModelSpec, r_list, *, per_site_cap: int,
         assumption = DensityAssumption(mu=mu_a, theta=theta, K0=theta)
     mu_w = mu if mu is not None else assumption.mu
     ell = model.interaction_range
-    vprime = (1.0 + eps) * velocity_bound_1d(assumption.mu / 2.0, K=2, ell=ell)
-    velocity = (2.0 * assumption.theta) ** (8 * ell + 4) * vprime
+    velocity = worst_case_velocities(assumption.mu, assumption.theta, ell, eps)[1]
 
     rows: list[ClusterRow] = []
     density_log: list[tuple[int, float]] = []

@@ -154,8 +154,8 @@ def load_config(path_or_text, is_text: bool = False) -> ExperimentConfig:
     mu = float(_positive(_need(ensemble, "mu", "ensemble", (int, float), default=1.0),
                          "ensemble.mu"))
     cap = _need(ensemble, "per_site_cap", "ensemble", int, default=3)
-    if cap < 1:
-        raise ConfigError("ensemble.per_site_cap", "must be >= 1")
+    if not 1 <= cap <= 255:
+        raise ConfigError("ensemble.per_site_cap", "must be in 1..255 (one byte per site)")
     total_cap = ensemble.get("total_cap")
     if total_cap is not None and (not isinstance(total_cap, int) or total_cap < 0):
         raise ConfigError("ensemble.total_cap", "must be a nonnegative integer or null")

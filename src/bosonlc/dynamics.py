@@ -1,25 +1,22 @@
 """Exact time evolution on truncated Fock spaces, light-cone scans, and OTOCs.
 
-Two propagation routes are provided:
+One propagator serves states and operators: a Chebyshev expansion on a
+Gershgorin interval, truncated where an a-priori bound on the dropped terms
+meets the tolerance (``_chebyshev_expv``).  ``evolve_state`` expands
+e^{-iHt}; ``HeisenbergScanEngine`` expands e^{it ad_H} on each (row sector,
+column sector) block of an operator, which ad_H = [H, .] maps to itself as
+every Hamiltonian of the model class conserves total boson number.
 
-* state evolution by one Chebyshev expansion of e^{-iHt} per schedule
-  segment, on H's Gershgorin interval, truncated where an a-priori bound on
-  the dropped terms meets the tolerance (``evolve_state``);
-* Heisenberg evolution by one engine, ``HeisenbergScanEngine``.  Every
-  Hamiltonian in the model class conserves total boson number, so U(t) is
-  block diagonal over sectors; each block is diagonalized once per schedule
-  piece, when a time first needs it, and reused for every later time.
-
-Light-cone scan cells come from a third route, the nested-commutator series
-of ``commutator_series``: no eigensolve, exact to a stated remainder in the
-cone, with the Heisenberg engine as the fallback for large times.
+Light-cone scan cells come from the nested-commutator series of
+``commutator_series``, exact to a stated remainder in the cone, with the
+Heisenberg engine as the fallback for large times.  Both apply ad_H by one
+step, ``_ad``, to H's sector blocks from ``_split_hamiltonian``.
 
 Evolved operators are :class:`~bosonlc.opspace.BlockOp` values: one dense
-block per (row sector, column sector) pair, never a global sparse matrix
-unless a caller reads ``.mat``.  ``build_hamiltonian`` returns a real H when
-every hopping amplitude is real; its sector blocks then go to the
-real-symmetric solver and keep real eigenvectors, and the products of real
-eigenvectors with complex blocks run as real matrix products.
+block per sector pair, never a global sparse matrix unless a caller reads
+``.mat``.  ``build_hamiltonian`` returns a real H when every hopping
+amplitude is real; on a real state or block the recursion then runs in
+float64.
 
 Piecewise-constant schedules are handled by composing per-segment
 propagators, so no expansion ever straddles a schedule discontinuity.
@@ -30,6 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,12 +37,12 @@ from scipy.sparse.linalg import eigsh
 from . import bounds as bounds_mod
 from .fock import FockBasis, ModelSpec, build_hamiltonian
 from .lattice import Graph, fatten, set_distance
-from .opspace import (BlockOp, MonomialOp, MuWeights, OperatorMatrix, f_beta_expectation,
-                      sector_blocks, weighted_norm_sq)
+from .opspace import (BlockOp, MonomialOp, MuWeights, OperatorMatrix, commutator,
+                      f_beta_expectation, sector_blocks, weighted_norm_sq)
 
 
 class EvolutionError(RuntimeError):
-    """An eigensolve failed or missed its residual target."""
+    """A ground-state eigensolve failed or missed its residual target."""
 
 
 def _segments(model: ModelSpec, t0: float, t1: float):
@@ -82,42 +80,80 @@ def _chebyshev_terms(x: float, tol: float) -> tuple[int, float]:
         order += 1
 
 
-def _chebyshev_expv(h: sp.spmatrix, v: np.ndarray, t: float,
-                    tol: float = 1e-14) -> tuple[np.ndarray, int, float]:
-    """e^{-iHt} v for Hermitian sparse H: (result, terms summed, error bound).
+def _split_hamiltonian(h: sp.spmatrix, basis: FockBasis):
+    """H's diagonal sector blocks {n: csr block}, one for every sector, and
+    the Gershgorin ends lo[n], hi[n] of every nonempty sector."""
+    blocks = {n: blk.tocsr() for (n, m), blk in sector_blocks(h, basis).items() if n == m}
+    for n, ix in enumerate(basis.sectors):
+        blocks.setdefault(n, sp.csr_matrix((ix.size, ix.size), dtype=h.dtype))
+    lower, upper = _gershgorin(h)
+    lo = {n: float(np.min(lower[ix])) for n, ix in enumerate(basis.sectors) if ix.size}
+    hi = {n: float(np.max(upper[ix])) for n, ix in enumerate(basis.sectors) if ix.size}
+    return blocks, lo, hi
 
-    With H's Gershgorin interval [c - a, c + a], X = (H - c) / a and x = a|t|,
-    e^{-iHt} = e^{-ict} (J_0(x) + 2 sum_k (-i sgn t)^k J_k(x) T_k(X)) (Tal-Ezer
-    & Kosloff 1984).  As ||T_k(X)|| <= 1, the orders past K add at most
+
+def _ad(h_row: sp.csr_matrix, h_col_t: sp.csr_matrix, m: np.ndarray,
+        out: np.ndarray | None = None) -> np.ndarray:
+    """ad_H(M) = H_row M - M H_col on one sector pair.
+
+    ``h_col_t`` is the transpose of the column sector's block of H, so
+    M H = (H^T M^T)^T runs as a sparse-times-dense product.
+    """
+    prod = h_row @ m
+    return np.subtract(prod, (h_col_t @ np.ascontiguousarray(m.T)).T,
+                       out=prod if out is None else out)
+
+
+def _chebyshev_expv(h: sp.spmatrix, v: np.ndarray, t: float, tol: float = 1e-14,
+                    interval: tuple[float, float] | None = None,
+                    h_col_t: sp.spmatrix | None = None) -> tuple[np.ndarray, int, float]:
+    """e^{-iLt} v: (result, terms summed, error bound).
+
+    L is the Hermitian sparse H, or with ``h_col_t`` the map ad_H of ``_ad``
+    on one sector pair (v a dense block), self-adjoint in the Frobenius inner
+    product.  Its spectrum lies in ``interval`` = [c - a, c + a], by default
+    H's Gershgorin interval.  With X = (L - c) / a and x = a|t|, e^{-iLt} =
+    e^{-ict} (J_0(x) + 2 sum_k (-i sgn t)^k J_k(x) T_k(X)) (Tal-Ezer & Kosloff
+    1984).  As ||T_k(X)|| <= 1, the orders past K add at most
     2 sum_{k>K} |J_k(x)| ||v||, which ``_chebyshev_terms`` bounds by tol ||v||.
-    With H and v real, every T_k(X) v is real: the recursion runs in float64,
+    With L and v real, every T_k(X) v is real: the recursion runs in float64,
     summing the even orders (real coefficients) and odd ones (imaginary) apart.
     """
     from scipy.special import jv   # not at module top: it adds ~55 ms to every import
 
-    real = not np.any(h.data.imag) and not np.any(np.imag(v))
+    mats = [h] if h_col_t is None else [h, h_col_t]
+    real = not any(np.any(m.data.imag) for m in mats) and not np.any(np.imag(v))
     cur = np.array(np.real(v) if real else v, dtype=np.float64 if real else np.complex128)
     norm = float(np.linalg.norm(cur))
     if t == 0.0 or norm == 0.0:
         return np.array(v, dtype=np.complex128), 0, 0.0
-    lower, upper = _gershgorin(h)
-    lo, hi = float(lower.min()), float(upper.max())
-    c, a = (hi + lo) / 2.0, (hi - lo) / 2.0 or 1.0    # any a > 0 encloses H = c
+    if interval is None:
+        lower, upper = _gershgorin(h)
+        interval = float(lower.min()), float(upper.max())
+    lo, hi = interval
+    c, a = (hi + lo) / 2.0, (hi - lo) / 2.0 or 1.0    # any a > 0 encloses L = c
     order, tail = _chebyshev_terms(a * abs(t), tol)
     coef = 2.0 * jv(np.arange(order + 1), a * abs(t))
     coef[0] /= 2.0
     coef[2::4] *= -1.0      # (-i)^k = (-1)^(k/2) on even k, -i (-1)^((k-1)/2) on odd k
     coef[3::4] *= -1.0
-    h2 = (h.real if real else h.astype(np.complex128, copy=False)) * (2.0 / a)
-    shift = 2.0 * c / a     # 2X = h2 - shift
-    prev, cur = cur, 0.5 * (h2 @ cur - shift * cur)     # T_0 v and T_1 v = X v
+    h2 = [(m.real if real else m.astype(np.complex128, copy=False)) * (2.0 / a) for m in mats]
+    shift = 2.0 * c / a     # 2X = 2L / a - shift
+    scaled = np.empty_like(cur)     # the products by scalars, without a new array each
+    if h_col_t is None:
+        def two_x(x):
+            out = h2[0] @ x
+            out -= np.multiply(shift, x, out=scaled)
+            return out
+    else:   # ad_{H - s} = ad_H - s: the shift sits on the row block's diagonal
+        two_x = partial(_ad, h2[0] - shift * sp.identity(h2[0].shape[0], format="csr"), h2[1])
+    prev, cur = cur, 0.5 * two_x(cur)     # T_0 v and T_1 v = X v
     acc = [coef[0] * prev, coef[1] * cur]
     for k in range(2, order + 1):     # T_k = 2X T_{k-1} - T_{k-2}
-        nxt = h2 @ cur
-        nxt -= shift * cur
+        nxt = two_x(cur)
         nxt -= prev
         prev, cur = cur, nxt
-        acc[k % 2] += coef[k] * cur
+        acc[k % 2] += np.multiply(coef[k], cur, out=scaled)
     odd = acc[1] * (-1j if t > 0 else 1j)
     return np.exp(-1j * c * t) * (acc[0] + odd), order + 1, tail * norm
 
@@ -161,29 +197,17 @@ def single_particle_propagator(model: ModelSpec, t: float) -> np.ndarray:
 # Heisenberg evolution, sector by sector
 
 
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b; a product of a real and a complex matrix runs as a real product.
-
-    The complex factor is read as a real matrix with its real and imaginary
-    parts interleaved, so numpy neither upcasts the real factor nor runs a
-    complex product at twice the flops.
-    """
-    if np.iscomplexobj(a) == np.iscomplexobj(b):
-        return a @ b
-    if np.iscomplexobj(a):
-        return _mm(b.T, a.T).T
-    return (a @ np.ascontiguousarray(b).view(np.float64)).view(np.complex128)
-
-
 class HeisenbergScanEngine:
     """Heisenberg evolution O(t) = U(t)^dag O U(t) of one operator, block by block.
 
-    Number conservation makes H block diagonal over total-occupation sectors.
-    Each sector block of each schedule piece is diagonalized on first need
-    and reused for every later time; the operator rotated into the eigenbases
-    of a piece is cached too, so on a constant model a new time costs two
-    dense products per block (plus phase scalings).  ``initial`` is the
-    operator at t = 0.  Construction runs no eigensolve.
+    Number conservation makes H block diagonal over total-occupation sectors,
+    so each sector-pair block B of O evolves alone: B <- e^{iH_row dt} B
+    e^{-iH_col dt} = e^{i dt ad_H} B.  All entries of a block carry the same
+    mu-weight, so there ad_H is self-adjoint in the Frobenius inner product,
+    with its spectrum in [lo_row - hi_col, hi_row - lo_col] (Gershgorin ends
+    per sector): each span takes one Chebyshev expansion, as a state does.
+    H is built once per schedule piece, when a time first needs it.
+    ``initial`` is the operator at t = 0.
     """
 
     def __init__(self, model: ModelSpec, basis: FockBasis,
@@ -193,68 +217,26 @@ class HeisenbergScanEngine:
         self.initial = BlockOp.from_matrix(
             op.to_matrix(basis) if isinstance(op, MonomialOp) else op)
         self._breaks = model.breakpoints()
-        self._h: dict[int, sp.csr_matrix] = {}
-        self._eigs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._rotated: dict[int, dict[tuple[int, int], np.ndarray]] = {}
-
-    def eig(self, t: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenpairs of the sector-n block of H on the schedule piece holding
-        t; real eigenvectors when H is real.
-
-        The divide-and-conquer driver is faster than scipy's default on
-        these block sizes (all real sectors of the 6-site cap-3 chain: 0.18 s
-        against 0.28 s on 2 cores), and its residuals and loss of
-        orthogonality are ~2e-14 instead of ~5e-13.
-        """
-        piece = bisect_right(self._breaks, t)   # the piece holding t, as in .at(t)
-        if (piece, n) not in self._eigs:
-            if piece not in self._h:
-                self._h[piece] = build_hamiltonian(self.model, self.basis, t)
-            ix = self.basis.sectors[n]
-            block = self._h[piece][ix][:, ix].toarray()
-            self._eigs[(piece, n)] = eigh(block, driver="evd")
-        return self._eigs[(piece, n)]
-
-    def _to_eigenbasis(self, t: float, blocks: dict) -> dict[tuple[int, int], np.ndarray]:
-        """V_row^dag B V_col for every block, in the eigenbases of t's piece."""
-        out = {}
-        for (n_row, n_col), dense in blocks.items():
-            _, v_row = self.eig(t, n_row)
-            _, v_col = self.eig(t, n_col)
-            out[(n_row, n_col)] = _mm(_mm(v_row.conj().T, dense), v_col)
-        return out
+        self._h: dict[int, tuple] = {}    # schedule piece -> _split_hamiltonian
 
     def evolved_blocks(self, t: float) -> dict[tuple[int, int], np.ndarray]:
         """Sector blocks {(n_row, n_col): dense block} of O(t).
 
         With U(t) = U_k ... U_1 over the spans of ``_segments``, O(t) =
-        U_1^dag ... U_k^dag O U_k ... U_1: the last span acts first, each as
-        B <- V (e^{iE_row dt} * V^dag B V * e^{-iE_col dt}) V^dag.  Every
-        eigensolve the spans need runs before the first product: interleaved
-        with the threaded BLAS products, the eigensolves ran 2x slower
-        (OpenBLAS, 2 cores, 6-site chain).
+        U_1^dag ... U_k^dag O U_k ... U_1: the last span acts first.
         """
-        spans = list(_segments(self.model, 0.0, t))
-        sectors = sorted({n for pair in self.initial.blocks for n in pair})
-        for a, b in spans:
-            for n in sectors:
-                self.eig((a + b) / 2.0, n)
         blocks = dict(self.initial.blocks)   # t = 0: exact zeros stay zero
-        for step, (a, b) in enumerate(reversed(spans)):
-            mid, dt = (a + b) / 2.0, b - a
-            if step == 0:   # still O itself: its rotation is cached per piece
-                piece = bisect_right(self._breaks, mid)
-                if piece not in self._rotated:
-                    self._rotated[piece] = self._to_eigenbasis(mid, blocks)
-                tildes = self._rotated[piece]
-            else:
-                tildes = self._to_eigenbasis(mid, blocks)
-            blocks = {}
-            for (n_row, n_col), tilde in tildes.items():
-                e_row, v_row = self.eig(mid, n_row)
-                e_col, v_col = self.eig(mid, n_col)
-                phased = (np.exp(1j * e_row * dt)[:, None] * tilde) * np.exp(-1j * e_col * dt)[None, :]
-                blocks[(n_row, n_col)] = _mm(_mm(v_row, phased), v_col.conj().T)
+        for a, b in reversed(list(_segments(self.model, 0.0, t))):
+            mid = (a + b) / 2.0
+            piece = bisect_right(self._breaks, mid)   # the piece holding mid, as in .at(mid)
+            if piece not in self._h:
+                self._h[piece] = _split_hamiltonian(
+                    build_hamiltonian(self.model, self.basis, mid), self.basis)
+            h, lo, hi = self._h[piece]
+            for (n_row, n_col), block in blocks.items():
+                blocks[(n_row, n_col)] = _chebyshev_expv(
+                    h[n_row], block, a - b, interval=(lo[n_row] - hi[n_col], hi[n_row] - lo[n_col]),
+                    h_col_t=h[n_col].T.tocsr())[0]
         return blocks
 
     def evolved_operator(self, t: float) -> BlockOp:
@@ -285,7 +267,7 @@ class HeisenbergScanEngine:
 
 
 def evolve_operator(op: OperatorMatrix | BlockOp, model: ModelSpec, t: float) -> BlockOp:
-    """O(t) = U(t)^dag O U(t), exact per schedule piece: no step control."""
+    """O(t) = U(t)^dag O U(t), one Chebyshev expansion per schedule span and block."""
     return HeisenbergScanEngine(model, op.basis, op).evolved_operator(t)
 
 
@@ -317,8 +299,7 @@ def _nested_commutators(h_row: sp.csr_matrix, h_col_t: sp.csr_matrix, block: np.
     """M_k = ad_H^k(A) on one sector pair for k = lowest..order, and every
     ||M_k||_F^2 for k = 0..order.
 
-    ``h_col_t`` is the transpose of the column sector's block of H, so
-    M H = (H^T M^T)^T runs as a sparse-times-dense product.
+    ``h_col_t`` is the transpose of the column sector's block of H.
     """
     seq = np.empty((order + 1 - lowest,) + block.shape, dtype=block.dtype)
     norms_sq = np.empty(order + 1)
@@ -330,7 +311,7 @@ def _nested_commutators(h_row: sp.csr_matrix, h_col_t: sp.csr_matrix, block: np.
         if k < order:
             # M_{k+1} goes straight into its slot once it is kept
             out = seq[k + 1 - lowest] if k + 1 >= lowest else None
-            m = np.subtract(h_row @ m, (h_col_t @ np.ascontiguousarray(m.T)).T, out=out)
+            m = _ad(h_row, h_col_t, m, out=out)
     return seq, norms_sq
 
 
@@ -477,12 +458,8 @@ def commutator_series(model: ModelSpec, basis: FockBasis, a0: BlockOp,
     """
     order = SERIES_MAX_ORDER
     h = build_hamiltonian(model, basis)
-    h_blocks = {n: blk.tocsr() for (n, m), blk in sector_blocks(h, basis).items() if n == m}
+    h_blocks, lo, hi = _split_hamiltonian(h, basis)
     sizes = [ix.size for ix in basis.sectors]
-
-    def h_block(n: int) -> sp.csr_matrix:
-        return h_blocks.get(n, sp.csr_matrix((sizes[n], sizes[n]), dtype=h.dtype))
-
     pairs = {n_col: (n_row, block) for (n_row, n_col), block in a0.blocks.items()}
     if len(pairs) != len(a0.blocks):
         raise ValueError("series route needs an operator of definite number change")
@@ -495,9 +472,6 @@ def commutator_series(model: ModelSpec, basis: FockBasis, a0: BlockOp,
     w = MuWeights(mu, basis)
 
     # spectral spread between the sectors A connects; Gershgorin per sector
-    lower, upper = _gershgorin(h)
-    lo = {n: float(np.min(lower[ix])) for n, ix in enumerate(basis.sectors) if ix.size}
-    hi = {n: float(np.max(upper[ix])) for n, ix in enumerate(basis.sectors) if ix.size}
     spread = max(max(hi[a] - lo[b], hi[b] - lo[a]) for b, (a, _) in pairs.items())
     b_norm = max((float(np.max(np.abs(amps))) for m in maps.values()
                   for _, _, amps in m.values() if amps.size), default=0.0)
@@ -514,7 +488,7 @@ def commutator_series(model: ModelSpec, basis: FockBasis, a0: BlockOp,
         if n_col not in live:
             n_row, block = pairs[n_col]
             live[n_col], norms_sq = _nested_commutators(
-                h_block(n_row), h_block(n_col).T.tocsr(), block.astype(dtype, copy=False),
+                h_blocks[n_row], h_blocks[n_col].T.tocsr(), block.astype(dtype, copy=False),
                 lowest, order)
             m_norms_sq[:] += w.pair_weight(n_row, n_col) * norms_sq
         return live[n_col]
@@ -620,7 +594,7 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
     Each cell comes from the nested-commutator series (``commutator_series``)
     when some order up to SERIES_MAX_ORDER meets its remainder tolerance;
     the others (large t) take the dense route of ``HeisenbergScanEngine``,
-    which solves sectors only when such a cell exists.
+    which builds H only when such a cell exists.
     """
     if not model.is_time_independent:
         raise ValueError("scan expects a time-independent model")
@@ -693,7 +667,7 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
     by_time: dict[float, list[int]] = {}
     for r, t in sorted(set(cells) - set(out_cells)):
         by_time.setdefault(t, []).append(r)
-    engine = HeisenbergScanEngine(model, basis, a0)   # solves sectors on first need
+    engine = HeisenbergScanEngine(model, basis, a0)   # builds H on first need
     times = sorted(by_time)
     for t in times:
         evolved = engine.evolved_blocks(t)
@@ -728,12 +702,9 @@ def otoc(model: ModelSpec, a: OperatorMatrix, b: OperatorMatrix, mu: float,
          t: float) -> OtocResult:
     """Weighted squared commutator of the evolved and static operators."""
     w = MuWeights(mu, a.basis)
-    a_t = evolve_operator(a, model, t)
-    comm = OperatorMatrix(a_t.mat @ b.mat - b.mat @ a_t.mat, a.basis, None)
-    sq = weighted_norm_sq(comm, w)
-    coo = sp.coo_matrix(comm.mat)
-    thermal = complex(np.sum(coo.data * w.w[coo.col])) if coo.nnz else 0.0 + 0.0j
-    return OtocResult(squared_norm=sq, thermal_commutator=thermal)
+    comm = commutator(evolve_operator(a, model, t), b)
+    thermal = complex(np.sum(w.w * comm.mat.diagonal()))   # sum_n w_n C_nn
+    return OtocResult(squared_norm=weighted_norm_sq(comm, w), thermal_commutator=thermal)
 
 
 @dataclass

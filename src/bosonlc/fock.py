@@ -449,13 +449,3 @@ def check_number_conservation(h: sp.spmatrix, n_op: sp.spmatrix) -> bool:
         return True
     active = coo.data != 0
     return not np.any(diag[coo.row[active]] != diag[coo.col[active]])
-
-
-def dump_sparse(op: sp.spmatrix, path) -> None:
-    """Debug dump: one ``row col re im`` line per stored entry, row-major."""
-    coo = sp.coo_matrix(op)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for i in order:
-            fh.write(f"{coo.row[i]} {coo.col[i]} "
-                     f"{float(coo.data[i].real)!r} {float(coo.data[i].imag)!r}\n")

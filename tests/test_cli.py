@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bosonlc.cli import main
 from bosonlc.config import ConfigError, apply_overrides, load_config
@@ -227,6 +229,64 @@ def test_exit_code_gapless(config_file):
 def test_scan_invalid_request_is_config_error(config_file, capsys, tweaks):
     assert main(["scan", str(config_file(**tweaks))]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    ["experiment.r_values=[a]"],
+    ["experiment.t_values=[x]"],
+    ["experiment.cone_fractions=5"],
+    ["experiment.evolve={zeta: {a: 1}}"],
+    ["experiment.evolve={zeta: {0: -1}}"],
+    ["ensemble.per_site_cap=300"],
+    ["model.graph.length=1", "experiment.r_values=[]"],
+], ids=["r_text", "t_text", "fractions_scalar", "site_text", "exponent_negative",
+        "cap_above_255", "single_site"])
+def test_scan_bad_override_is_config_error(config_file, capsys, overrides):
+    argv = ["scan", str(config_file())]
+    for override in overrides:
+        argv += ["--set", override]
+    assert main(argv) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def _flow(value) -> str:
+    """A value as the YAML text of one --set override."""
+    return yaml.safe_dump({"v": value}, default_flow_style=True, width=1 << 20).strip()[4:-1]
+
+
+_INTS = st.one_of(st.integers(-2, 5), st.sampled_from(["a", "3", 1.5, None, True]))
+_TIMES = st.one_of(st.floats(-1.0, 2.0), st.sampled_from([math.inf, math.nan, "x", None]))
+_MONOMIAL = st.one_of(_INTS, st.dictionaries(
+    st.sampled_from(["eta", "zeta", "xi"]),
+    st.one_of(_INTS, st.dictionaries(_INTS, _INTS, max_size=2)), max_size=2))
+_SCAN_KEYS = {
+    "experiment.r_values": st.one_of(_INTS, st.lists(_INTS, max_size=3)),
+    "experiment.t_values": st.one_of(_TIMES, st.lists(_TIMES, max_size=3)),
+    "experiment.cone_fractions": st.one_of(_TIMES, st.lists(_TIMES, max_size=3)),
+    "experiment.extra_times": st.one_of(_TIMES, st.lists(_TIMES, max_size=2)),
+    "experiment.evolve": _MONOMIAL,
+    "experiment.probe": _MONOMIAL,
+    "ensemble.per_site_cap": st.sampled_from([-1, 0, 1, 2, 255, 256, 300, "2", 2.5]),
+    "model.graph.length": st.sampled_from([1, 2, 4]),
+}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(overrides=st.fixed_dictionaries({}, optional=_SCAN_KEYS))
+def test_scan_config_fuzz_exits_with_a_documented_code(tmp_path_factory, overrides):
+    # any mix of valid and invalid values for these keys, on a 4-site cap-2
+    # chain, runs or exits 2/3/4; nothing raises
+    base = tmp_path_factory.getbasetemp() / "scan_fuzz"
+    base.mkdir(exist_ok=True)
+    data = yaml.safe_load(BASE_CONFIG.replace("OUTDIR", str(base / "out")))
+    data["model"]["graph"]["length"] = 4
+    data["experiment"]["r_values"] = [1, 2, 3]
+    path = base / "config.yaml"
+    path.write_text(yaml.safe_dump(data))
+    argv = ["scan", str(path)]
+    for key, value in overrides.items():
+        argv += ["--set", f"{key}={_flow(value)}"]
+    assert main(argv) in (0, 2, 3, 4)
 
 
 FOCK = "experiment.state.occupations"

@@ -269,26 +269,25 @@ def test_piecewise_evolution_matches_dense_expm():
             assert np.max(np.abs(got - _dense_heisenberg(model, basis, op, t))) < 1e-12
 
 
-def test_eigensolves_once_per_schedule_piece_and_sector(monkeypatch):
+def test_hamiltonian_built_once_per_schedule_piece(monkeypatch):
     graph = build_path(4)
     basis = FockBasis(4, 2)
     op = MonomialOp.from_dicts(zeta={0: 1})
-    touched = len(basis.sectors)     # b_0 links every sector to the one below
     constant = bose_hubbard(graph, 1.0, 1.0)
     sched = PiecewiseConstant((0.2,), (1.0, 0.5))
     two_piece = ModelSpec(graph=graph, hopping={e: sched for e in graph.edges},
                           interactions=constant.interactions, interaction_range=0)
-    solved = []
-    real_eigh = dynamics.eigh
-    monkeypatch.setattr(dynamics, "eigh",
-                        lambda a, **k: solved.append(a.shape[0]) or real_eigh(a, **k))
+    built = []
+    real_build = dynamics.build_hamiltonian
+    monkeypatch.setattr(dynamics, "build_hamiltonian",
+                        lambda *a: built.append(a[-1]) or real_build(*a))
     for model, pieces in ((constant, 1), (two_piece, 2)):
-        solved.clear()
+        built.clear()
         engine = HeisenbergScanEngine(model, basis, op)
-        assert solved == []
+        assert built == []
         for t in (0.3, 0.5, 0.7):
             engine.evolved_blocks(t)
-        assert len(solved) == pieces * touched
+        assert len(built) == pieces
 
 
 def test_commutator_oracle_free_model():
@@ -359,34 +358,45 @@ def _complex_eig_evolved_blocks(model, basis, op, t):
     return out
 
 
-def test_real_model_takes_real_eigh():
+def test_real_model_keeps_real_accumulators(monkeypatch):
     model = bose_hubbard(build_path(4), 1.0, 1.3)
     basis = FockBasis(4, 3)
     op = MonomialOp.from_dicts(zeta={1: 1})
-    engine = HeisenbergScanEngine(model, basis, op)
-    for n in range(len(basis.sectors)):
-        evals, evecs = engine.eig(0.0, n)
-        assert evecs.dtype == np.float64
+    applied = []
+    real_ad = dynamics._ad
+    monkeypatch.setattr(dynamics, "_ad", lambda *a: applied.append(a[2].dtype) or real_ad(*a))
     t = 0.8
-    got = engine.evolved_blocks(t)
+    got = HeisenbergScanEngine(model, basis, op).evolved_blocks(t)
+    assert applied and set(applied) == {np.dtype(np.float64)}
     want = _complex_eig_evolved_blocks(model, basis, op, t)
     assert got.keys() == want.keys()
     for pair, block in want.items():
         assert np.linalg.norm(got[pair] - block) <= 1e-12 * np.linalg.norm(block)
 
 
-def test_complex_model_keeps_complex_eigenvectors():
-    rng = np.random.default_rng(5)
-    model = random_model_spec(rng, graph=build_path(4))
+def test_long_span_matches_dense_expm_within_bound(rng):
+    # complex hopping phases and a complex operator: one expansion per block
+    # over t = 10; at loose tolerances the truncation error is visible and
+    # stays below the a-priori bound, which scales with the block's norm
+    g = build_path(4)
+    model = ModelSpec(graph=g, hopping={e: PiecewiseConstant.constant(0.9 * np.exp(0.7j))
+                                        for e in g.edges},
+                      interactions=bose_hubbard(g, 1.0, 0.8).interactions, interaction_range=0)
     basis = FockBasis(4, 2)
-    engine = HeisenbergScanEngine(model, basis, MonomialOp.from_dicts(zeta={0: 1}))
-    h = build_hamiltonian(model, basis, 0.1)
-    for n in range(1, len(basis.sectors) - 1):
-        ix = basis.sectors[n]
-        evals, evecs = engine.eig(0.1, n)
-        assert np.iscomplexobj(evecs)
-        block = h[ix][:, ix].toarray()
-        assert np.max(np.abs(block @ evecs - evecs * evals)) < 1e-12
+    op = random_operator(rng, basis)
+    t = 10.0
+    dense = _dense_heisenberg(model, basis, op, t)
+    engine = HeisenbergScanEngine(model, basis, op)
+    assert np.max(np.abs(engine.evolved_operator(t).mat.toarray() - dense)) < 1e-12
+    h, lo, hi = dynamics._split_hamiltonian(build_hamiltonian(model, basis), basis)
+    for (n_row, n_col), block in engine.initial.blocks.items():
+        want = dense[np.ix_(basis.sectors[n_row], basis.sectors[n_col])]
+        for tol in (1e-3, 1e-6, 1e-14):
+            out, terms, bound = dynamics._chebyshev_expv(
+                h[n_row], block, -t, tol, interval=(lo[n_row] - hi[n_col], hi[n_row] - lo[n_col]),
+                h_col_t=h[n_col].T.tocsr())
+            assert np.linalg.norm(out - want) <= bound + 1e-12
+            assert bound <= tol * np.linalg.norm(block)
 
 
 def _sparse_f_beta(a, site, beta, w, projected):
@@ -666,6 +676,28 @@ def test_otoc_cauchy_schwarz():
         assert abs(res.thermal_commutator) <= math.sqrt(ii * res.squared_norm) + 1e-12
 
 
+@pytest.mark.parametrize("a_spec,b_spec", [
+    ({"eta": {0: 1}, "zeta": {0: 1}}, {"eta": {1: 1}, "zeta": {2: 1}}),
+    ({"zeta": {0: 1}}, {"eta": {3: 1}, "zeta": {1: 1}}),
+])
+def test_otoc_thermal_commutator_is_the_weighted_trace(a_spec, b_spec):
+    # tr(rho C) = sum_n w_n C_nn with C = [A(t), B]; the sum of every stored
+    # entry times its column weight, which off-diagonal entries enter, differs
+    model = bose_hubbard(build_path(4), 1.0, 1.0)
+    basis = FockBasis(4, 2)
+    w = MuWeights(1.0, basis)
+    a = MonomialOp.from_dicts(**a_spec).to_matrix(basis)
+    b = MonomialOp.from_dicts(**b_spec).to_matrix(basis)
+    t = 0.7
+    comm = _dense_heisenberg(model, basis, a, t) @ b.mat.toarray()
+    comm -= b.mat.toarray() @ _dense_heisenberg(model, basis, a, t)
+    want = np.trace(np.diag(w.w) @ comm)
+    every_entry = np.sum(comm * w.w[None, :])
+    assert abs(every_entry - want) > 1e-3
+    got = otoc(model, a, b, 1.0, t).thermal_commutator
+    assert abs(got - want) <= 1e-14
+
+
 # -- ground states -------------------------------------------------------------------
 
 def test_ground_state_diagonal_model():
@@ -729,24 +761,6 @@ def test_ground_state_real_and_complex_paths_agree(sites, monkeypatch):
     assert real.gap == pytest.approx(dense[1] - dense[0], rel=1e-10)
     overlap = abs(np.vdot(phases * real.vector, cplx.vector))
     assert overlap == pytest.approx(1.0, abs=1e-10)
-
-
-def test_heisenberg_solves_every_sector_before_products(monkeypatch):
-    graph = build_path(4)
-    sched = PiecewiseConstant((0.2,), (1.0, 0.5))
-    model = ModelSpec(graph=graph, hopping={e: sched for e in graph.edges},
-                      interactions=bose_hubbard(graph, 1.0, 1.0).interactions,
-                      interaction_range=0)
-    basis = FockBasis(4, 2)
-    op = MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis)
-    events = []
-    real_eigh, real_mm = dynamics.eigh, dynamics._mm
-    monkeypatch.setattr(dynamics, "eigh",
-                        lambda *a, **k: events.append("eig") or real_eigh(*a, **k))
-    monkeypatch.setattr(dynamics, "_mm", lambda *a: events.append("mm") or real_mm(*a))
-    evolve_operator(op, model, 0.5)
-    assert events.count("eig") == 2 * 9  # two segments, sectors 0..8 all touched
-    assert events.index("mm") > max(i for i, e in enumerate(events) if e == "eig")
 
 
 # -- connected correlations ------------------------------------------------------------

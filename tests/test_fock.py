@@ -7,8 +7,8 @@ import scipy.sparse as sp
 
 from bosonlc.fock import (CapacityError, FockBasis, Interaction, ModelSpec,
                           PiecewiseConstant, bose_hubbard, build_hamiltonian,
-                          check_number_conservation, count_states, dump_sparse,
-                          ladder_op, random_model_spec, total_number_op)
+                          check_number_conservation, count_states, ladder_op,
+                          random_model_spec, total_number_op)
 from bosonlc.lattice import build_path
 from conftest import recursive_state_count
 
@@ -258,14 +258,3 @@ def test_hermiticity_of_schedule_orientation():
                       interactions=(), interaction_range=0)
     h = model.hopping_matrix(0.0)
     assert h[0, 1] == j and h[1, 0] == np.conj(j)
-
-
-def test_dump_sparse_format(tmp_path):
-    basis = FockBasis(2, 1)
-    op = ladder_op(basis, 0, "create")
-    path = tmp_path / "op.dump"
-    dump_sparse(op, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == op.nnz
-    row, col, re, im = lines[0].split()
-    assert float(re) == 1.0 and float(im) == 0.0

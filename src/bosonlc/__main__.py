@@ -1,0 +1,8 @@
+"""``python -m bosonlc <subcommand> ...``: the same entry point as ``bosonlc``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

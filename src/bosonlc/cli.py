@@ -91,14 +91,33 @@ def _integer(value, path: str, least: int = 0) -> int:
     return value
 
 
+def _number(value, path: str) -> float:
+    """A finite config number >= 0.  Numeric strings pass: YAML 1.1 reads
+    an exponent without a decimal point (1e-06, as JSON writes it) as text."""
+    try:
+        number = float(value) if type(value) in (int, float, str) else math.nan
+    except ValueError:
+        number = math.nan
+    if not 0 <= number < math.inf:
+        raise ConfigError(path, f"expected a finite number >= 0, got {value!r}")
+    return number
+
+
+def _mapping(exp: dict, key: str, default: dict) -> dict:
+    """experiment.<key>, a mapping (default when absent)."""
+    value = exp.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"experiment.{key}", f"expected a mapping, got {value!r}")
+    return value
+
+
 def _times(exp: dict, key: str, default: list) -> list[float]:
     """experiment.<key> (default when absent or null): finite numbers >= 0."""
     values = exp.get(key)
     values = default if values is None else values
-    if not (isinstance(values, list)
-            and all(type(t) in (int, float) and 0 <= t < math.inf for t in values)):
-        raise ConfigError(f"experiment.{key}", f"expected finite numbers >= 0, got {values!r}")
-    return [float(t) for t in values]
+    if not isinstance(values, list):
+        raise ConfigError(f"experiment.{key}", f"expected a list of numbers, got {values!r}")
+    return [_number(t, f"experiment.{key}") for t in values]
 
 
 def _monomial_from_spec(spec, path: str) -> MonomialOp:
@@ -122,9 +141,14 @@ def _monomial_from_spec(spec, path: str) -> MonomialOp:
 
 def _run_bounds(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
     exp = cfg.experiment
-    beta = int(exp.get("beta", 1))
-    trace = bounds_mod.derivation_trace(cfg.mu, cfg.model.graph.max_degree,
-                                        cfg.model.interaction_range, beta)
+    beta = _integer(exp.get("beta", 1), "experiment.beta", least=1)
+    if cfg.model.graph.max_degree < 1:
+        raise ConfigError("model.graph", "bounds need a graph with at least one edge")
+    try:
+        trace = bounds_mod.derivation_trace(cfg.mu, cfg.model.graph.max_degree,
+                                            cfg.model.interaction_range, beta)
+    except OverflowError as exc:
+        raise ConfigError("experiment.beta", f"constants overflow a float: {exc}") from exc
     report = {
         "resolved_config": cfg.resolved(),
         "constants_ledger": cfg.constants,
@@ -193,7 +217,10 @@ def _run_scan(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
 def _run_certify(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
     exp = cfg.experiment
     length = cfg.model.graph.num_vertices
-    state_spec = exp.get("state", {"kind": "unit_filling"})
+    if not is_path(cfg.model.graph) or length % 2 == 0:
+        raise ConfigError("model.graph", "certify needs a path graph of odd length: "
+                                         "the window is labeled symmetrically about its center")
+    state_spec = _mapping(exp, "state", {"kind": "unit_filling"})
     kind = state_spec.get("kind", "unit_filling")
     if kind == "unit_filling":
         occupations = [1] * length
@@ -205,7 +232,7 @@ def _run_certify(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
                               f"need {length} nonnegative integers, one per site")
     else:
         raise ConfigError("experiment.state.kind", f"unknown state kind {kind!r}")
-    obs_spec = exp.get("observable", {"kind": "density", "site": 0})
+    obs_spec = _mapping(exp, "observable", {"kind": "density", "site": 0})
     if obs_spec.get("kind", "density") != "density":
         raise ConfigError("experiment.observable.kind", "only density is wired up")
     site = obs_spec.get("site", 0)
@@ -213,22 +240,28 @@ def _run_certify(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
         raise ConfigError("experiment.observable.site", f"expected an integer, got {site!r}")
     observable = MonomialOp.from_dicts(eta={site: 1}, zeta={site: 1})
     if "assumption" in exp:
-        a = exp["assumption"]
-        assumption = certify_mod.DensityAssumption(
-            mu=float(a["mu"]), theta=float(a["theta"]), K0=float(a["K0"]))
+        a = _mapping(exp, "assumption", {})
+        values = {k: _number(a.get(k), f"experiment.assumption.{k}") for k in ("mu", "theta", "K0")}
+        try:
+            assumption = certify_mod.DensityAssumption(**values)
+        except ValueError as exc:
+            raise ConfigError("experiment.assumption", str(exc)) from exc
     else:
         assumption = certify_mod.fock_state_assumption(occupations)
-    t = exp.get("time", 0.0)
-    if type(t) not in (int, float) or not 0 <= t < math.inf:
-        raise ConfigError("experiment.time", f"expected a finite time >= 0, got {t!r}")
+    t = _number(exp.get("time", 0.0), "experiment.time")
     radius = exp.get("window_radius")
-    if radius is not None and (type(radius) is not int or radius < 1):
-        raise ConfigError("experiment.window_radius", f"expected an integer >= 1, got {radius!r}")
+    if radius is not None:
+        radius = _integer(radius, "experiment.window_radius", least=1)
+    cap = _integer(exp.get("per_site_cap", cfg.per_site_cap), "experiment.per_site_cap", least=1)
+    if cap > 255:
+        raise ConfigError("experiment.per_site_cap", "must be in 1..255 (one byte per site)")
+    total_cap = exp.get("total_cap")
+    if total_cap is not None:
+        total_cap = _integer(total_cap, "experiment.total_cap")
     try:
         value = certify_mod.certified_expectation(
-            cfg.model, occupations, observable, float(t), assumption, radius=radius,
-            per_site_cap=exp.get("per_site_cap", cfg.per_site_cap),
-            total_cap=exp.get("total_cap"),
+            cfg.model, occupations, observable, t, assumption, radius=radius,
+            per_site_cap=cap, total_cap=total_cap,
             c3=cfg.constants["C3"], c4=cfg.constants["C4"], eps=cfg.constants["epsilon"])
     except certify_mod.WindowError as exc:
         raise ConfigError("experiment.observable.site", str(exc)) from exc
@@ -241,16 +274,31 @@ def _run_certify(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
 
 def _run_cluster(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
     exp = cfg.experiment
-    r_list = [int(r) for r in exp.get("r_values", [1, 2, 3])]
+    length = cfg.model.graph.num_vertices
     if not is_path(cfg.model.graph):
         raise ConfigError("model.graph", "cluster needs a path graph: the clustering "
                                          "bound and its separations are chain forms")
+    r_list = exp.get("r_values", [1, 2, 3])
+    if not isinstance(r_list, list):
+        raise ConfigError("experiment.r_values", f"expected a list, got {r_list!r}")
+    r_list = [_integer(r, "experiment.r_values", least=1) for r in r_list]
+    if any(r >= length for r in r_list):
+        raise ConfigError("experiment.r_values", f"separations must stay below the "
+                                                 f"chain length {length}")
+    filling = _integer(exp.get("filling", 1), "experiment.filling", least=1)
+    if filling > cfg.per_site_cap:
+        raise ConfigError("experiment.filling", f"the N = {filling * length} sector is "
+                                                f"empty under per_site_cap {cfg.per_site_cap}")
+    observables = exp.get("observables", ["density"])
+    if not (isinstance(observables, list)
+            and all(isinstance(name, str) and name in cluster_mod.FAMILIES for name in observables)):
+        raise ConfigError("experiment.observables", f"expected a list drawn from "
+                                                    f"{sorted(cluster_mod.FAMILIES)}, got {observables!r}")
     try:
         report = cluster_mod.clustering_experiment(
-            cfg.model, r_list, per_site_cap=cfg.per_site_cap,
-            filling=int(exp.get("filling", 1)),
-            observables=tuple(exp.get("observables", ["density"])),
-            gap_threshold=float(exp.get("gap_threshold", 1e-6)),
+            cfg.model, r_list, per_site_cap=cfg.per_site_cap, filling=filling,
+            observables=tuple(observables),
+            gap_threshold=_number(exp.get("gap_threshold", 1e-6), "experiment.gap_threshold"),
             c5=cfg.constants["C5"], eps=cfg.constants["epsilon"])
     except cluster_mod.GaplessError as exc:
         print(f"refusing to certify: {exc}", file=sys.stderr)

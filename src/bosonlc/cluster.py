@@ -71,7 +71,7 @@ class ClusterReport:
         }
 
 
-_FAMILIES = {
+FAMILIES = {
     "density": MonomialOp.from_dicts(eta={0: 1}, zeta={0: 1}),
     "annihilation": MonomialOp.from_dicts(zeta={0: 1}),
 }
@@ -118,7 +118,7 @@ def clustering_experiment(model: ModelSpec, r_list, *, per_site_cap: int,
     rows: list[ClusterRow] = []
     density_log: list[tuple[int, float]] = []
     for name in observables:
-        template = _FAMILIES[name]
+        template = FAMILIES[name]
         # unit weighted norm on the grand-canonical capped basis (total cap
         # n_target); every site has the same norm
         norm = math.sqrt(site_monomial_norm_sq(template, mu_w, length,

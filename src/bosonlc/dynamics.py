@@ -57,11 +57,17 @@ def _segments(model: ModelSpec, t0: float, t1: float):
     yield from spans
 
 
-def _gershgorin(h: sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
+def _with_data(m: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
+    """A CSR matrix with m's sparsity pattern and new values: the index
+    arrays are shared, not copied (on the certify sector they are 7 MB)."""
+    return sp.csr_matrix((data, m.indices, m.indptr), shape=m.shape)
+
+
+def _gershgorin(h: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     """Per-row Gershgorin interval ends (lower, upper) of a Hermitian matrix:
     the spectrum of any principal block lies in the union over its rows."""
     diag = h.diagonal().real
-    radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
+    radius = np.asarray(_with_data(h, np.abs(h.data)).sum(axis=1)).ravel() - np.abs(diag)
     return diag - radius, diag + radius
 
 
@@ -104,12 +110,12 @@ def _ad(h_row: sp.csr_matrix, h_col_t: sp.csr_matrix, m: np.ndarray,
                        out=prod if out is None else out)
 
 
-def _chebyshev_expv(h: sp.spmatrix, v: np.ndarray, t: float, tol: float = 1e-14,
+def _chebyshev_expv(h: sp.csr_matrix, v: np.ndarray, t: float, tol: float = 1e-14,
                     interval: tuple[float, float] | None = None,
-                    h_col_t: sp.spmatrix | None = None) -> tuple[np.ndarray, int, float]:
+                    h_col_t: sp.csr_matrix | None = None) -> tuple[np.ndarray, int, float]:
     """e^{-iLt} v: (result, terms summed, error bound).
 
-    L is the Hermitian sparse H, or with ``h_col_t`` the map ad_H of ``_ad``
+    L is the Hermitian CSR matrix H, or with ``h_col_t`` the map ad_H of ``_ad``
     on one sector pair (v a dense block), self-adjoint in the Frobenius inner
     product.  Its spectrum lies in ``interval`` = [c - a, c + a], by default
     H's Gershgorin interval.  With X = (L - c) / a and x = a|t|, e^{-iLt} =
@@ -122,7 +128,8 @@ def _chebyshev_expv(h: sp.spmatrix, v: np.ndarray, t: float, tol: float = 1e-14,
     from scipy.special import jv   # not at module top: it adds ~55 ms to every import
 
     mats = [h] if h_col_t is None else [h, h_col_t]
-    real = not any(np.any(m.data.imag) for m in mats) and not np.any(np.imag(v))
+    real = (not any(np.iscomplexobj(m.data) and np.any(m.data.imag) for m in mats)
+            and not np.any(np.imag(v)))
     cur = np.array(np.real(v) if real else v, dtype=np.float64 if real else np.complex128)
     norm = float(np.linalg.norm(cur))
     if t == 0.0 or norm == 0.0:
@@ -137,7 +144,8 @@ def _chebyshev_expv(h: sp.spmatrix, v: np.ndarray, t: float, tol: float = 1e-14,
     coef[0] /= 2.0
     coef[2::4] *= -1.0      # (-i)^k = (-1)^(k/2) on even k, -i (-1)^((k-1)/2) on odd k
     coef[3::4] *= -1.0
-    h2 = [(m.real if real else m.astype(np.complex128, copy=False)) * (2.0 / a) for m in mats]
+    h2 = [_with_data(m, (m.data.real if real else m.data.astype(np.complex128, copy=False))
+                     * (2.0 / a)) for m in mats]
     shift = 2.0 * c / a     # 2X = 2L / a - shift
     scaled = np.empty_like(cur)     # the products by scalars, without a new array each
     if h_col_t is None:

@@ -12,6 +12,7 @@ Conventions fixed here and used everywhere else:
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -71,12 +72,14 @@ class FockBasis:
     """Exhaustive, duplicate-free enumeration of capped occupation vectors.
 
     ``states`` is a read-only (dim, num_sites) uint8 array in lexicographic
-    order; ``index`` maps an occupation vector back to its row.  Lookups go
-    through a byte-packed key array so they can be vectorized with
-    searchsorted.  With ``number`` the basis holds only the vectors with
-    exactly that many bosons: the N-sector rows of the capped basis, in the
-    same order.  Every Hamiltonian of the model class conserves N, so a
-    number eigenstate evolves inside that sector.
+    order; ``index`` maps an occupation vector back to its row.  The row is
+    the vector's lexicographic rank, computed rather than searched: each
+    site adds, for every smaller digit it could have held, the number of
+    completions of the later sites that the caps allow (``_rank_table``,
+    from ``counts_by_total``).  With ``number`` the basis holds only the
+    vectors with exactly that many bosons: the N-sector rows of the capped
+    basis, in the same order.  Every Hamiltonian of the model class
+    conserves N, so a number eigenstate evolves inside that sector.
     """
 
     def __init__(self, num_sites: int, per_site_cap: int, total_cap: int | None = None,
@@ -86,7 +89,7 @@ class FockBasis:
         if per_site_cap < 1:
             raise ValueError("per_site_cap must be >= 1")
         if per_site_cap > 255:
-            raise ValueError("per_site_cap above 255 not representable (byte-packed index)")
+            raise ValueError("per_site_cap above 255 not representable (states are uint8)")
         if total_cap is not None and total_cap < 0:
             raise ValueError("total_cap must be >= 0 when given")
         if number is not None and number < 0:
@@ -106,7 +109,12 @@ class FockBasis:
         self.dim = self.states.shape[0]
         assert self.dim == size
         self.totals = self.states.sum(axis=1, dtype=np.int64)
-        self._keys = np.ascontiguousarray(self.states).view(f"S{num_sites}").ravel()
+        # bosons a vector holds in all: exactly N, or at most the total cap
+        limit = number if number is not None else total_cap
+        self._budget = num_sites * per_site_cap if limit is None else min(
+            limit, num_sites * per_site_cap)
+        self._rank_table = self._ranks(num_sites, per_site_cap, self._budget,
+                                       exact=number is not None, clip=self.dim)
 
     @staticmethod
     def _enumerate(num_sites: int, cap: int, total_cap: int | None,
@@ -129,6 +137,25 @@ class FockBasis:
             sums = sums[keep]
         return np.ascontiguousarray(rows)
 
+    @staticmethod
+    def _ranks(num_sites: int, cap: int, budget: int, exact: bool, clip: int) -> np.ndarray:
+        """table[i, s, n]: rows a vector passes over by holding n at site i
+        after s bosons on the earlier sites.  It is the sum over digits d < n
+        of the completions of sites i+1.. with budget - s - d bosons left
+        (exactly that many with ``exact``, at most that many otherwise).
+        Entries are clipped to ``clip``: a vector inside the basis never
+        reads one larger than its own row."""
+        table = np.zeros((num_sites, budget + 1, cap + 1), dtype=np.int64)
+        left = np.maximum(budget - np.arange(budget + 1)[:, None] - np.arange(cap), -1)  # (s, d)
+        for i in range(num_sites):
+            ways = counts_by_total(num_sites - 1 - i, cap, budget)
+            if not exact:
+                ways = list(itertools.accumulate(ways))
+            completions = np.array([min(w, clip) for w in ways] + [0], dtype=np.int64)
+            # left = -1 reads the trailing 0: the digit overshoots the budget
+            np.cumsum(completions[left], axis=1, out=table[i, :, 1:])
+        return table
+
     # -- lookups ---------------------------------------------------------
 
     def index(self, occupations) -> int:
@@ -144,13 +171,39 @@ class FockBasis:
 
     def lookup_rows(self, occ: np.ndarray) -> np.ndarray:
         """Vectorized index lookup; -1 marks vectors outside the basis."""
-        keys = np.ascontiguousarray(occ.astype(np.uint8)).view(f"S{self.num_sites}").ravel()
-        if self.dim == 0:
-            return np.full(keys.shape, -1, dtype=np.int64)
-        pos = np.searchsorted(self._keys, keys)
-        pos = np.minimum(pos, self.dim - 1)
-        hit = self._keys[pos] == keys
-        return np.where(hit, pos, -1)
+        occ = np.asarray(occ)
+        cap, budget = self.per_site_cap, self._budget
+        rows = np.zeros(occ.shape[0], dtype=np.int64)
+        inside = np.full(occ.shape[0], self.dim > 0)
+        placed = np.zeros(occ.shape[0], dtype=np.int64)
+        for i in range(self.num_sites):
+            n = occ[:, i].astype(np.int64)
+            inside &= (n >= 0) & (n <= cap)
+            # the clips only keep the reads of vectors already outside in the table
+            rows += self._rank_table[i].ravel()[np.clip(placed, 0, budget) * (cap + 1)
+                                                 + np.clip(n, 0, cap)]
+            placed += n
+        inside &= (placed == budget) if self.number is not None else (placed <= budget)
+        return np.where(inside, rows, -1)
+
+    def hopped_rows(self, rows: np.ndarray, src: int, dst: int) -> np.ndarray:
+        """Rows of the given states with one boson moved from ``src`` to
+        ``dst``, for states where the move stays in the basis (n_src >= 1,
+        n_dst < cap).  Only the rank terms of the sites from min(src, dst)
+        to max(src, dst) change, so only those are looked up again."""
+        lo, hi = sorted((src, dst))
+        occ = self.states[rows]
+        placed = occ[:, :lo].sum(axis=1, dtype=np.int64)
+        shift = 1 if dst == lo else -1      # the boson enters or leaves the later prefixes
+        out = rows.astype(np.int64)
+        width = self.per_site_cap + 1
+        for i in range(lo, hi + 1):
+            n = occ[:, i].astype(np.int64)
+            table = self._rank_table[i].ravel()
+            out -= table[placed * width + n]
+            out += table[(placed + shift * (i > lo)) * width + n + (i == dst) - (i == src)]
+            placed += n
+        return out
 
     def shifted_rows(self, rows: np.ndarray, site: int, to: np.ndarray | int) -> np.ndarray:
         """Indices of the given states with site occupancy replaced by ``to``."""
@@ -375,62 +428,68 @@ def build_hamiltonian(model: ModelSpec, basis: FockBasis, t: float = 0.0) -> sp.
     The forward and reverse hopping entries are emitted from the same float
     amplitude, so the matrix is Hermitian to the bit.  It is float64 when
     every hopping amplitude at t is real (then H is real symmetric), and
-    complex128 otherwise.
+    complex128 otherwise.  H is written straight into CSR: the entries of
+    each row are counted first, then filled edge by edge.  The diagonal is
+    stored in full, zeros included, unless it vanishes everywhere.
     """
     if basis.num_sites != model.graph.num_vertices:
         raise ValueError("basis sites must match graph vertices")
     dim = basis.dim
-    rows_acc: list[np.ndarray] = []
-    cols_acc: list[np.ndarray] = []
-    data_acc: list[np.ndarray] = []
-
     diag = np.zeros(dim, dtype=np.float64)
     occ_cols = {v: basis.states[:, v] for v in model.graph.vertices()}
     for term in model.interactions:
         scale = float(complex(term.schedule.at(t)).real)
         if scale != 0.0:
             diag += scale * term.evaluate(occ_cols)
-    if np.any(diag != 0.0):
-        idx = np.arange(dim)
-        rows_acc.append(idx)
-        cols_acc.append(idx)
-        data_acc.append(diag)
+    has_diag = bool(np.any(diag != 0.0))
 
     hops = {edge: complex(sched.at(t)) for edge, sched in model.hopping.items()}
     if not any(j.imag for j in hops.values()):
         hops = {edge: j.real for edge, j in hops.items()}
     dtype = np.result_type(float, *hops.values())
+    hops = {edge: j for edge, j in hops.items() if j != 0}
     cap = basis.per_site_cap
-    for (x, y), j in hops.items():
-        if j == 0:
-            continue
-        # term j * b+_x b_y maps |n> -> sqrt(n_y (n_x + 1)) |n - e_y + e_x>
-        nx = basis.states[:, x].astype(np.int64)
-        ny = basis.states[:, y].astype(np.int64)
-        cols = np.where((ny >= 1) & (nx < cap))[0]
-        if cols.size == 0:
-            continue
-        occ = basis.states[cols].copy()
-        occ[:, y] -= 1
-        occ[:, x] += 1
-        rows = basis.lookup_rows(occ)
-        good = rows >= 0
-        cols = cols[good]
-        rows = rows[good]
-        amp = np.sqrt(ny[cols].astype(np.float64) * (nx[cols] + 1.0))
-        rows_acc.extend((rows, cols))
-        cols_acc.extend((cols, rows))
-        data_acc.extend((j * amp, np.conj(j) * amp))
 
-    if not rows_acc:
-        return sp.csr_matrix((dim, dim), dtype=dtype)
-    parts = []
-    for acc in (data_acc, rows_acc, cols_acc):  # free each term list once joined:
-        parts.append(np.concatenate(acc))        # this assembly sets certify's peak RSS
-        acc.clear()
-    mat = sp.coo_matrix((parts[0], tuple(parts[1:])), shape=(dim, dim), dtype=dtype)
-    parts.clear()
-    return mat.tocsr()      # sums the duplicate entries
+    def movable(src: int, dst: int) -> np.ndarray:
+        """States from which a boson can hop src -> dst; it stays in the
+        basis, as the hop keeps the total and dst stays within its cap."""
+        return (basis.states[:, src] >= 1) & (basis.states[:, dst] < cap)
+
+    # row r holds the diagonal, a reverse entry for each hop out of r and a
+    # forward entry for each hop into it
+    counts = np.full(dim, int(has_diag), dtype=np.int64)
+    for x, y in hops:
+        counts += movable(y, x)
+        counts += movable(x, y)
+    nnz = int(counts.sum())
+    index = np.int32 if max(nnz, dim) < 2 ** 31 else np.int64
+    indptr = np.zeros(dim + 1, dtype=index)
+    np.cumsum(counts, out=indptr[1:])
+    del counts
+    indices = np.empty(nnz, dtype=index)
+    data = np.empty(nnz, dtype=dtype)
+    fill = indptr[:-1].copy()       # next free slot of each row
+    if has_diag:
+        indices[fill] = np.arange(dim, dtype=index)
+        data[fill] = diag
+        fill += 1
+    del diag
+    for (x, y), j in hops.items():
+        # term j * b+_x b_y maps |n> -> sqrt(n_y (n_x + 1)) |n - e_y + e_x>
+        cols = np.flatnonzero(movable(y, x))
+        amp = np.sqrt(basis.states[cols, y] * (basis.states[cols, x] + 1.0))
+        rows = basis.hopped_rows(cols, y, x)
+        # each hop maps distinct states to distinct states, so neither
+        # scatter writes one row twice
+        for r, c, coeff in ((rows, cols, j), (cols, rows, np.conj(j))):
+            slot = fill[r]
+            indices[slot] = c
+            data[slot] = coeff * amp
+            fill[r] = slot + 1
+        del cols, amp, rows, r, c, slot     # before the next edge allocates its own
+    mat = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    mat.sum_duplicates()    # sorts each row; sums an edge given in both orientations
+    return mat
 
 
 def check_number_conservation(h: sp.spmatrix, n_op: sp.spmatrix) -> bool:

@@ -254,6 +254,17 @@ def _flow(value) -> str:
     return yaml.safe_dump({"v": value}, default_flow_style=True, width=1 << 20).strip()[4:-1]
 
 
+def _fuzz_exit_code(base, command: str, data: dict, overrides: dict) -> int:
+    """Exit code of ``command`` on config ``data``, with one --set per override."""
+    data["output"] = {"dir": str(base / "out")}
+    path = base / "config.yaml"
+    path.write_text(yaml.safe_dump(data))
+    argv = [command, str(path)]
+    for key, value in overrides.items():
+        argv += ["--set", f"{key}={_flow(value)}"]
+    return main(argv)
+
+
 _INTS = st.one_of(st.integers(-2, 5), st.sampled_from(["a", "3", 1.5, None, True]))
 _TIMES = st.one_of(st.floats(-1.0, 2.0), st.sampled_from([math.inf, math.nan, "x", None]))
 _MONOMIAL = st.one_of(_INTS, st.dictionaries(
@@ -278,15 +289,103 @@ def test_scan_config_fuzz_exits_with_a_documented_code(tmp_path_factory, overrid
     # chain, runs or exits 2/3/4; nothing raises
     base = tmp_path_factory.getbasetemp() / "scan_fuzz"
     base.mkdir(exist_ok=True)
-    data = yaml.safe_load(BASE_CONFIG.replace("OUTDIR", str(base / "out")))
+    data = yaml.safe_load(BASE_CONFIG)
     data["model"]["graph"]["length"] = 4
     data["experiment"]["r_values"] = [1, 2, 3]
-    path = base / "config.yaml"
-    path.write_text(yaml.safe_dump(data))
-    argv = ["scan", str(path)]
-    for key, value in overrides.items():
-        argv += ["--set", f"{key}={_flow(value)}"]
-    assert main(argv) in (0, 2, 3, 4)
+    assert _fuzz_exit_code(base, "scan", data, overrides) in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("command,override", [
+    ("cluster", "experiment.r_values=[a]"),
+    ("cluster", "experiment.filling=x"),
+    ("cluster", "experiment.observables=[nope]"),
+    ("certify", "experiment.per_site_cap=300"),
+    ("bounds", "experiment.beta=x"),
+], ids=["cluster_r_text", "cluster_filling_text", "cluster_unknown_observable",
+        "certify_cap_above_255", "bounds_beta_text"])
+def test_bad_override_is_config_error(config_file, capsys, command, override):
+    assert main([command, str(config_file()), "--set", override]) == 2
+    assert f"config error: {override.partition('=')[0]}" in capsys.readouterr().err
+
+
+def test_json_written_config_runs(config_file, tmp_path):
+    # JSON is YAML, but YAML 1.1 reads 1e-06 as a string: number keys accept it
+    path = config_file(kind="cluster", **{
+        "model.graph.length": 6, "model.interactions": [{"kind": "onsite", "strength": 15.0}],
+        "experiment.r_values": [1, 2], "experiment.gap_threshold": 1e-6})
+    path.write_text(json.dumps(yaml.safe_load(path.read_text())))
+    assert "1e-06" in path.read_text()
+    assert main(["cluster", str(path)]) == 0
+    assert json.loads((tmp_path / "out" / "cluster.json").read_text())["rows"]
+    # exit 4: at t = 1e-5 the cap-2 truncation tail exceeds the cone bound
+    assert main(["scan", str(config_file()), "--set", "experiment.extra_times=[1e-5]"]) in (0, 4)
+    cells = json.loads((tmp_path / "out" / "scan.json").read_text())["cells"]
+    assert {cell["t"] for cell in cells} >= {1e-5}
+
+
+_CAPS = st.sampled_from([-1, 0, 1, 2, 255, 256, 300, "2", 2.5, None])
+_CERTIFY_KEYS = {
+    "experiment.time": st.one_of(_TIMES, st.sampled_from([0.0, 0.3])),
+    "experiment.window_radius": _INTS,
+    "experiment.per_site_cap": _CAPS,
+    "experiment.total_cap": st.sampled_from([-1, 0, 3, 12, "x", 2.5, None]),
+    "experiment.state": st.one_of(_INTS, st.fixed_dictionaries({
+        "kind": st.sampled_from(["fock", "unit_filling", "nope"]),
+        "occupations": st.one_of(_INTS, st.lists(st.integers(-1, 3), min_size=4, max_size=6))})),
+    "experiment.observable": st.one_of(_INTS, st.fixed_dictionaries({
+        "kind": st.sampled_from(["density", "nope"]), "site": _INTS})),
+    "experiment.assumption": st.one_of(_INTS, st.dictionaries(
+        st.sampled_from(["mu", "theta", "K0"]), st.one_of(_TIMES, st.floats(1.0, 5.0)),
+        max_size=3)),
+    "model.graph.length": st.sampled_from([1, 3, 4, 5]),
+}
+_CLUSTER_KEYS = {
+    "experiment.r_values": st.one_of(_INTS, st.lists(_INTS, max_size=3)),
+    "experiment.filling": _INTS,
+    "experiment.observables": st.one_of(_INTS, st.lists(
+        st.sampled_from(["density", "annihilation", "nope", 3]), max_size=2)),
+    "experiment.gap_threshold": st.one_of(_TIMES, st.sampled_from([1e-6, 100.0])),
+    "ensemble.per_site_cap": _CAPS,
+    "model.graph.length": st.sampled_from([1, 2, 4]),
+}
+_BOUNDS_KEYS = {
+    "experiment.beta": st.one_of(_INTS, st.sampled_from([200, 10 ** 5 + 0.5])),
+    "model.graph.length": st.sampled_from([1, 2, 4]),
+    "model.range": st.sampled_from([0, 1, 2]),
+}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(overrides=st.fixed_dictionaries({}, optional=_CERTIFY_KEYS))
+def test_certify_config_fuzz_exits_with_a_documented_code(tmp_path_factory, overrides):
+    # a 5-site cap-2 chain; the sector is at most 5 sites holding up to 15 bosons
+    base = tmp_path_factory.getbasetemp() / "certify_fuzz"
+    base.mkdir(exist_ok=True)
+    data = yaml.safe_load(BASE_CONFIG)
+    data["experiment"] = {"kind": "certify", "time": 0.3, "window_radius": 1}
+    assert _fuzz_exit_code(base, "certify", data, overrides) in (0, 2, 3, 4)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(overrides=st.fixed_dictionaries({}, optional=_CLUSTER_KEYS))
+def test_cluster_config_fuzz_exits_with_a_documented_code(tmp_path_factory, overrides):
+    base = tmp_path_factory.getbasetemp() / "cluster_fuzz"
+    base.mkdir(exist_ok=True)
+    data = yaml.safe_load(BASE_CONFIG)
+    data["model"]["graph"]["length"] = 4
+    data["model"]["interactions"] = [{"kind": "onsite", "strength": 15.0}]
+    data["experiment"] = {"kind": "cluster", "r_values": [1, 2]}
+    assert _fuzz_exit_code(base, "cluster", data, overrides) in (0, 2, 3, 4)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(overrides=st.fixed_dictionaries({}, optional=_BOUNDS_KEYS))
+def test_bounds_config_fuzz_exits_with_a_documented_code(tmp_path_factory, overrides):
+    base = tmp_path_factory.getbasetemp() / "bounds_fuzz"
+    base.mkdir(exist_ok=True)
+    data = yaml.safe_load(BASE_CONFIG)
+    data["experiment"] = {"kind": "bounds"}
+    assert _fuzz_exit_code(base, "bounds", data, overrides) in (0, 2, 3, 4)
 
 
 FOCK = "experiment.state.occupations"
@@ -364,3 +463,18 @@ def test_module_invocation_smoke(config_file, tmp_path):
         capture_output=True, text=True,
         env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin:/usr/local/bin"})
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_invocation_runs_the_cli(config_file, tmp_path):
+    """python -m bosonlc is the same entry point, exit codes included."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {"PYTHONPATH": src, "PATH": "/usr/bin:/bin:/usr/local/bin"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bosonlc", "bounds", str(config_file(kind="bounds"))],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "out" / "bounds.json").read_text())["trace"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "bosonlc", "bounds", str(config_file()),
+         "--set", "experiment.beta=x"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2 and "config error: experiment.beta" in proc.stderr

@@ -1,15 +1,18 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosonlc.fock import (CapacityError, FockBasis, Interaction, ModelSpec,
                           PiecewiseConstant, bose_hubbard, build_hamiltonian,
                           check_number_conservation, count_states, ladder_op,
                           random_model_spec, total_number_op)
-from bosonlc.lattice import build_path
+from bosonlc.lattice import build_cubic, build_path, build_regular_tree
 from conftest import recursive_state_count
 
 
@@ -78,6 +81,31 @@ def test_fixed_number_index_misses_raise_key_error():
         with pytest.raises(KeyError):
             basis.index(miss)
     assert basis.lookup_rows(np.array([[1, 1, 1, 1]]))[0] == -1
+
+
+@settings(max_examples=120, deadline=None)
+@given(sites=st.integers(1, 6), cap=st.integers(1, 4),
+       total=st.one_of(st.none(), st.integers(0, 12)),
+       number=st.one_of(st.none(), st.integers(0, 12)), data=st.data())
+def test_lookup_rows_is_the_basis_rank(sites, cap, total, number, data):
+    basis = FockBasis(sites, cap, total, number=number)
+    assert np.array_equal(basis.lookup_rows(basis.states), np.arange(basis.dim))
+    # every vector of the uncapped-total grid, and some with entries out of
+    # 0..cap, against a dict of the enumerated rows
+    row_of = {s: i for i, s in enumerate(map(tuple, basis.states.tolist()))}
+    grid = np.array(list(itertools.product(range(cap + 1), repeat=sites)))
+    wild = np.array(data.draw(st.lists(st.lists(st.integers(-2, cap + 2), min_size=sites,
+                                                max_size=sites), min_size=1, max_size=20)))
+    for vecs in (grid, wild):
+        expected = [row_of.get(v, -1) for v in map(tuple, vecs.tolist())]
+        assert basis.lookup_rows(vecs).tolist() == expected
+    # a hop between any two sites, sites in between included, matches the lookup
+    for src, dst in itertools.permutations(range(sites), 2):
+        rows = np.flatnonzero((basis.states[:, src] >= 1) & (basis.states[:, dst] < cap))
+        moved = basis.states[rows].astype(np.int64)
+        moved[:, src] -= 1
+        moved[:, dst] += 1
+        assert np.array_equal(basis.hopped_rows(rows, src, dst), basis.lookup_rows(moved))
 
 
 def test_capacity_error():
@@ -204,6 +232,84 @@ def test_truncation_drops_raising_transitions():
     # state (2,2) can only hop to (3,1)/(1,3) which exceed the cap: row empty
     i22 = basis.index([2, 2])
     assert abs(h[i22]).sum() == 0
+
+
+def _coo_hamiltonian(model, basis, t):
+    """H(t) assembled as COO triplets with a dict row index, then tocsr."""
+    row_of = {s: i for i, s in enumerate(map(tuple, basis.states.tolist()))}
+    diag = np.zeros(basis.dim)
+    occ_cols = {v: basis.states[:, v] for v in model.graph.vertices()}
+    for term in model.interactions:
+        scale = float(complex(term.schedule.at(t)).real)
+        if scale != 0.0:
+            diag += scale * term.evaluate(occ_cols)
+    idx = np.arange(basis.dim)
+    rows, cols, vals = ([idx], [idx], [diag]) if np.any(diag != 0.0) else ([], [], [])
+    hops = {edge: complex(sched.at(t)) for edge, sched in model.hopping.items()}
+    if not any(j.imag for j in hops.values()):
+        hops = {edge: j.real for edge, j in hops.items()}
+    dtype = np.result_type(float, *hops.values())
+    for (x, y), j in hops.items():
+        occ = basis.states.astype(np.int64)
+        c = np.flatnonzero((occ[:, y] >= 1) & (occ[:, x] < basis.per_site_cap))
+        if j == 0 or c.size == 0:
+            continue
+        moved = occ[c]
+        moved[:, y] -= 1
+        moved[:, x] += 1
+        r = np.array([row_of[v] for v in map(tuple, moved.tolist())])
+        amp = np.sqrt(occ[c, y].astype(np.float64) * (occ[c, x] + 1.0))
+        rows += [r, c]
+        cols += [c, r]
+        vals += [j * amp, np.conj(j) * amp]
+    if not rows:
+        return sp.csr_matrix((basis.dim, basis.dim), dtype=dtype)
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(basis.dim, basis.dim), dtype=dtype).tocsr()
+
+
+def _hopping_models():
+    rng = np.random.default_rng(29)
+    path = build_path(4)
+    both = {(0, 1): PiecewiseConstant.constant(0.5), (1, 0): PiecewiseConstant.constant(0.25j),
+            (2, 1): PiecewiseConstant((0.5,), (0.3 - 0.4j, 0.7)),
+            (2, 3): PiecewiseConstant.constant(0.0)}
+    return [
+        ("path_real", bose_hubbard(path, 0.8, 1.5), (0.0,)),
+        ("path_both_orientations", ModelSpec(graph=path, hopping=both, interactions=(),
+                                             interaction_range=0), (0.2, 0.9)),
+        ("cubic_complex", bose_hubbard(build_cubic([2, 3]), 0.6 - 0.3j, -0.7), (0.0,)),
+        ("cubic_piecewise", random_model_spec(rng, build_cubic([2, 2, 2])), (0.1, 0.9)),
+        ("tree_piecewise", random_model_spec(rng, build_regular_tree(2, 2)), (0.1, 0.9)),
+        ("tree_no_interaction", bose_hubbard(build_regular_tree(3, 1), 1.0, 0.0), (0.0,)),
+    ]
+
+
+@pytest.mark.parametrize("name,model,times", _hopping_models(),
+                         ids=[m[0] for m in _hopping_models()])
+@pytest.mark.parametrize("cap,total,number", [(2, None, None), (3, 4, None), (3, None, 4)])
+def test_hamiltonian_is_bit_identical_to_coo_assembly(name, model, times, cap, total, number):
+    # cubic and tree vertex labels make hops skip sites in basis order
+    basis = FockBasis(model.graph.num_vertices, cap, total, number=number)
+    for t in times:
+        h = build_hamiltonian(model, basis, t)
+        ref = _coo_hamiltonian(model, basis, t)
+        assert h.dtype == ref.dtype and h.has_sorted_indices
+        for got, want in ((h.indptr, ref.indptr), (h.indices, ref.indices), (h.data, ref.data)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_hamiltonian_assembly_peak_memory():
+    # 10 sites, cap 3, N = 10: 44,803 states, 476,335 stored entries
+    basis = FockBasis(10, 3, number=10)
+    model = bose_hubbard(build_path(10), 1.0, 1.0)
+    tracemalloc.start()
+    try:
+        h = build_hamiltonian(model, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (h.data.nbytes + h.indices.nbytes + h.indptr.nbytes)
 
 
 # -- schedules and model validation -------------------------------------------

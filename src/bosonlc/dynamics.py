@@ -10,7 +10,9 @@ every Hamiltonian of the model class conserves total boson number.
 Light-cone scan cells come from the nested-commutator series of
 ``commutator_series``, exact to a stated remainder in the cone, with the
 Heisenberg engine as the fallback for large times.  Both apply ad_H by one
-step, ``_ad``, to H's sector blocks from ``_split_hamiltonian``.
+step, ``_ad``, to H's sector blocks and their transposes, built once per
+schedule piece by ``_split_hamiltonian``.  No step allocates: products go
+into buffers each expansion owns, by scipy's own routine for ``h @ x``.
 
 Evolved operators are :class:`~bosonlc.opspace.BlockOp` values: one dense
 block per sector pair, never a global sparse matrix unless a caller reads
@@ -32,6 +34,7 @@ from functools import partial
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import eigsh
 
 from . import bounds as bounds_mod
@@ -87,27 +90,38 @@ def _chebyshev_terms(x: float, tol: float) -> tuple[int, float]:
 
 
 def _split_hamiltonian(h: sp.spmatrix, basis: FockBasis):
-    """H's diagonal sector blocks {n: csr block}, one for every sector, and
-    the Gershgorin ends lo[n], hi[n] of every nonempty sector."""
+    """H's diagonal sector blocks {n: csr block}, one for every sector, the
+    Gershgorin ends lo[n], hi[n] of every nonempty sector, and the transposed blocks."""
     blocks = {n: blk.tocsr() for (n, m), blk in sector_blocks(h, basis).items() if n == m}
     for n, ix in enumerate(basis.sectors):
         blocks.setdefault(n, sp.csr_matrix((ix.size, ix.size), dtype=h.dtype))
     lower, upper = _gershgorin(h)
     lo = {n: float(np.min(lower[ix])) for n, ix in enumerate(basis.sectors) if ix.size}
     hi = {n: float(np.max(upper[ix])) for n, ix in enumerate(basis.sectors) if ix.size}
-    return blocks, lo, hi
+    return blocks, lo, hi, {n: blk.T.tocsr() for n, blk in blocks.items()}
 
 
-def _ad(h_row: sp.csr_matrix, h_col_t: sp.csr_matrix, m: np.ndarray,
-        out: np.ndarray | None = None) -> np.ndarray:
-    """ad_H(M) = H_row M - M H_col on one sector pair.
+def _matmul_into(h: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """h @ x into a C-contiguous ``out``, by the routine scipy's ``h @ x`` runs."""
+    if not out.flags.c_contiguous:      # out.ravel() would be a copy, the product lost
+        raise ValueError("output buffer must be C-contiguous")
+    out.fill(0)     # scipy's result starts zeroed too
+    vecs = () if x.ndim == 1 or x.shape[1] == 1 else (x.shape[1],)
+    (_sparsetools.csr_matvecs if vecs else _sparsetools.csr_matvec)(
+        *h.shape, *vecs, h.indptr, h.indices, h.data, x.ravel(), out.ravel())
+    return out
+
+
+def _ad(h_row: sp.csr_matrix, h_col_t: sp.csr_matrix, m: np.ndarray, out: np.ndarray,
+        mt: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """ad_H(M) = H_row M - M H_col on one sector pair, written into ``out``.
 
     ``h_col_t`` is the transpose of the column sector's block of H, so
-    M H = (H^T M^T)^T runs as a sparse-times-dense product.
+    M H = (H^T M^T)^T runs as a sparse-times-dense product.  M^T and H^T M^T
+    go to the caller's buffers ``mt`` and ``tmp``, so a step allocates nothing.
     """
-    prod = h_row @ m
-    return np.subtract(prod, (h_col_t @ np.ascontiguousarray(m.T)).T,
-                       out=prod if out is None else out)
+    np.copyto(mt, m.T)
+    return np.subtract(_matmul_into(h_row, m, out), _matmul_into(h_col_t, mt, tmp).T, out=out)
 
 
 def _chebyshev_expv(h: sp.csr_matrix, v: np.ndarray, t: float, tol: float = 1e-14,
@@ -123,15 +137,16 @@ def _chebyshev_expv(h: sp.csr_matrix, v: np.ndarray, t: float, tol: float = 1e-1
     1984).  As ||T_k(X)|| <= 1, the orders past K add at most
     2 sum_{k>K} |J_k(x)| ||v||, which ``_chebyshev_terms`` bounds by tol ||v||.
     With L and v real, every T_k(X) v is real: the recursion runs in float64,
-    summing the even orders (real coefficients) and odd ones (imaginary) apart.
+    the even orders summed into the result's real part, the odd ones (with
+    imaginary coefficients) into its imaginary part.  No step allocates.
     """
     from scipy.special import jv   # not at module top: it adds ~55 ms to every import
 
     mats = [h] if h_col_t is None else [h, h_col_t]
     real = (not any(np.iscomplexobj(m.data) and np.any(m.data.imag) for m in mats)
             and not np.any(np.imag(v)))
-    cur = np.array(np.real(v) if real else v, dtype=np.float64 if real else np.complex128)
-    norm = float(np.linalg.norm(cur))
+    prev = np.array(np.real(v) if real else v, np.float64 if real else np.complex128, order="C")
+    norm = float(np.linalg.norm(prev))
     if t == 0.0 or norm == 0.0:
         return np.array(v, dtype=np.complex128), 0, 0.0
     if interval is None:
@@ -144,26 +159,34 @@ def _chebyshev_expv(h: sp.csr_matrix, v: np.ndarray, t: float, tol: float = 1e-1
     coef[0] /= 2.0
     coef[2::4] *= -1.0      # (-i)^k = (-1)^(k/2) on even k, -i (-1)^((k-1)/2) on odd k
     coef[3::4] *= -1.0
+    if real and t > 0:      # the odd orders' factor -i sgn t, as their imaginary part
+        coef[1::2] *= -1.0
     h2 = [_with_data(m, (m.data.real if real else m.data.astype(np.complex128, copy=False))
                      * (2.0 / a)) for m in mats]
     shift = 2.0 * c / a     # 2X = 2L / a - shift
-    scaled = np.empty_like(cur)     # the products by scalars, without a new array each
+    cur, spare = np.empty((2,) + prev.shape, prev.dtype)     # T_k rotates through prev, cur, spare
     if h_col_t is None:
-        def two_x(x):
-            out = h2[0] @ x
+        def two_x(x, out, scaled=np.empty(prev.shape, prev.dtype)):
+            _matmul_into(h2[0], x, out)
             out -= np.multiply(shift, x, out=scaled)
             return out
     else:   # ad_{H - s} = ad_H - s: the shift sits on the row block's diagonal
-        two_x = partial(_ad, h2[0] - shift * sp.identity(h2[0].shape[0], format="csr"), h2[1])
-    prev, cur = cur, 0.5 * two_x(cur)     # T_0 v and T_1 v = X v
-    acc = [coef[0] * prev, coef[1] * cur]
+        row = h2[0] - shift * sp.identity(h2[0].shape[0], format="csr")
+        mt, tmp = np.empty((2,) + prev.shape[::-1], prev.dtype)
+        two_x = partial(_ad, row, h2[1], mt=mt, tmp=tmp)
+    np.multiply(0.5, two_x(prev, cur), out=cur)     # T_0 v and T_1 v = X v
+    out = np.empty(prev.shape, np.complex128)
+    acc = [out.real, out.imag] if real else [out, np.empty(prev.shape, np.complex128)]
+    np.multiply(coef[0], prev, out=acc[0])
+    np.multiply(coef[1], cur, out=acc[1])
     for k in range(2, order + 1):     # T_k = 2X T_{k-1} - T_{k-2}
-        nxt = two_x(cur)
+        nxt = two_x(cur, spare)
         nxt -= prev
-        prev, cur = cur, nxt
-        acc[k % 2] += np.multiply(coef[k], cur, out=scaled)
-    odd = acc[1] * (-1j if t > 0 else 1j)
-    return np.exp(-1j * c * t) * (acc[0] + odd), order + 1, tail * norm
+        prev, cur, spare = cur, nxt, prev
+        acc[k % 2] += np.multiply(coef[k], cur, out=spare)
+    if not real:
+        np.add(out, np.multiply(acc[1], -1j if t > 0 else 1j, out=acc[1]), out=out)
+    return np.multiply(np.exp(-1j * c * t), out, out=out), order + 1, tail * norm
 
 
 def evolve_state(psi: np.ndarray, model: ModelSpec, basis: FockBasis, t: float,
@@ -240,11 +263,11 @@ class HeisenbergScanEngine:
             if piece not in self._h:
                 self._h[piece] = _split_hamiltonian(
                     build_hamiltonian(self.model, self.basis, mid), self.basis)
-            h, lo, hi = self._h[piece]
+            h, lo, hi, h_t = self._h[piece]
             for (n_row, n_col), block in blocks.items():
                 blocks[(n_row, n_col)] = _chebyshev_expv(
                     h[n_row], block, a - b, interval=(lo[n_row] - hi[n_col], hi[n_row] - lo[n_col]),
-                    h_col_t=h[n_col].T.tocsr())[0]
+                    h_col_t=h_t[n_col])[0]
         return blocks
 
     def evolved_operator(self, t: float) -> BlockOp:
@@ -307,19 +330,21 @@ def _nested_commutators(h_row: sp.csr_matrix, h_col_t: sp.csr_matrix, block: np.
     """M_k = ad_H^k(A) on one sector pair for k = lowest..order, and every
     ||M_k||_F^2 for k = 0..order.
 
-    ``h_col_t`` is the transpose of the column sector's block of H.
+    ``h_col_t`` is the transpose of the column sector's block of H.  M_k
+    goes into its slot, or below ``lowest`` into two spare buffers in turn.
     """
     seq = np.empty((order + 1 - lowest,) + block.shape, dtype=block.dtype)
     norms_sq = np.empty(order + 1)
     if lowest == 0:
         seq[0] = block
+    below = [np.empty(block.shape, block.dtype) for _ in range(min(lowest - 1, 2))]
+    mt, tmp = np.empty((2,) + block.shape[::-1], block.dtype)
     m = block
     for k in range(order + 1):
         norms_sq[k] = np.vdot(m, m).real
         if k < order:
-            # M_{k+1} goes straight into its slot once it is kept
-            out = seq[k + 1 - lowest] if k + 1 >= lowest else None
-            m = _ad(h_row, h_col_t, m, out=out)
+            out = seq[k + 1 - lowest] if k + 1 >= lowest else below[k % 2]
+            m = _ad(h_row, h_col_t, m, out, mt, tmp)
     return seq, norms_sq
 
 
@@ -466,7 +491,7 @@ def commutator_series(model: ModelSpec, basis: FockBasis, a0: BlockOp,
     """
     order = SERIES_MAX_ORDER
     h = build_hamiltonian(model, basis)
-    h_blocks, lo, hi = _split_hamiltonian(h, basis)
+    h_blocks, lo, hi, h_t = _split_hamiltonian(h, basis)
     sizes = [ix.size for ix in basis.sectors]
     pairs = {n_col: (n_row, block) for (n_row, n_col), block in a0.blocks.items()}
     if len(pairs) != len(a0.blocks):
@@ -496,7 +521,7 @@ def commutator_series(model: ModelSpec, basis: FockBasis, a0: BlockOp,
         if n_col not in live:
             n_row, block = pairs[n_col]
             live[n_col], norms_sq = _nested_commutators(
-                h_blocks[n_row], h_blocks[n_col].T.tocsr(), block.astype(dtype, copy=False),
+                h_blocks[n_row], h_t[n_col], block.astype(dtype, copy=False),
                 lowest, order)
             m_norms_sq[:] += w.pair_weight(n_row, n_col) * norms_sq
         return live[n_col]

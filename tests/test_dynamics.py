@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -364,7 +365,8 @@ def test_real_model_keeps_real_accumulators(monkeypatch):
     op = MonomialOp.from_dicts(zeta={1: 1})
     applied = []
     real_ad = dynamics._ad
-    monkeypatch.setattr(dynamics, "_ad", lambda *a: applied.append(a[2].dtype) or real_ad(*a))
+    monkeypatch.setattr(dynamics, "_ad",
+                        lambda *a, **kw: applied.append(a[2].dtype) or real_ad(*a, **kw))
     t = 0.8
     got = HeisenbergScanEngine(model, basis, op).evolved_blocks(t)
     assert applied and set(applied) == {np.dtype(np.float64)}
@@ -388,15 +390,127 @@ def test_long_span_matches_dense_expm_within_bound(rng):
     dense = _dense_heisenberg(model, basis, op, t)
     engine = HeisenbergScanEngine(model, basis, op)
     assert np.max(np.abs(engine.evolved_operator(t).mat.toarray() - dense)) < 1e-12
-    h, lo, hi = dynamics._split_hamiltonian(build_hamiltonian(model, basis), basis)
+    h, lo, hi, h_t = dynamics._split_hamiltonian(build_hamiltonian(model, basis), basis)
     for (n_row, n_col), block in engine.initial.blocks.items():
         want = dense[np.ix_(basis.sectors[n_row], basis.sectors[n_col])]
         for tol in (1e-3, 1e-6, 1e-14):
             out, terms, bound = dynamics._chebyshev_expv(
                 h[n_row], block, -t, tol, interval=(lo[n_row] - hi[n_col], hi[n_row] - lo[n_col]),
-                h_col_t=h[n_col].T.tocsr())
+                h_col_t=h_t[n_col])
             assert np.linalg.norm(out - want) <= bound + 1e-12
             assert bound <= tol * np.linalg.norm(block)
+
+
+def _allocating_expv(h, v, t, interval=None, h_col_t=None):
+    """The Chebyshev recursion with fresh arrays at every step (reference): the
+    products, sums and phase of ``_chebyshev_expv`` in the same order."""
+    mats = [h] if h_col_t is None else [h, h_col_t]
+    real = (not any(np.iscomplexobj(m.data) and np.any(m.data.imag) for m in mats)
+            and not np.any(np.imag(v)))
+    cur = np.array(np.real(v) if real else v, dtype=np.float64 if real else np.complex128)
+    if interval is None:
+        lower, upper = dynamics._gershgorin(h)
+        interval = float(lower.min()), float(upper.max())
+    lo, hi = interval
+    c, a = (hi + lo) / 2.0, (hi - lo) / 2.0 or 1.0
+    order, _ = dynamics._chebyshev_terms(a * abs(t), 1e-14)
+    coef = 2.0 * jv(np.arange(order + 1), a * abs(t))
+    coef[0] /= 2.0
+    coef[2::4] *= -1.0
+    coef[3::4] *= -1.0
+    h2 = [sp.csr_matrix(((m.data.real if real else m.data.astype(np.complex128)) * (2.0 / a),
+                         m.indices, m.indptr), shape=m.shape) for m in mats]
+    shift = 2.0 * c / a
+    if h_col_t is None:
+        def two_x(x):
+            return h2[0] @ x - shift * x
+    else:
+        row = h2[0] - shift * sp.identity(h2[0].shape[0], format="csr")
+
+        def two_x(x):
+            return row @ x - (h2[1] @ np.ascontiguousarray(x.T)).T
+    prev, cur = cur, 0.5 * two_x(cur)
+    acc = [coef[0] * prev, coef[1] * cur]
+    for k in range(2, order + 1):
+        prev, cur = cur, two_x(cur) - prev
+        acc[k % 2] = acc[k % 2] + coef[k] * cur
+    return np.exp(-1j * c * t) * (acc[0] + acc[1] * (-1j if t > 0 else 1j))
+
+
+def _chain4(hopping):
+    g = build_path(4)
+    model = ModelSpec(graph=g, hopping={e: PiecewiseConstant.constant(hopping) for e in g.edges},
+                      interactions=bose_hubbard(g, 1.0, 1.3).interactions, interaction_range=0)
+    basis = FockBasis(4, 3)
+    return build_hamiltonian(model, basis), basis
+
+
+@pytest.mark.parametrize("hopping", [0.9, 0.9 * np.exp(0.7j)])
+@pytest.mark.parametrize("t", [0.7, -0.4])
+@pytest.mark.parametrize("given", [False, True])
+def test_chebyshev_buffers_equal_allocating_recursion(rng, hopping, t, given):
+    # states and blocks (real, complex, Fortran-ordered) under real and
+    # complex H: the recursion in owned buffers equals a fresh-array one
+    h, basis = _chain4(hopping)
+    lower, upper = dynamics._gershgorin(h)
+    interval = (float(lower.min()) - 0.5, float(upper.max()) + 0.25) if given else None
+    for psi in (rng.normal(size=basis.dim),
+                rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)):
+        got, terms, _ = dynamics._chebyshev_expv(h, psi, t, interval=interval)
+        assert terms > 2 and np.all(got == _allocating_expv(h, psi, t, interval))
+    blocks, lo, hi, h_t = dynamics._split_hamiltonian(h, basis)
+    n_row, n_col = 5, 6
+    shape = (basis.sectors[n_row].size, basis.sectors[n_col].size)
+    real = rng.normal(size=shape)
+    ival = (lo[n_row] - hi[n_col], hi[n_row] - lo[n_col]) if given else None
+    for block in (real, real + 1j * rng.normal(size=shape), np.asfortranarray(real)):
+        got = dynamics._chebyshev_expv(blocks[n_row], block, t, interval=ival,
+                                       h_col_t=h_t[n_col])[0]
+        want = _allocating_expv(blocks[n_row], block, t, ival, h_col_t=blocks[n_col].T.tocsr())
+        assert np.all(got == want)
+
+
+@pytest.mark.parametrize("hopping", [0.9, 0.9 * np.exp(0.7j)])
+def test_ad_writes_into_a_sequence_slot(rng, hopping):
+    # one slot of a larger array takes H_row M - M H_col, equal to scipy's
+    # products; the neighbouring slots stay untouched, and a strided output
+    # is refused.  (1, 0) and (0, 1) have a single column on one side, the
+    # matrix-vector route
+    h, basis = _chain4(hopping)
+    blocks, _, _, h_t = dynamics._split_hamiltonian(h, basis)
+    for n_row, n_col in ((5, 6), (1, 0), (0, 1)):
+        shape = (basis.sectors[n_row].size, basis.sectors[n_col].size)
+        for m in (rng.normal(size=shape), rng.normal(size=shape) + 1j * rng.normal(size=shape)):
+            dtype = np.result_type(h.dtype, m.dtype)
+            seq = np.zeros((3,) + shape, dtype)
+            mt, tmp = np.empty(shape[::-1], dtype), np.empty(shape[::-1], dtype)
+            got = dynamics._ad(blocks[n_row], h_t[n_col], m.astype(dtype), seq[1], mt, tmp)
+            assert np.shares_memory(got, seq[1])
+            assert np.all(seq[1] == blocks[n_row] @ m - (h_t[n_col] @ m.T).T)
+            assert not np.any(seq[0]) and not np.any(seq[2])
+            with pytest.raises(ValueError, match="C-contiguous"):   # a write would be lost
+                dynamics._ad(blocks[n_row], h_t[n_col], m.astype(dtype),
+                             np.empty((shape[0], 2 * shape[1]), dtype)[:, ::2], mt, tmp)
+
+
+def test_ad_expansion_peak_memory():
+    # b_0's largest block on the 6-site cap-3 chain, 546 x 580 float64: one
+    # expansion (138 terms) holds three recursion buffers, two transposed
+    # ones and the complex result, 7 blocks, and allocates nothing per step
+    basis = FockBasis(6, 3)
+    h, lo, hi, h_t = dynamics._split_hamiltonian(
+        build_hamiltonian(bose_hubbard(build_path(6), 1.0, 1.0), basis), basis)
+    op = BlockOp.from_matrix(MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis))
+    (n_row, n_col), block = max(op.blocks.items(), key=lambda kv: kv[1].size)
+    assert block.shape == (546, 580)
+    tracemalloc.start()
+    try:
+        dynamics._chebyshev_expv(h[n_row], block, 2.0, h_col_t=h_t[n_col],
+                                 interval=(lo[n_row] - hi[n_col], hi[n_row] - lo[n_col]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * block.nbytes
 
 
 def _sparse_f_beta(a, site, beta, w, projected):

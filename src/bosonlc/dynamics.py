@@ -8,11 +8,13 @@ column sector) block of an operator, which ad_H = [H, .] maps to itself as
 every Hamiltonian of the model class conserves total boson number.
 
 Light-cone scan cells come from the nested-commutator series of
-``commutator_series``, exact to a stated remainder in the cone, with the
-Heisenberg engine as the fallback for large times.  Both apply ad_H by one
-step, ``_ad``, to H's sector blocks and their transposes, built once per
-schedule piece by ``_split_hamiltonian``.  No step allocates: products go
-into buffers each expansion owns, by scipy's own routine for ``h @ x``.
+``commutator_series``, exact to a stated remainder in the cone; the
+Heisenberg engine evolves A for the large times.  One Gram kernel,
+``_add_commutator_grams``, computes every cell, a dense cell being the series
+of one order.  Both routes apply ad_H by one step, ``_ad``, to H's sector
+blocks and their transposes, built once per schedule piece by
+``_split_hamiltonian``.  No step allocates: products go into buffers each
+expansion owns, by scipy's own routine for ``h @ x``.
 
 Evolved operators are :class:`~bosonlc.opspace.BlockOp` values: one dense
 block per sector pair, never a global sparse matrix unless a caller reads
@@ -41,7 +43,7 @@ from . import bounds as bounds_mod
 from .fock import FockBasis, ModelSpec, build_hamiltonian
 from .lattice import Graph, fatten, set_distance
 from .opspace import (BlockOp, MonomialOp, MuWeights, OperatorMatrix, commutator,
-                      f_beta_expectation, sector_blocks, weighted_norm_sq)
+                      f_beta_expectation, sector_entries, weighted_norm_sq)
 
 
 class EvolutionError(RuntimeError):
@@ -89,12 +91,11 @@ def _chebyshev_terms(x: float, tol: float) -> tuple[int, float]:
         order += 1
 
 
-def _split_hamiltonian(h: sp.spmatrix, basis: FockBasis):
-    """H's diagonal sector blocks {n: csr block}, one for every sector, the
-    Gershgorin ends lo[n], hi[n] of every nonempty sector, and the transposed blocks."""
-    blocks = {n: blk.tocsr() for (n, m), blk in sector_blocks(h, basis).items() if n == m}
-    for n, ix in enumerate(basis.sectors):
-        blocks.setdefault(n, sp.csr_matrix((ix.size, ix.size), dtype=h.dtype))
+def _split_hamiltonian(h: sp.csr_matrix, basis: FockBasis):
+    """H's diagonal sector blocks {n: csr block}, one for every sector (empty
+    ones too), the Gershgorin ends lo[n], hi[n] of every nonempty sector, and
+    the transposed blocks."""
+    blocks = {n: h[ix][:, ix] for n, ix in enumerate(basis.sectors)}
     lower, upper = _gershgorin(h)
     lo = {n: float(np.min(lower[ix])) for n, ix in enumerate(basis.sectors) if ix.size}
     hi = {n: float(np.max(upper[ix])) for n, ix in enumerate(basis.sectors) if ix.size}
@@ -132,16 +133,20 @@ def _chebyshev_expv(h: sp.csr_matrix, v: np.ndarray, t: float, tol: float = 1e-1
     L is the Hermitian CSR matrix H, or with ``h_col_t`` the map ad_H of ``_ad``
     on one sector pair (v a dense block), self-adjoint in the Frobenius inner
     product.  Its spectrum lies in ``interval`` = [c - a, c + a], by default
-    H's Gershgorin interval.  With X = (L - c) / a and x = a|t|, e^{-iLt} =
-    e^{-ict} (J_0(x) + 2 sum_k (-i sgn t)^k J_k(x) T_k(X)) (Tal-Ezer & Kosloff
-    1984).  As ||T_k(X)|| <= 1, the orders past K add at most
-    2 sum_{k>K} |J_k(x)| ||v||, which ``_chebyshev_terms`` bounds by tol ||v||.
-    With L and v real, every T_k(X) v is real: the recursion runs in float64,
-    the even orders summed into the result's real part, the odd ones (with
-    imaginary coefficients) into its imaginary part.  No step allocates.
+    H's Gershgorin interval; ad_H must be given its own, as H's does not
+    enclose ad_H's spectrum (the expansion would diverge under a tiny bound).
+    With X = (L - c) / a and x = a|t|, e^{-iLt} = e^{-ict} (J_0(x) + 2 sum_k
+    (-i sgn t)^k J_k(x) T_k(X)) (Tal-Ezer & Kosloff 1984).  As ||T_k(X)|| <= 1,
+    the orders past K add at most 2 sum_{k>K} |J_k(x)| ||v||, which
+    ``_chebyshev_terms`` bounds by tol ||v||.  With L and v real, every
+    T_k(X) v is real: the recursion runs in float64, the even orders summed
+    into the result's real part, the odd ones (with imaginary coefficients)
+    into its imaginary part.  No step allocates.
     """
     from scipy.special import jv   # not at module top: it adds ~55 ms to every import
 
+    if h_col_t is not None and interval is None:
+        raise ValueError("ad_H needs the sector pair's interval")
     mats = [h] if h_col_t is None else [h, h_col_t]
     real = (not any(np.iscomplexobj(m.data) and np.any(m.data.imag) for m in mats)
             and not np.any(np.imag(v)))
@@ -273,29 +278,6 @@ class HeisenbergScanEngine:
     def evolved_operator(self, t: float) -> BlockOp:
         return BlockOp(self.basis, self.evolved_blocks(t))
 
-    def commutator_norm(self, t: float, probe_mat: sp.spmatrix, w: MuWeights,
-                        evolved=None) -> float:
-        """([O(t), probe] | [O(t), probe]) via sector blocks.
-
-        The probe stays sparse; commutator pieces are accumulated per sector
-        pair, so the full matrix is never materialized.  ``evolved`` takes
-        precomputed ``evolved_blocks(t)``.
-        """
-        evolved = evolved if evolved is not None else self.evolved_blocks(t)
-        probe_blocks = sector_blocks(probe_mat, self.basis)
-        pieces: dict[tuple[int, int], np.ndarray] = {}
-        for (nr, nc), dense in evolved.items():
-            for (mr, mc), b_block in probe_blocks.items():
-                if mr == nc:  # A(t) B
-                    acc = pieces.setdefault((nr, mc), np.zeros(
-                        (dense.shape[0], b_block.shape[1]), np.complex128))
-                    acc += dense @ b_block
-                if mc == nr:  # - B A(t)
-                    acc = pieces.setdefault((mr, nc), np.zeros(
-                        (b_block.shape[0], dense.shape[1]), np.complex128))
-                    acc -= b_block @ dense
-        return weighted_norm_sq(BlockOp(self.basis, pieces), w)
-
 
 def evolve_operator(op: OperatorMatrix | BlockOp, model: ModelSpec, t: float) -> BlockOp:
     """O(t) = U(t)^dag O U(t), one Chebyshev expansion per schedule span and block."""
@@ -309,20 +291,6 @@ def evolve_operator(op: OperatorMatrix | BlockOp, model: ModelSpec, t: float) ->
 SERIES_RTOL = 1e-10
 SERIES_MAX_ORDER = 14
 _CHUNK_BYTES = 512 << 10
-
-
-def _probe_maps(probe: MonomialOp, basis: FockBasis) -> dict:
-    """Sector blocks of a one-site monomial as partial injections.
-
-    ``maps[(n_row, n_col)] = (rows, cols, amps)`` in sector-local indices:
-    column ``cols[i]`` goes to row ``rows[i]`` with amplitude ``amps[i]``.
-    No row or column repeats, so the operator norm is ``max |amps|``.
-    """
-    out = {}
-    for pair, block in sector_blocks(probe.to_matrix(basis).mat, basis).items():
-        coo = block.tocoo()
-        out[pair] = (coo.row, coo.col, coo.data)
-    return out
 
 
 def _nested_commutators(h_row: sp.csr_matrix, h_col_t: sp.csr_matrix, block: np.ndarray,
@@ -355,7 +323,8 @@ def _add_target_gram(gram: np.ndarray, skip: int, weight: float, shape: tuple[in
     D_k = M_k B - B M'_k with ``right``/``left`` the stored sequences of M
     and M' (first ``skip`` orders unused) and ``mb``/``bm`` the probe's
     index maps (rows, cols, amps) for the two products; either may be None.
-
+    A map is a partial injection, column cols[i] to row rows[i] with amplitude
+    amps[i], in row-major order: the order in which rows are summed here.
     D is never scattered into a zeroed block: its Gram is summed over two
     row sets, each read from the sequences by gathers only.
 
@@ -419,6 +388,41 @@ def _add_target_gram(gram: np.ndarray, skip: int, weight: float, shape: tuple[in
         add(piece)
 
 
+def _add_commutator_grams(grams: dict[int, np.ndarray], skips: dict[int, int], maps: dict,
+                          columns, sequence, gamma_a: int, gamma_b: int, w: MuWeights) -> None:
+    """Add (D_k | D_l)_w of D_k = [M_k, B_r] to ``grams[r]`` for every r in ``maps``.
+
+    M and B_r change the number by gamma_a and gamma_b.  ``sequence(n_col)``
+    gives M_k, k stacked, on the pair (n_col + gamma_a, n_col), for each n_col
+    in ``columns``; grams[r] skips its first ``skips[r]`` orders.  The target
+    block with column j takes M_k on column j + gamma_b (then B) and on column
+    j (after B), through the probe's index maps.  Sequences are made in
+    increasing column order and dropped once no later target needs them, so
+    at most |gamma_b| + 1 are live.
+    """
+    sizes = [ix.size for ix in w.basis.sectors]
+    live: dict[int, np.ndarray] = {}
+
+    def get(n_col: int) -> np.ndarray | None:
+        if n_col in columns and n_col not in live:
+            live[n_col] = sequence(n_col)
+        return live.get(n_col)
+
+    for j in sorted({n - gamma_b for n in columns} | set(columns)):
+        i = j + gamma_a + gamma_b
+        right = get(j + gamma_b)      # M on (i, j + gamma_b), then B
+        left = get(j)                 # B after M on (j + gamma_a, j)
+        if 0 <= i < len(sizes) and 0 <= j < len(sizes):
+            for r, probe_map in maps.items():
+                mb = probe_map.get((j + gamma_b, j)) if right is not None else None
+                bm = probe_map.get((i, j + gamma_a)) if left is not None else None
+                _add_target_gram(grams[r], skips[r], w.pair_weight(i, j),
+                                 (sizes[i], sizes[j]), right, mb, left, bm)
+        right = left = None
+        for n_col in [n for n in live if n < j + 1 + min(0, gamma_b)]:
+            del live[n_col]
+
+
 @dataclass
 class CommutatorSeries:
     """Gram matrices of D_k = [ad_H^k(A), B_r] for every probe placement.
@@ -471,76 +475,52 @@ class CommutatorSeries:
         return None
 
 
-def commutator_series(model: ModelSpec, basis: FockBasis, a0: BlockOp,
-                      probes: dict[int, MonomialOp], first: dict[int, int],
-                      mu: float) -> CommutatorSeries:
+def commutator_series(model: ModelSpec, basis: FockBasis, a0: BlockOp, maps: dict[int, dict],
+                      first: dict[int, int], mu: float) -> CommutatorSeries:
     """Stream the nested commutators of ``a0`` through every probe's Gram matrix.
 
-    Orders run up to SERIES_MAX_ORDER: enough for every in-cone cell of the
-    6- and 7-site cap-3 chains (the deepest, r = 6 at t = 0.01, needs 14).
-
-    Works sector pair by sector pair: for each column sector j the target
-    block of D_k = M_k B - B M_k takes M_k on the pair with column j + gamma_B
-    (times B) and M_k on the pair with column j (B times it), both read
-    through the probe's index maps.  ``_add_target_gram`` adds the block's
-    Gram matrix without assembling it, from row and column gathers in row
-    chunks of at most _CHUNK_BYTES.  Sequences are made in increasing column
-    order and dropped once no later target needs them, so at most
-    |gamma_B| + 1 pairs' sequences are live.  H is used in its sparse sector
-    blocks, real when every hopping amplitude is.
+    ``maps[r]`` is ``sector_entries`` of the probe B_r at separation r.  Orders
+    run up to SERIES_MAX_ORDER: enough for every in-cone cell of the 6- and
+    7-site cap-3 chains (the deepest, r = 6 at t = 0.01, needs 14).  A column
+    sector's M_k = ad_H^k(A) is made, from H's sparse sector blocks, when
+    ``_add_commutator_grams`` first needs it.
     """
     order = SERIES_MAX_ORDER
     h = build_hamiltonian(model, basis)
     h_blocks, lo, hi, h_t = _split_hamiltonian(h, basis)
-    sizes = [ix.size for ix in basis.sectors]
     pairs = {n_col: (n_row, block) for (n_row, n_col), block in a0.blocks.items()}
     if len(pairs) != len(a0.blocks):
         raise ValueError("series route needs an operator of definite number change")
     if not pairs:   # A = 0 on this basis: every commutator vanishes
-        return CommutatorSeries(order, {r: np.zeros((order + 1, order + 1)) for r in probes},
+        return CommutatorSeries(order, {r: np.zeros((order + 1, order + 1)) for r in maps},
                                 first, np.zeros(order + 1), 0.0, 0.0)
-    maps = {r: _probe_maps(p, basis) for r, p in probes.items()}
-    gamma_b = next(iter(probes.values())).gamma
+    # B's number change, read off its sector pairs (any value if B = 0 here)
+    gamma_b = next((n_row - n_col for m in maps.values() for n_row, n_col in m), 0)
     dtype = np.result_type(h.dtype, *(b.dtype for b in a0.blocks.values()))
     w = MuWeights(mu, basis)
 
     # spectral spread between the sectors A connects; Gershgorin per sector
     spread = max(max(hi[a] - lo[b], hi[b] - lo[a]) for b, (a, _) in pairs.items())
+    # a one-site monomial repeats no row or column: its norm is max |amps|
     b_norm = max((float(np.max(np.abs(amps))) for m in maps.values()
                   for _, _, amps in m.values() if amps.size), default=0.0)
     probe_factor = 2.0 * math.cosh(mu * gamma_b / 4.0) * b_norm
 
-    grams = {r: np.zeros((order + 1, order + 1), dtype=dtype) for r in probes}
+    grams = {r: np.zeros((order + 1, order + 1), dtype=dtype) for r in maps}
     m_norms_sq = np.zeros(order + 1)
-    live: dict[int, np.ndarray] = {}    # column sector -> M_k, k = lowest..order
     lowest = min(min(first.values()), order)
 
-    def sequence(n_col: int) -> np.ndarray | None:
-        if n_col not in pairs:
-            return None
-        if n_col not in live:
-            n_row, block = pairs[n_col]
-            live[n_col], norms_sq = _nested_commutators(
-                h_blocks[n_row], h_t[n_col], block.astype(dtype, copy=False),
-                lowest, order)
-            m_norms_sq[:] += w.pair_weight(n_row, n_col) * norms_sq
-        return live[n_col]
+    def sequence(n_col: int) -> np.ndarray:
+        n_row, block = pairs[n_col]
+        seq, norms_sq = _nested_commutators(
+            h_blocks[n_row], h_t[n_col], block.astype(dtype, copy=False), lowest, order)
+        m_norms_sq[:] += w.pair_weight(n_row, n_col) * norms_sq
+        return seq
 
-    gamma_a = next(iter(a0.blocks))[0] - next(iter(a0.blocks))[1]
-    for j in sorted({n - gamma_b for n in pairs} | set(pairs)):
-        i = j + gamma_a + gamma_b
-        right = sequence(j + gamma_b)      # M on (i, j + gamma_b), then B
-        left = sequence(j)                 # B after M on (j + gamma_a, j)
-        if 0 <= i < len(sizes) and 0 <= j < len(sizes):
-            for r, probe_map in maps.items():
-                if first[r] <= order:
-                    mb = probe_map.get((j + gamma_b, j)) if right is not None else None
-                    bm = probe_map.get((i, j + gamma_a)) if left is not None else None
-                    _add_target_gram(grams[r], first[r] - lowest, w.pair_weight(i, j),
-                                     (sizes[i], sizes[j]), right, mb, left, bm)
-        right = left = None
-        for n_col in [n for n in live if n < j + 1 + min(0, gamma_b)]:
-            del live[n_col]
+    n_row, n_col = next(iter(a0.blocks))
+    _add_commutator_grams(grams, {r: first[r] - lowest for r in maps},
+                          {r: m for r, m in maps.items() if first[r] <= order},
+                          pairs, sequence, n_row - n_col, gamma_b, w)
     return CommutatorSeries(order=order, grams=grams, first=first,
                             m_norms=np.sqrt(m_norms_sq), spread=spread,
                             probe_factor=probe_factor)
@@ -625,9 +605,11 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
     matrix-element bound.
 
     Each cell comes from the nested-commutator series (``commutator_series``)
-    when some order up to SERIES_MAX_ORDER meets its remainder tolerance;
-    the others (large t) take the dense route of ``HeisenbergScanEngine``,
-    which builds H only when such a cell exists.
+    when some order up to SERIES_MAX_ORDER meets its remainder tolerance.
+    The others (large t) take the dense route: ``HeisenbergScanEngine``
+    (which builds H only when such a cell exists) evolves A to t, and the
+    series' Gram kernel takes A(t) as a one-order sequence, so the cell is
+    its single Gram entry.
     """
     if not model.is_time_independent:
         raise ValueError("scan expects a time-independent model")
@@ -662,13 +644,14 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
     missing = sorted({r for r, _ in cells} - set(sites))
     if missing:
         raise ValueError(f"no vertex at distance {missing[0]} from {support}")
-    placed = {r: probe.translate(sites[r] - probe_anchor) for r, _ in cells}
+    maps = {r: sector_entries(probe.translate(sites[r] - probe_anchor).to_matrix(basis).mat,
+                              basis) for r, _ in cells}
 
     # ad_H grows a support by one hop or one interaction range per order; on
     # a product basis an operator commutes with a probe its support misses
     growth = max(1, ell)
     first = {}
-    for r in placed:
+    for r in maps:
         order = 0
         if basis.total_cap is None and basis.number is None:
             while sites[r] not in fatten(graph, support, order * growth):
@@ -685,7 +668,7 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
 
     out_cells: dict[tuple[int, float], ScanCell] = {}
     orders, worst = [], 0.0
-    series = commutator_series(model, basis, a0, placed, first, mu) if placed else None
+    series = commutator_series(model, basis, a0, maps, first, mu) if maps else None
     for r, t in sorted(set(cells)):
         got = series.cell(r, t)
         if got is None:
@@ -703,10 +686,12 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
     engine = HeisenbergScanEngine(model, basis, a0)   # builds H on first need
     times = sorted(by_time)
     for t in times:
-        evolved = engine.evolved_blocks(t)
+        seqs = {n_col: block[None] for (_, n_col), block in engine.evolved_blocks(t).items()}
+        grams = {r: np.zeros((1, 1), np.complex128) for r in by_time[t]}
+        _add_commutator_grams(grams, dict.fromkeys(grams, 0), {r: maps[r] for r in grams},
+                              seqs, seqs.__getitem__, op.gamma, gamma, w)
         for r in by_time[t]:
-            out_cells[(r, t)] = make_cell(r, t, engine.commutator_norm(
-                t, placed[r].to_matrix(basis).mat, w, evolved=evolved))
+            out_cells[(r, t)] = make_cell(r, t, float(grams[r][0, 0].real))
     ordered = [out_cells[(r, t)] for (r, t) in sorted(out_cells)]
     meta = {
         "mu": mu, "per_site_cap": basis.per_site_cap, "total_cap": basis.total_cap,

@@ -14,7 +14,8 @@ documented geometric tail.
 
 Every Hamiltonian of the model class conserves the total boson number, so
 evolved operators are stored as a :class:`BlockOp`: dense blocks between
-total-number sectors.  All states of a sector share one weight, so the
+total-number sectors, scattered from the entries ``sector_entries`` groups by
+sector pair in one sort.  All states of a sector share one weight, so the
 weighted norm and the growth functionals run block by block.
 
 Sitewise projector machinery requires a basis without a total cap (product
@@ -101,28 +102,26 @@ class OperatorMatrix:
         return OperatorMatrix(self.mat @ other.mat, self.basis, None)
 
 
-def sector_blocks(mat: sp.spmatrix, basis: FockBasis) -> dict[tuple[int, int], sp.csr_matrix]:
-    """Split a matrix into sparse blocks between total-number sectors.
+def sector_entries(mat: sp.spmatrix, basis: FockBasis) -> dict[tuple[int, int], tuple]:
+    """Stored entries of a matrix, grouped by the total-number sectors they join.
 
-    Keys are (n_row, n_col); block rows and columns follow ``basis.sectors``.
-    Only sector pairs holding a stored entry appear.
+    ``out[(n_row, n_col)] = (rows, cols, data)`` in sector-local indices
+    (positions in ``basis.sectors``); pairs come in increasing order, each
+    pair's entries in stored order (row-major for a canonical CSR matrix).
+    Only sector pairs holding a stored entry appear.  One sort groups every
+    entry; no matrix is built per pair.
     """
-    coo = sp.coo_matrix(mat)
+    coo = mat.tocoo()
     sectors = basis.sectors
     local = np.empty(basis.dim, dtype=np.int64)
     for ix in sectors:
         local[ix] = np.arange(ix.size)
-    span = len(sectors)
-    keys = basis.totals[coo.row] * span + basis.totals[coo.col]
+    keys = basis.totals[coo.row] * len(sectors) + basis.totals[coo.col]
     order = np.argsort(keys, kind="stable")
     uniq, starts = np.unique(keys[order], return_index=True)
-    out = {}
-    for key, sel in zip(uniq, np.split(order, starts[1:])):
-        n_row, n_col = divmod(int(key), span)
-        out[(n_row, n_col)] = sp.csr_matrix(
-            (coo.data[sel], (local[coo.row[sel]], local[coo.col[sel]])),
-            shape=(sectors[n_row].size, sectors[n_col].size))
-    return out
+    return {divmod(int(key), len(sectors)): (local[coo.row[sel]], local[coo.col[sel]],
+                                             coo.data[sel])
+            for key, sel in zip(uniq, np.split(order, starts[1:]))}
 
 
 class BlockOp:
@@ -144,11 +143,16 @@ class BlockOp:
 
     @classmethod
     def from_matrix(cls, op: "OperatorMatrix | BlockOp") -> "BlockOp":
-        """Dense sector blocks of an OperatorMatrix; a BlockOp passes through."""
+        """Dense sector blocks of an OperatorMatrix's stored entries (duplicates
+        summed, a stored zero still makes its block); a BlockOp passes through."""
         if isinstance(op, BlockOp):
             return op
-        return cls(op.basis, {pair: block.toarray() for pair, block
-                              in sector_blocks(op.mat, op.basis).items()})
+        sectors, blocks = op.basis.sectors, {}
+        for (n_row, n_col), (rows, cols, data) in sector_entries(op.mat, op.basis).items():
+            block = np.zeros((sectors[n_row].size, sectors[n_col].size), op.mat.dtype)
+            np.add.at(block, (rows, cols), data)
+            blocks[(n_row, n_col)] = block
+        return cls(op.basis, blocks)
 
     @property
     def mat(self) -> sp.csr_matrix:

@@ -16,7 +16,8 @@ from bosonlc.fock import (FockBasis, Interaction, ModelSpec, PiecewiseConstant, 
 from bosonlc.lattice import build_path
 from bosonlc.opspace import (BlockOp, MonomialOp, MuWeights, OperatorMatrix,
                              _site_average, commutator_weighted_norm,
-                             f_beta_expectation, weighted_inner, weighted_norm_sq)
+                             f_beta_expectation, sector_entries, weighted_inner,
+                             weighted_norm_sq)
 from conftest import random_operator
 
 
@@ -324,7 +325,7 @@ def test_scan_engine_matches_dense_expm():
     assert weighted_norm_sq(a_t - a_t2, w) < 1e-18
     probe = MonomialOp.from_dicts(eta={3: 1}).to_matrix(basis)
     direct = commutator_weighted_norm(a_t2, OperatorMatrix(probe.mat, basis), w)
-    fast = engine.commutator_norm(t, probe.mat, w)
+    fast = _dense_cell(engine, basis, w, 3, t)
     assert fast == pytest.approx(direct, rel=1e-10, abs=1e-18)
 
 
@@ -462,12 +463,37 @@ def test_chebyshev_buffers_equal_allocating_recursion(rng, hopping, t, given):
     n_row, n_col = 5, 6
     shape = (basis.sectors[n_row].size, basis.sectors[n_col].size)
     real = rng.normal(size=shape)
-    ival = (lo[n_row] - hi[n_col], hi[n_row] - lo[n_col]) if given else None
+    if not given:   # ad_H has no default interval
+        with pytest.raises(ValueError, match="interval"):
+            dynamics._chebyshev_expv(blocks[n_row], real, t, h_col_t=h_t[n_col])
+        return
+    ival = (lo[n_row] - hi[n_col], hi[n_row] - lo[n_col])
     for block in (real, real + 1j * rng.normal(size=shape), np.asfortranarray(real)):
         got = dynamics._chebyshev_expv(blocks[n_row], block, t, interval=ival,
                                        h_col_t=h_t[n_col])[0]
         want = _allocating_expv(blocks[n_row], block, t, ival, h_col_t=blocks[n_col].T.tocsr())
         assert np.all(got == want)
+
+
+def test_ad_expansion_needs_the_pair_interval():
+    # H's row-block interval does not enclose ad_H's spectrum: on this block
+    # the expansion on it grows the norm about a hundredfold (a unitary map
+    # keeps it) under a truncation bound near 1e-13, so the call is refused
+    h, basis = _chain4(0.9)
+    blocks, lo, hi, h_t = dynamics._split_hamiltonian(h, basis)
+    n_row, n_col = 5, 6
+    shape = (basis.sectors[n_row].size, basis.sectors[n_col].size)
+    block = np.random.default_rng(0).normal(size=shape)
+    t = 0.7
+    with pytest.raises(ValueError, match="interval"):
+        dynamics._chebyshev_expv(blocks[n_row], block, t, h_col_t=h_t[n_col])
+    diverged = _allocating_expv(blocks[n_row], block, t, h_col_t=h_t[n_col])
+    assert np.linalg.norm(diverged) > 10 * np.linalg.norm(block)
+    out, _, bound = dynamics._chebyshev_expv(
+        blocks[n_row], block, t, interval=(lo[n_row] - hi[n_col], hi[n_row] - lo[n_col]),
+        h_col_t=h_t[n_col])
+    assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(block), rel=1e-12)
+    assert bound <= 1e-14 * np.linalg.norm(block)
 
 
 @pytest.mark.parametrize("hopping", [0.9, 0.9 * np.exp(0.7j)])
@@ -511,6 +537,67 @@ def test_ad_expansion_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 7.5 * block.nbytes
+
+
+SPLIT_BASES = {"product": (4, 3, None, None), "total_cap": (5, 3, 6, None),
+               "fixed_n": (5, 2, None, 5)}
+
+
+@pytest.mark.parametrize("kind", sorted(SPLIT_BASES))
+@pytest.mark.parametrize("hopping", [0.9, 0.9 * np.exp(0.7j)])
+def test_split_hamiltonian_bytes_match_coo_grouping(kind, hopping):
+    # each sector block and its transpose, bit for bit against a CSR built
+    # from H's COO entries of that sector (empty sectors included); the
+    # Gershgorin ends against the dense rows
+    sites, cap, total_cap, number = SPLIT_BASES[kind]
+    basis = FockBasis(sites, cap, total_cap=total_cap, number=number)
+    h = build_hamiltonian(bose_hubbard(build_path(sites), hopping, 1.3), basis)
+    blocks, lo, hi, h_t = dynamics._split_hamiltonian(h, basis)
+    coo, dense = h.tocoo(), h.toarray()
+    radius = np.abs(dense).sum(axis=1) - np.abs(dense.diagonal())
+    assert sorted(blocks) == sorted(h_t) == list(range(len(basis.sectors)))
+    for n, ix in enumerate(basis.sectors):
+        local = np.full(basis.dim, -1)
+        local[ix] = np.arange(ix.size)
+        sel = (basis.totals[coo.row] == n) & (basis.totals[coo.col] == n)
+        want = sp.csr_matrix((coo.data[sel], (local[coo.row[sel]], local[coo.col[sel]])),
+                             shape=(ix.size, ix.size), dtype=h.dtype)
+        for got, ref in ((blocks[n], want), (h_t[n], want.T.tocsr())):
+            assert got.shape == ref.shape
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert (n in lo) == (n in hi) == bool(ix.size)
+        if ix.size:
+            diag = dense.diagonal().real[ix]
+            assert lo[n] == pytest.approx(np.min(diag - radius[ix]), rel=1e-14, abs=1e-14)
+            assert hi[n] == pytest.approx(np.max(diag + radius[ix]), rel=1e-14, abs=1e-14)
+
+
+@pytest.mark.parametrize("kind", sorted(SPLIT_BASES))
+@pytest.mark.parametrize("spec", [{"eta": {2: 1}}, {"zeta": {2: 1}},
+                                  {"eta": {2: 1}, "zeta": {2: 1}}, {"eta": {2: 2}}],
+                         ids=["create", "annihilate", "density", "create_squared"])
+def test_probe_maps_are_row_major_sector_slices(kind, spec):
+    # a probe's maps, sector_entries of its matrix: (rows, cols, amps) of each
+    # sector pair are the nonzero entries of the dense slice in row-major
+    # order, with no row or column repeated; pairs come in increasing order
+    sites, cap, total_cap, number = SPLIT_BASES[kind]
+    basis = FockBasis(sites, cap, total_cap=total_cap, number=number)
+    probe = MonomialOp.from_dicts(**spec)
+    full = probe.to_matrix(basis).mat.toarray()
+    sectors = basis.sectors
+    slices = {(a, b): full[np.ix_(sectors[a], sectors[b])]
+              for a in range(len(sectors)) for b in range(len(sectors))}
+    want = {pair: sub for pair, sub in slices.items() if np.any(sub)}
+    maps = sector_entries(probe.to_matrix(basis).mat, basis)
+    assert list(maps) == sorted(want)
+    assert bool(maps) == (number is None or probe.gamma == 0)
+    for pair, (rows, cols, amps) in maps.items():
+        want_rows, want_cols = np.nonzero(want[pair])
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+        assert np.array_equal(amps, want[pair][want_rows, want_cols])
+        assert np.unique(rows).size == rows.size and np.unique(cols).size == cols.size
 
 
 def _sparse_f_beta(a, site, beta, w, projected):
@@ -588,9 +675,16 @@ def test_lightcone_scan_free_bessel_column():
 
 
 def _dense_cell(engine, basis, w, r, t):
-    """The dense route's value of one cell: evolve, then the commutator norm."""
-    probe = MonomialOp.from_dicts(eta={r: 1}).to_matrix(basis).mat
-    return engine.commutator_norm(t, probe, w)
+    """The dense route's value of one cell: evolve, then the series' Gram
+    kernel on the evolved blocks as a one-order sequence."""
+    seqs = {n_col: block[None] for (_, n_col), block in engine.evolved_blocks(t).items()}
+    gram = {r: np.zeros((1, 1), complex)}
+    probe = MonomialOp.from_dicts(eta={r: 1})
+    n_row, n_col = next(iter(engine.initial.blocks))
+    maps = {r: sector_entries(probe.to_matrix(basis).mat, basis)}
+    dynamics._add_commutator_grams(gram, {r: 0}, maps, seqs, seqs.__getitem__,
+                                   n_row - n_col, probe.gamma, w)
+    return float(gram[r][0, 0].real)
 
 
 def test_series_cells_match_dense_route():

@@ -406,6 +406,53 @@ def test_block_op_real_blocks_and_assembly(rng):
         weighted_norm_sq(a, w), rel=1e-13)
 
 
+SPLIT_BASES = {"product": (3, 2, None, None), "total_cap": (4, 2, 3, None),
+               "fixed_n": (4, 2, None, 3)}
+
+
+@pytest.mark.parametrize("kind", sorted(SPLIT_BASES))
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_block_op_from_matrix_matches_dense_slices(rng, kind, dtype):
+    # every block equals the dense slice of its sector pair, bit for bit; a
+    # pair appears exactly when it holds a stored entry (a stored zero too)
+    sites, cap, total_cap, number = SPLIT_BASES[kind]
+    basis = FockBasis(sites, cap, total_cap=total_cap, number=number)
+    sectors, dim = basis.sectors, basis.dim
+
+    def values(size):
+        out = rng.normal(size=size)
+        return out + 1j * rng.normal(size=size) if dtype == np.complex128 else out
+
+    nonzero = np.flatnonzero(rng.random(dim * dim) < 0.2)
+    rows, cols = np.divmod(nonzero, dim)
+    keep = basis.totals[rows] != basis.totals[cols] + 1   # leave pairs (n + 1, n) empty
+    rows, cols = rows[keep], cols[keep]
+    top = len(sectors) - 1    # a stored zero alone in (top, top - 1); fixed N has one pair
+    zero_at = (sectors[top][0], sectors[top - (number is None)][-1])
+    rows, cols = np.append(rows, zero_at[0]), np.append(cols, zero_at[1])
+    data = values(rows.size)
+    data[-1] = 0
+    random_mat = sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
+    dup = sp.csr_matrix((values(3), [0, 0, 1], [0, 2, 2] + [3] * (dim - 2)), shape=(dim, dim))
+    assert not dup.has_canonical_format
+    zero_only = sp.csr_matrix((np.zeros(1, dtype), ([dim - 1], [dim - 1])), shape=(dim, dim))
+    cases = [(random_mat, {tuple(int(basis.totals[i]) for i in zero_at)}),
+             (dup, set()), (zero_only, {(int(basis.totals[-1]),) * 2}),
+             (sp.csr_matrix((dim, dim), dtype=dtype), set())]
+    for mat, zero_pairs in cases:
+        op = OperatorMatrix(mat, basis)
+        assert op.mat.dtype == dtype and op.mat.nnz == mat.nnz   # duplicates kept
+        full = mat.toarray()
+        want = {(a, b): full[np.ix_(sectors[a], sectors[b])]
+                for a in range(len(sectors)) for b in range(len(sectors))}
+        want = {pair: block for pair, block in want.items()
+                if np.any(block) or pair in zero_pairs}
+        got = BlockOp.from_matrix(op).blocks
+        assert list(got) == sorted(want)
+        for pair, block in got.items():
+            assert block.dtype == dtype and np.array_equal(block, want[pair])
+
+
 def test_f_beta_projected_leq_plus_identity_part(rng):
     # projected functional of a random operator stays finite and nonnegative
     basis = FockBasis(2, 6)

@@ -80,7 +80,8 @@ def validate_fock_assumption(occupations, assumption: DensityAssumption,
 
     For a Fock state the optimal constant at cut x is
     (1-e^-mu)^-(2x+1) e^(mu N_x); the assumption holds iff this never
-    exceeds K0 theta^(2x).
+    exceeds K0 theta^(2x).  Both sides are compared as logarithms, as their
+    powers leave the float range from x of a few hundred on.
     """
     occ = list(occupations)
     if center is None:
@@ -88,8 +89,9 @@ def validate_fock_assumption(occupations, assumption: DensityAssumption,
     q = math.exp(-assumption.mu)
     for x in range(0, min(center, len(occ) - 1 - center) + 1):
         n_window = sum(occ[center - x:center + x + 1])
-        lhs = (1.0 - q) ** (-(2 * x + 1)) * math.exp(assumption.mu * n_window)
-        if lhs > assumption.K0 * assumption.theta ** (2 * x) * (1 + 1e-12):
+        lhs = -(2 * x + 1) * math.log1p(-q) + assumption.mu * n_window
+        rhs = math.log(assumption.K0) + 2 * x * math.log(assumption.theta)
+        if lhs > rhs + 1e-12 * max(1.0, abs(rhs)):
             return False
     return True
 

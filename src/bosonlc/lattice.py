@@ -166,7 +166,7 @@ def build_regular_tree(branching: int, depth: int) -> Graph:
 def distance(g: Graph, u: int, v: int) -> float:
     """Minimal edge count between u and v; inf if disconnected."""
     g._check(v)
-    return g.distances_from(u)[v]
+    return 0 if u == v else g.distances_from(u)[v]
 
 
 def set_distance(g: Graph, v: int, subset: Iterable[int]) -> float:

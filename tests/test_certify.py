@@ -155,6 +155,15 @@ def test_fock_assumption_validation_rejects_overdense():
     assert not validate_fock_assumption(occ, a)
 
 
+def test_fock_assumption_validation_on_long_chains():
+    # from x of about 250 on, theta^(2x) leaves the float range
+    occ = [1] * 1001
+    a = fock_state_assumption(occ)
+    assert validate_fock_assumption(occ, a)
+    # denser ends break only the outermost cut, x = 500
+    assert not validate_fock_assumption([50] + [1] * 999 + [50], a)
+
+
 def test_density_assumption_validation():
     with pytest.raises(ValueError):
         DensityAssumption(mu=-1.0, theta=2.0, K0=2.0)

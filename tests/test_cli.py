@@ -1,16 +1,19 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bosonlc import selftest
 from bosonlc.cli import main
-from bosonlc.config import ConfigError, apply_overrides, load_config
+from bosonlc.config import GRAPH_KEYS, KEYS, ConfigError, apply_overrides, load_config
 
 BASE_CONFIG = """
 model:
@@ -249,6 +252,69 @@ def test_scan_bad_override_is_config_error(config_file, capsys, overrides):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,text,override,path", [
+    ("bounds", "model: [unclosed", None, "<root>"),
+    ("bounds", None, "model.range=[unclosed", "model.range"),
+    ("bounds", None, "constants=[1]", "constants"),
+    ("bounds", None, "output=[1]", "output"),
+    ("selftest", None, "experiment.samples=x", "experiment.samples"),
+    ("selftest", None, "experiment.samples=-5", "experiment.samples"),
+    ("selftest", None, "seed=-1", "seed"),
+    ("bounds", None, "output.dir=5", "output.dir"),
+    ("bounds", None, "ensemble.mu=1.0e-300", "ensemble.mu"),
+    ("scan", None, "model.interactions=[{kind: explicit, support: [0], "
+                   "monomials: [{coeff: 1.0, powers: {0: -1}}]}]",
+     "model.interactions[0].monomials[0].powers.0"),
+], ids=["yaml_file", "yaml_override", "constants_list", "output_list", "samples_text",
+        "samples_negative", "seed_negative", "output_dir_number", "mu_below_rounding",
+        "power_negative"])
+def test_input_that_raised_is_config_error(config_file, capsys, command, text, override, path):
+    config = config_file()
+    if text is not None:
+        config.write_text(text)
+    argv = [command, str(config)] + (["--set", override] if override else [])
+    assert main(argv) == 2
+    assert f"config error: {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override,path", [
+    ("model.range=1.5", "model.range"),
+    ("ensemble.per_site_cap=true", "ensemble.per_site_cap"),
+    ("seed=true", "seed"),
+    ("ensemble.mu=true", "ensemble.mu"),
+    ("ensemble.mu=.inf", "ensemble.mu"),
+    ("constants.epsilon=.nan", "constants.epsilon"),
+    ("constants.epsilon=0", "constants.epsilon"),
+    ("constants.C4=-1", "constants.C4"),
+    ("output.formats=csv", "output.formats"),
+    ("constants.C1=x", "constants.C1"),
+    ("model.hopping={value: x}", "model.hopping.value"),
+    ("model.hopping={segments: [1]}", "model.hopping.segments[0]"),
+    ("model.interactions=[3]", "model.interactions[0]"),
+    ("model.range=x", "model.range"),
+    ("model.range=5", "model.range"),
+])
+def test_one_rule_per_value_kind_in_every_section(config_file, capsys, override, path):
+    # these ran with a value nobody asked for, or failed without naming the key
+    assert main(["bounds", str(config_file()), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {path}: " in err and "unknown format" not in err
+
+
+def test_certify_total_cap_from_either_section(config_file, tmp_path):
+    certs = {}
+    for section in ("ensemble", "experiment", None):
+        tweaks = {f"{section}.total_cap": 4} if section else {}
+        path = config_file(kind="certify", **{
+            "model.graph.length": 9, "ensemble.per_site_cap": 3, "experiment.time": 0.3,
+            "experiment.window_radius": 2, **tweaks})
+        assert main(["certify", str(path), "--out", str(tmp_path / str(section))]) == 0
+        cert = json.loads((tmp_path / str(section) / "certificate.json").read_text())
+        certs[section] = {k: v for k, v in cert.items() if k != "resolved_config"}
+    assert certs["ensemble"] == certs["experiment"]
+    assert certs["ensemble"]["boson_cap"] == 4 != certs[None]["boson_cap"]
+
+
 def _flow(value) -> str:
     """A value as the YAML text of one --set override."""
     return yaml.safe_dump({"v": value}, default_flow_style=True, width=1 << 20).strip()[4:-1]
@@ -388,6 +454,114 @@ def test_bounds_config_fuzz_exits_with_a_documented_code(tmp_path_factory, overr
     assert _fuzz_exit_code(base, "bounds", data, overrides) in (0, 2, 3, 4)
 
 
+# model-section fuzz: graph kinds and sizes, hopping forms, interaction terms, range
+_NUMS = st.one_of(st.floats(-1.5, 1.5),
+                  st.sampled_from([math.nan, math.inf, "x", "0.5", None, True]))
+_HOPPING = st.one_of(_NUMS, st.fixed_dictionaries({"value": _NUMS}), st.fixed_dictionaries(
+    {"segments": st.one_of(_INTS, st.lists(st.one_of(_INTS, st.fixed_dictionaries(
+        {}, optional={"until": _NUMS, "value": _NUMS})), max_size=3))}))
+_GRAPH = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("path")}, optional={"length": _INTS}),
+    st.fixed_dictionaries({"kind": st.just("cubic")}, optional={
+        "dims": st.one_of(_INTS, st.lists(st.one_of(st.integers(1, 3), _INTS), max_size=2))}),
+    st.fixed_dictionaries({"kind": st.just("tree")}, optional={
+        "branching": st.one_of(st.integers(2, 3), _INTS),
+        "depth": st.one_of(st.integers(0, 2), _INTS)}),
+    st.fixed_dictionaries({"kind": st.sampled_from(["moebius", 3, None])}))
+_TERM = st.one_of(
+    _INTS,
+    st.fixed_dictionaries({}, optional={"kind": st.just("onsite"), "strength": _NUMS}),
+    st.fixed_dictionaries({"kind": st.sampled_from(["explicit", "nope"])}, optional={
+        "support": st.one_of(_INTS, st.lists(_INTS, max_size=3)),
+        "monomials": st.one_of(_INTS, st.lists(st.one_of(_INTS, st.fixed_dictionaries({}, optional={
+            "coeff": _NUMS,
+            "powers": st.one_of(_INTS, st.dictionaries(_INTS, st.integers(-1, 3), max_size=2))})),
+            max_size=2))}))
+_MODEL_KEYS = {
+    "model.graph": _GRAPH,
+    "model.hopping": _HOPPING,
+    "model.interactions": st.one_of(_INTS, st.lists(_TERM, max_size=2)),
+    "model.range": st.one_of(_INTS, st.sampled_from([0, 1, 2])),
+}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["bounds", "scan"]),
+       overrides=st.fixed_dictionaries({}, optional=_MODEL_KEYS))
+def test_model_config_fuzz_exits_with_a_documented_code(tmp_path_factory, command, overrides):
+    # every model key, on a scan of at most 10 sites at cap 1 or on the bounds
+    base = tmp_path_factory.getbasetemp() / "model_fuzz"
+    base.mkdir(exist_ok=True)
+    data = yaml.safe_load(BASE_CONFIG)
+    data["ensemble"]["per_site_cap"] = 1
+    data["experiment"] = {"kind": command, "r_values": [1], "t_values": [0.1]}
+    assert _fuzz_exit_code(base, command, data, overrides) in (0, 2, 3, 4)
+
+
+def _rule_values(rule):
+    """Values for one key-table rule: some it accepts, some it refuses."""
+    if rule.kind == "integer":
+        low = max(rule.low, -1)
+        big = rule.high + 1 if rule.high < math.inf else low + 1000
+        item = st.one_of(st.integers(low, min(rule.high, low + 3)),
+                         st.sampled_from([low - 1, big, 1.5, str(low)]))
+    elif rule.kind == "number":
+        low = max(rule.low, -1.0)
+        item = st.one_of(st.floats(low, low + 2.0),
+                         st.sampled_from([low - 1.0, math.nan, math.inf, "1e-06", str(low + 1)]))
+    elif rule.kind == "choice":
+        item = st.sampled_from(rule.options + ("nope",))
+    else:
+        item = {"monomial": _MONOMIAL, "schedule": _HOPPING, "text": st.just("fuzz_out"),
+                "mapping": st.just({})}[rule.kind]
+    values = st.one_of(item, st.lists(item, max_size=3)) if rule.many else item
+    return st.one_of(values, st.sampled_from([None, True, "x", [1], {"a": 1}]))
+
+
+_KIND_BASES = {
+    "bounds": {},
+    "scan": {"r_values": [1, 2, 3], "t_values": [0.1]},
+    "certify": {"time": 0.3, "window_radius": 1},
+    "cluster": {"r_values": [1, 2]},
+    "selftest": {},
+}
+
+
+def _table_walk(kind):
+    """``kind`` and overrides for up to three of its rows: shared, path graph, its own."""
+    rows = KEYS[None] + GRAPH_KEYS["path"][1] + KEYS[kind]
+    picks = st.lists(st.sampled_from(rows), max_size=3, unique_by=lambda row: row[0])
+    return st.tuples(st.just(kind), picks.flatmap(lambda picked: st.fixed_dictionaries(
+        {path: _rule_values(rule) for path, rule, _ in picked})))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(walk=st.sampled_from(sorted(_KIND_BASES)).flatmap(_table_walk))
+def test_key_table_fuzz_exits_with_a_documented_code(tmp_path_factory, walk):
+    # every row of the key table, for every kind, on a 4-site chain (5 for
+    # certify); the property suite itself is stubbed to its typed arguments,
+    # as a full run takes seconds whatever the sample count
+    kind, overrides = walk
+    base = tmp_path_factory.getbasetemp() / "table_fuzz"
+    base.mkdir(exist_ok=True)
+    data = yaml.safe_load(BASE_CONFIG)
+    data["model"]["graph"]["length"] = 5 if kind == "certify" else 4
+    data["model"]["interactions"] = [{"kind": "onsite", "strength": 15.0}]
+    data["experiment"] = {"kind": kind, **_KIND_BASES[kind]}
+
+    def suite(seed, samples):
+        assert type(seed) is int and seed >= 0 and type(samples) is int and samples >= 1
+        return []
+
+    cwd = os.getcwd()
+    os.chdir(base)  # output.dir may be drawn as a relative path
+    try:
+        with mock.patch.object(selftest, "run_selftest", suite):
+            assert _fuzz_exit_code(base, kind, data, overrides) in (0, 2, 3, 4)
+    finally:
+        os.chdir(cwd)
+
+
 FOCK = "experiment.state.occupations"
 
 
@@ -460,15 +634,14 @@ def test_module_invocation_smoke(config_file, tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-m", "bosonlc.cli", "bounds", str(path)],
-        capture_output=True, text=True,
-        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin:/usr/local/bin"})
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
 
 
 def test_package_invocation_runs_the_cli(config_file, tmp_path):
     """python -m bosonlc is the same entry point, exit codes included."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {"PYTHONPATH": src, "PATH": "/usr/bin:/bin:/usr/local/bin"}
+    env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
         [sys.executable, "-m", "bosonlc", "bounds", str(config_file(kind="bounds"))],
         capture_output=True, text=True, env=env)

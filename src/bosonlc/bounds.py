@@ -267,13 +267,6 @@ def ensemble_commutator_bound(r: int, t: float, params: BoundParams) -> float:
     return params.amplitude() * base ** (r / (2 * params.ell + 1))
 
 
-def resummation_prefactor(eps: float, ell: int) -> float:
-    """Geometric resummation factor (1 - (1+eps)^(-1/(4 ell + 2)))^-1."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return 1.0 / (1.0 - (1.0 + eps) ** (-1.0 / (4 * ell + 2)))
-
-
 def finite_density_commutator_bound(r: int, t: float, mu: float, theta: float,
                                     K0: float, ell: int, eps: float = 0.1,
                                     c1: float = 1.0) -> float:

@@ -33,8 +33,9 @@ class DensityAssumption:
     """Finite-density hypothesis on the initial state.
 
     ``inner`` form bounds weighted inner products of local operators against
-    the grand-canonical ones by K0 theta^(2x); ``partial-trace`` is the
-    marginal form obtained from it by convert_ansatz.
+    the grand-canonical ones by K0 theta^(2x); ``partial-trace`` names the
+    marginal form of the same bound.  The certificate records the form; no
+    formula here reads it.
     """
 
     mu: float
@@ -147,31 +148,6 @@ def total_error_bound(r: float, c4: float = 1.0, ell: int = 0) -> float:
     if r < 0:
         raise ValueError("radius must be nonnegative")
     return c4 * r * r * math.exp(-r / (4 * ell + 2))
-
-
-@dataclass(frozen=True)
-class ConvertedAssumption:
-    """Partial-trace form parameters derived from the inner-product form.
-
-    The raw right-hand side is K0' * base^(4x); ``theta_2x`` restates the
-    same bound against the 2x convention (theta_2x^(2x) = base^(4x)), which
-    is how downstream formulas consume it.
-    """
-
-    K0: float
-    theta_2x: float
-    base_4x: float
-
-
-def convert_ansatz(K0: float, theta: float, mu: float) -> ConvertedAssumption:
-    """Map inner-product-form constants to the partial-trace form."""
-    if K0 <= 0 or theta <= 0 or mu <= 0:
-        raise ValueError("K0, theta, mu must be positive")
-    q = math.exp(-mu)
-    ratio = math.sqrt(1.0 - q) / (1.0 - math.exp(-mu / 2.0))
-    k0p = (K0 * ratio) ** 2
-    base = theta * ratio
-    return ConvertedAssumption(K0=k0p, theta_2x=base ** 2, base_4x=base)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +277,7 @@ def certified_expectation(model: ModelSpec, occupations, observable: MonomialOp,
             fit_r -= 1
             if window(fit_r)[-1] <= state_budget:
                 break
-        t_fit = fit_r / (math.e * (2 * assumption.theta) ** (4 * ell + 2) * vprime)
+        t_fit = fit_r / truncation_radius(1.0, assumption.theta, ell, vprime)
         raise CapacityError(requested, state_budget,
                             hint=f"largest certifiable time under this budget ~ {t_fit:.3e}")
 

@@ -3,7 +3,8 @@
 Subcommands: ``bounds``, ``scan``, ``certify``, ``cluster``, ``selftest``.
 Each reads the typed values that ``config.load_config`` checked against the
 key table ``config.KEYS``; a runner checks only what needs the built graph.
-Exit codes: 0 success, 2 config error (``config error: <path>: ...``), 3
+Exit codes: 0 success, 2 config error (``config error: <path>: ...``; bound
+constants that overflow a float name every key they are made from), 3
 capacity error, 4 property violation.  Outputs are byte-deterministic for a
 fixed config and seed: no timestamps, sorted JSON keys, shortest-roundtrip
 float formatting, and the resolved config embedded in every file.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -73,14 +75,22 @@ def _write_table(cfg: ExperimentConfig, out: Path, stem: str, result, provenance
         _write(out / f"{stem}.json", _json_dump(payload), verbose)
 
 
+@contextmanager
+def _constants_of(*keys: str):
+    """An OverflowError inside becomes a ConfigError naming ``keys``, the
+    config keys the constants computed inside are made from."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise ConfigError(", ".join(keys), f"constants overflow a float: {exc}") from exc
+
+
 def _run_bounds(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
     if cfg.model.graph.max_degree < 1:
         raise ConfigError("model.graph", "bounds need a graph with at least one edge")
-    try:
+    with _constants_of("ensemble.mu", "model.graph", "model.range", "experiment.beta"):
         trace = bounds_mod.derivation_trace(cfg.mu, cfg.model.graph.max_degree,
                                             cfg.model.interaction_range, cfg.experiment["beta"])
-    except OverflowError as exc:
-        raise ConfigError("experiment.beta", f"constants overflow a float: {exc}") from exc
     report = {"resolved_config": cfg.resolved(), "constants_ledger": cfg.constants,
               "trace": trace, "note": ("scale constants C1/C3/C4/C5 are configuration inputs "
                                        "with default 1; the derivation leaves them unspecified")}
@@ -110,14 +120,16 @@ def _run_scan(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
     basis = FockBasis(cfg.model.graph.num_vertices, per_site_cap=cfg.per_site_cap,
                       total_cap=cfg.total_cap)
     cells = None
-    if exp["cone_fractions"] is not None:
-        v = bounds_mod.velocity_bound(cfg.mu, cfg.model.graph.max_degree,
-                                      cfg.model.interaction_range, probe.beta)
-        cells = [(r, alpha * r / v) for r in r_values for alpha in exp["cone_fractions"]]
-        cells.extend((r, t) for t in exp["extra_times"] for r in r_values)
-    result = lightcone_scan(cfg.model, op, probe, cfg.mu, r_values, exp["t_values"],
-                            cells=cells, basis=basis,
-                            eps=cfg.constants["epsilon"], c1=cfg.constants["C1"])
+    with _constants_of("ensemble.mu", "ensemble.per_site_cap", "model.graph", "model.range",
+                       "experiment.probe"):
+        if exp["cone_fractions"] is not None:
+            v = bounds_mod.velocity_bound(cfg.mu, cfg.model.graph.max_degree,
+                                          cfg.model.interaction_range, probe.beta)
+            cells = [(r, alpha * r / v) for r in r_values for alpha in exp["cone_fractions"]]
+            cells.extend((r, t) for t in exp["extra_times"] for r in r_values)
+        result = lightcone_scan(cfg.model, op, probe, cfg.mu, r_values, exp["t_values"],
+                                cells=cells, basis=basis,
+                                eps=cfg.constants["epsilon"], c1=cfg.constants["C1"])
     provenance = {"r": "config:experiment.r_values", "t": "config:experiment grid",
                   "exact": "measured:weighted commutator norm on the truncated basis",
                   "bound_ensemble": "formula:grand-canonical cone bound",
@@ -148,11 +160,13 @@ def _run_certify(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
                   else certify_mod.DensityAssumption(*(exp[f"assumption.{k}"]
                                                        for k in ("mu", "theta", "K0"))))
     try:
-        value = certify_mod.certified_expectation(
-            cfg.model, occupations, observable, exp["time"], assumption,
-            radius=exp["window_radius"], per_site_cap=exp["per_site_cap"],
-            total_cap=exp["total_cap"], c3=cfg.constants["C3"], c4=cfg.constants["C4"],
-            eps=cfg.constants["epsilon"])
+        with _constants_of("experiment.time", "experiment.state", "experiment.assumption",
+                           "experiment.window_radius", "model.range", "constants.epsilon"):
+            value = certify_mod.certified_expectation(
+                cfg.model, occupations, observable, exp["time"], assumption,
+                radius=exp["window_radius"], per_site_cap=exp["per_site_cap"],
+                total_cap=exp["total_cap"], c3=cfg.constants["C3"], c4=cfg.constants["C4"],
+                eps=cfg.constants["epsilon"])
     except certify_mod.WindowError as exc:
         raise ConfigError("experiment.observable.site", str(exc)) from exc
     cert = {**value.to_dict(), "resolved_config": cfg.resolved(),

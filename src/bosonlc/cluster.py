@@ -125,14 +125,14 @@ def clustering_experiment(model: ModelSpec, r_list, *, per_site_cap: int,
                                                per_site_cap, n_target))
         left_op = template.adjoint()
         left = left_op.to_matrix(basis)
-        left = OperatorMatrix(left.mat / norm, basis, left.support)
+        left = OperatorMatrix(left.mat / norm, basis)
         for r in sorted(set(int(x) for x in r_list)):
             if not (1 <= r < length):
                 raise ValueError(f"separation {r} outside the chain")
             right_op = template.translate(r)
             if template.gamma == 0:
                 right = right_op.to_matrix(basis)
-                right = OperatorMatrix(right.mat / norm, basis, right.support)
+                right = OperatorMatrix(right.mat / norm, basis)
                 cor = abs(connected_correlation(gs.vector, left, right))
             else:
                 # A and B change N, so <A> = <B> = 0 in the number eigenstate,

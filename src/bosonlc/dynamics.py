@@ -1,4 +1,4 @@
-"""Exact time evolution on truncated Fock spaces, light-cone scans, and OTOCs.
+"""Exact time evolution on truncated Fock spaces, light-cone scans, and ground states.
 
 One propagator serves states and operators: a Chebyshev expansion on a
 Gershgorin interval, truncated where an a-priori bound on the dropped terms
@@ -42,8 +42,8 @@ from scipy.sparse.linalg import eigsh
 from . import bounds as bounds_mod
 from .fock import FockBasis, ModelSpec, build_hamiltonian
 from .lattice import Graph, fatten, set_distance
-from .opspace import (BlockOp, MonomialOp, MuWeights, OperatorMatrix, commutator,
-                      f_beta_expectation, sector_entries, weighted_norm_sq)
+from .opspace import (BlockOp, MonomialOp, MuWeights, OperatorMatrix, f_beta_expectation,
+                      sector_entries, weighted_norm_sq)
 
 
 class EvolutionError(RuntimeError):
@@ -277,11 +277,6 @@ class HeisenbergScanEngine:
 
     def evolved_operator(self, t: float) -> BlockOp:
         return BlockOp(self.basis, self.evolved_blocks(t))
-
-
-def evolve_operator(op: OperatorMatrix | BlockOp, model: ModelSpec, t: float) -> BlockOp:
-    """O(t) = U(t)^dag O U(t), one Chebyshev expansion per schedule span and block."""
-    return HeisenbergScanEngine(model, op.basis, op).evolved_operator(t)
 
 
 # ---------------------------------------------------------------------------
@@ -707,22 +702,7 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
 
 
 # ---------------------------------------------------------------------------
-# OTOCs, ground states, correlations
-
-
-@dataclass
-class OtocResult:
-    squared_norm: float        # tr(sqrt(rho) [A(t),B]^dag sqrt(rho) [A(t),B])
-    thermal_commutator: complex  # tr(rho [A(t), B])
-
-
-def otoc(model: ModelSpec, a: OperatorMatrix, b: OperatorMatrix, mu: float,
-         t: float) -> OtocResult:
-    """Weighted squared commutator of the evolved and static operators."""
-    w = MuWeights(mu, a.basis)
-    comm = commutator(evolve_operator(a, model, t), b)
-    thermal = complex(np.sum(w.w * comm.mat.diagonal()))   # sum_n w_n C_nn
-    return OtocResult(squared_norm=weighted_norm_sq(comm, w), thermal_commutator=thermal)
+# ground states, correlations
 
 
 @dataclass

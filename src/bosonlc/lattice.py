@@ -1,7 +1,7 @@
 """Bounded-degree graphs and the combinatorial sets the propagation bounds quantify over.
 
 Vertices are dense integer ids assigned at construction, so every derived
-quantity (distances, balls, covering counts) is reproducible run to run.
+quantity (distances, fattened sets, covering counts) is reproducible run to run.
 Distances are graph (Manhattan) distances: minimal edge count, ``math.inf``
 for disconnected pairs.
 """
@@ -173,22 +173,6 @@ def set_distance(g: Graph, v: int, subset: Iterable[int]) -> float:
     """dist(v, R) = min over r in R of dist(v, r)."""
     dv = g.distances_from(v)
     return min((dv[r] for r in subset), default=INF)
-
-
-def hop_ball(g: Graph, edge: tuple[int, int], radius: int) -> frozenset[int]:
-    """Vertices within ``radius`` of either endpoint of ``edge``.
-
-    This is the support an interaction-dressed hopping term on ``edge`` can
-    touch when interactions have range ``radius``.
-    """
-    u, v = edge
-    g._check(u)
-    g._check(v)
-    if v not in g.adjacency[u]:
-        raise GraphError(f"({u},{v}) is not an edge of the graph")
-    du = g.distances_from(u)
-    dv = g.distances_from(v)
-    return frozenset(y for y in g.vertices() if min(du[y], dv[y]) <= radius)
 
 
 def count_covering_edges(g: Graph, x: int, y: int, radius: int) -> int:

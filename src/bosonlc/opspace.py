@@ -1,4 +1,4 @@
-"""Weighted operator inner products, identity projectors, and growth functionals.
+"""Weighted operator inner products, commutator norms, and growth functionals.
 
 Operators live as matrices over a :class:`~bosonlc.fock.FockBasis`; the
 grand-canonical weights ``w_m = prod_v (1 - e^-mu) e^(-mu n_v)`` are applied
@@ -7,10 +7,11 @@ inside the inner product
     (A|B) = sum_{m,n} conj(A_mn) B_mn sqrt(w_m w_n),
 
 which is the trace form tr(sqrt(rho) A^dag sqrt(rho) B) written over the
-occupation basis.  On a capped basis the single-site identity vector is
-renormalized to unit length, so the sitewise projectors below are exactly
-idempotent and self-adjoint; they converge to the uncapped ones with the
-documented geometric tail.
+occupation basis.  The projected growth functional removes each site's
+identity component; on a capped basis the single-site identity vector is
+renormalized to unit length, so that removal is an exact orthogonal
+projection, converging to the uncapped one with the documented geometric
+tail.
 
 Every Hamiltonian of the model class conserves the total boson number, so
 evolved operators are stored as a :class:`BlockOp`: dense blocks between
@@ -18,7 +19,7 @@ total-number sectors, scattered from the entries ``sector_entries`` groups by
 sector pair in one sort.  All states of a sector share one weight, so the
 weighted norm and the growth functionals run block by block.
 
-Sitewise projector machinery requires a basis without a total cap (product
+The projected functional requires a basis without a total cap (product
 structure across sites); inner products work on any basis.
 """
 
@@ -67,12 +68,13 @@ class MuWeights:
 
     def require_product_basis(self):
         if self.basis.total_cap is not None or self.basis.number is not None:
-            raise ValueError("sitewise projectors need a product basis: no total cap, no fixed N")
+            raise ValueError("the projected functional needs a product basis: "
+                             "no total cap, no fixed N")
 
 
 @dataclass
 class OperatorMatrix:
-    """A matrix over a Fock basis, with optional (best-effort) support metadata.
+    """A matrix over a Fock basis.
 
     A real or complex matrix keeps its dtype, widened to 64-bit parts; any
     other dtype becomes float64.
@@ -80,7 +82,6 @@ class OperatorMatrix:
 
     mat: sp.csr_matrix
     basis: FockBasis
-    support: frozenset[int] | None = None
 
     def __post_init__(self):
         mat = sp.csr_matrix(self.mat)
@@ -90,16 +91,7 @@ class OperatorMatrix:
 
     @classmethod
     def identity(cls, basis: FockBasis) -> "OperatorMatrix":
-        return cls(sp.identity(basis.dim, format="csr"), basis, support=frozenset())
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return OperatorMatrix(self.mat + other.mat, self.basis, None)
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return OperatorMatrix(self.mat - other.mat, self.basis, None)
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return OperatorMatrix(self.mat @ other.mat, self.basis, None)
+        return cls(sp.identity(basis.dim, format="csr"), basis)
 
 
 def sector_entries(mat: sp.spmatrix, basis: FockBasis) -> dict[tuple[int, int], tuple]:
@@ -131,10 +123,7 @@ class BlockOp:
     n_row and the columns of sector n_col (``basis.sectors``); absent pairs
     are zero.  Blocks split from a real operator are real.
     ``mat`` assembles the global sparse matrix on first access and caches it.
-    Support metadata is not tracked, as for any derived OperatorMatrix.
     """
-
-    support = None
 
     def __init__(self, basis: FockBasis, blocks: dict[tuple[int, int], np.ndarray]):
         self.basis = basis
@@ -168,9 +157,6 @@ class BlockOp:
                 (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
                 shape=(self.basis.dim, self.basis.dim)).tocsr()
         return self._mat
-
-    def __sub__(self, other) -> "OperatorMatrix":
-        return OperatorMatrix(self.mat - other.mat, self.basis, None)
 
 
 def _sq_sum(block: np.ndarray) -> float:
@@ -255,7 +241,7 @@ class MonomialOp:
         hit = rows >= 0
         mat = sp.csr_matrix((amp[cols[hit]], (rows[hit], cols[hit])),
                             shape=(basis.dim, basis.dim))
-        return OperatorMatrix(mat, basis, support=self.support)
+        return OperatorMatrix(mat, basis)
 
 
 def site_monomial_norm_sq(op: MonomialOp, mu: float, num_sites: int, per_site_cap: int,
@@ -335,103 +321,6 @@ def check_thermal_relation(a: OperatorMatrix, b: OperatorMatrix, k: int, k_prime
     if k_prime == 0:
         rhs = math.exp(w.mu * k / 2.0) * thermal_expectation(a, b, w)
     return abs(lhs - rhs)
-
-
-# ---------------------------------------------------------------------------
-# sitewise projectors
-
-
-def _site_average(a: OperatorMatrix, site: int, w: MuWeights):
-    """Bucket data for the identity component on one site.
-
-    Returns (uniq_row, uniq_col, T, sel_entries) where T[k] is the value of
-    the averaged operator for bucket k: the weight-averaged diagonal block
-
-        T = (1-q)/Z * sum_k q^k A[(.., k at site), (.., k at site)]
-
-    keyed by the state pair with the site occupancy stripped to zero.
-    """
-    w.require_product_basis()
-    basis = a.basis
-    coo = sp.coo_matrix(a.mat)
-    occ_r = basis.states[coo.row, site].astype(np.int64)
-    occ_c = basis.states[coo.col, site].astype(np.int64)
-    sel = occ_r == occ_c
-    rows = coo.row[sel]
-    cols = coo.col[sel]
-    vals = coo.data[sel]
-    ks = occ_r[sel]
-    if rows.size == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, np.zeros(0, dtype=vals.dtype), (rows, cols, vals, ks, empty)
-    rs = basis.shifted_rows(rows, site, 0)
-    cs = basis.shifted_rows(cols, site, 0)
-    key = rs.astype(np.int64) * basis.dim + cs
-    uniq, inv = np.unique(key, return_inverse=True)
-    geom = ((1.0 - w.q) / w.site_partition) * w.q ** ks.astype(np.float64)
-    t_vals = np.zeros(uniq.size, dtype=vals.dtype)
-    np.add.at(t_vals, inv, geom * vals)
-    return uniq // basis.dim, uniq % basis.dim, t_vals, (rows, cols, vals, ks, inv)
-
-
-def _one_minus_p_site(a: OperatorMatrix, site: int, w: MuWeights) -> OperatorMatrix:
-    """(1 - P_site) A: replace the site dependence by its identity component."""
-    basis = a.basis
-    urow, ucol, t_vals, _ = _site_average(a, site, w)
-    if urow.size == 0:
-        return OperatorMatrix(sp.csr_matrix((basis.dim, basis.dim)), basis)
-    cap = basis.per_site_cap
-    out_rows = []
-    out_cols = []
-    out_vals = []
-    for j in range(cap + 1):
-        out_rows.append(basis.shifted_rows(urow, site, j))
-        out_cols.append(basis.shifted_rows(ucol, site, j))
-        out_vals.append(t_vals)
-    mat = sp.coo_matrix(
-        (np.concatenate(out_vals),
-         (np.concatenate(out_rows), np.concatenate(out_cols))),
-        shape=(basis.dim, basis.dim)).tocsr()
-    return OperatorMatrix(mat, basis, a.support)
-
-
-def project_nonidentity(a: OperatorMatrix, sites, w: MuWeights) -> OperatorMatrix:
-    """Remove the component acting as the identity on every site of ``sites``.
-
-    Composition 1 - prod_v (1 - P_v); idempotent and self-adjoint in the
-    weighted inner product.
-    """
-    w.require_product_basis()
-    rest = a
-    for v in sorted(set(sites)):
-        rest = _one_minus_p_site(rest, v, w)
-    return OperatorMatrix(a.mat - rest.mat, a.basis, a.support)
-
-
-def project_strictly_inside(a: OperatorMatrix, x: int, w: MuWeights,
-                            center: int | None = None) -> OperatorMatrix:
-    """Component acting nontrivially on {x, -x} but trivially beyond, on a chain.
-
-    Positions are measured from ``center`` (defaults to the middle site of an
-    odd chain).  Summing over x = 0..L plus the global identity component
-    reconstructs the operator.
-    """
-    basis = a.basis
-    if center is None:
-        if basis.num_sites % 2 == 0:
-            raise ValueError("chain must have odd length for the symmetric labeling")
-        center = (basis.num_sites - 1) // 2
-    if x < 0 or center + x >= basis.num_sites or center - x < 0:
-        raise ValueError(f"position {x} outside the chain")
-    out = a
-    for site in range(basis.num_sites):
-        if abs(site - center) > x:
-            out = _one_minus_p_site(out, site, w)
-    pair = {center + x, center - x}
-    interior = out
-    for site in pair:
-        interior = _one_minus_p_site(interior, site, w)
-    return OperatorMatrix(out.mat - interior.mat, basis, a.support)
 
 
 # ---------------------------------------------------------------------------
@@ -517,20 +406,16 @@ def identity_f_beta(mu: float, beta: int, cap: int | None = None) -> float:
     return float(np.sum((1.0 - q) * q ** js * (js + beta) ** beta) / z)
 
 
-def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    return OperatorMatrix(a.mat @ b.mat - b.mat @ a.mat, a.basis, None)
-
-
 def commutator_weighted_norm(a: OperatorMatrix, b: OperatorMatrix, w: MuWeights) -> float:
     """([A,B] | [A,B]) under the weighted inner product."""
     if a.basis.dim != b.basis.dim:
         raise ValueError("operators live over different bases")
-    return weighted_norm_sq(commutator(a, b), w)
+    return weighted_norm_sq(OperatorMatrix(a.mat @ b.mat - b.mat @ a.mat, a.basis), w)
 
 
 def apply_liouvillian(h: sp.spmatrix, a: OperatorMatrix) -> OperatorMatrix:
     """i [H, A], the generator of Heisenberg evolution."""
-    return OperatorMatrix(1j * (h @ a.mat - a.mat @ h), a.basis, None)
+    return OperatorMatrix(1j * (h @ a.mat - a.mat @ h), a.basis)
 
 
 def monomial_commutator_bound(o: OperatorMatrix, probe: MonomialOp, w: MuWeights,

@@ -71,3 +71,27 @@ def random_operator(rng, basis, max_occ=None):
         mat[~keep, :] = 0
         mat[:, ~keep] = 0
     return OperatorMatrix(mat, basis)
+
+
+def dense_f_beta(basis, w, mat, site, beta, projected=True):
+    """(A|F_site^beta|A) from a dense matrix, summed over every entry.
+
+    With ``projected`` the site's identity component is removed first: for
+    states m, n with equal occupancy at the site it is the average over k,
+    with weights (1-q) q^k / (1 - q^(cap+1)), of A between m and n each with
+    k bosons at the site; for other pairs it is zero.  Needs a product basis.
+    """
+    cap, q = basis.per_site_cap, w.q
+    occ = basis.states[:, site].astype(np.int64)
+    pa = np.asarray(mat)
+    if projected:
+        avg = np.zeros(pa.shape, dtype=np.result_type(pa, float))
+        for k in range(cap + 1):
+            moved = basis.states.copy()
+            moved[:, site] = k
+            rows = basis.lookup_rows(moved)
+            assert np.all(rows >= 0)
+            avg += (1 - q) * q ** k / (1 - q ** (cap + 1)) * pa[np.ix_(rows, rows)]
+        pa = pa - np.where(occ[:, None] == occ[None, :], avg, 0)
+    f_max = (np.maximum.outer(occ, occ) + beta) ** beta
+    return float(np.sum(np.abs(pa) ** 2 * np.outer(w.sqrt_w, w.sqrt_w) * f_max))

@@ -15,8 +15,7 @@ from scipy.special import jv
 import bosonlc.bounds as B
 from bosonlc.certify import certified_expectation, fock_state_assumption
 from bosonlc.cluster import clustering_experiment
-from bosonlc.dynamics import (HeisenbergScanEngine, evolve_operator, lightcone_scan,
-                              single_particle_propagator)
+from bosonlc.dynamics import HeisenbergScanEngine, lightcone_scan, single_particle_propagator
 from bosonlc.fock import (FockBasis, bose_hubbard, build_hamiltonian,
                           random_model_spec, total_number_op,
                           check_number_conservation)
@@ -124,7 +123,7 @@ def test_criterion_3_free_boson_oracle():
     worst = 0.0
     for x in (2, 3, 5):
         bx = MonomialOp.from_dicts(zeta={x: 1}).to_matrix(basis)
-        bxt = evolve_operator(bx, model, t)
+        bxt = HeisenbergScanEngine(model, basis, bx).evolved_operator(t)
         bdag0 = MonomialOp.from_dicts(eta={0: 1}).to_matrix(basis)
         comm = (bxt.mat @ bdag0.mat - bdag0.mat @ bxt.mat).toarray()
         sub = comm[np.ix_(protected, protected)]

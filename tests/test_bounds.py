@@ -8,8 +8,7 @@ from bosonlc.bounds import (BoundParams, MMatrixBound, check_scalar_inequality,
                             derivation_trace, ensemble_commutator_bound,
                             finite_density_commutator_bound, initial_envelope,
                             integrate_envelope, m_matrix_bound,
-                            matrix_element_bound, resummation_prefactor,
-                            velocity_bound, velocity_bound_1d,
+                            matrix_element_bound, velocity_bound, velocity_bound_1d,
                             velocity_from_coupling)
 from bosonlc.lattice import Graph, build_path
 
@@ -260,13 +259,6 @@ def test_matrix_element_bound_parameter_map():
     assert v3 > v1
     # below the cone edge: sentinel
     assert matrix_element_bound(2, 1.0, m=2, ell=0).value == math.inf
-
-
-def test_resummation_prefactor():
-    assert resummation_prefactor(0.1, 0) == pytest.approx(
-        1 / (1 - 1.1 ** (-1 / 2)), rel=1e-12)
-    with pytest.raises(ValueError):
-        resummation_prefactor(0.0, 0)
 
 
 # -- scalar inequality ----------------------------------------------------------

@@ -8,8 +8,7 @@ from scipy.linalg import expm
 
 from bosonlc.certify import (DensityAssumption, boson_cutoff,
                              boson_cutoff_branches, certified_expectation,
-                             chain_center, convert_ansatz,
-                             fock_state_assumption, restriction_error_bound,
+                             chain_center, fock_state_assumption, restriction_error_bound,
                              total_error_bound, truncation_radius,
                              validate_fock_assumption, windowed_model)
 from bosonlc.bounds import velocity_bound_1d
@@ -86,56 +85,6 @@ def test_total_error_bound_shape():
     # beyond r ~ 10 the exponential dominates the quadratic (ell = 0)
     vals = [total_error_bound(r) for r in (10, 14, 18, 22)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_convert_ansatz_limits():
-    conv = convert_ansatz(2.0, 3.0, 700.0)
-    assert conv.K0 == pytest.approx(4.0, rel=1e-12)
-    assert conv.theta_2x == pytest.approx(9.0, rel=1e-12)
-    conv1 = convert_ansatz(1.0, 1.0, 1.0)
-    ratio = math.sqrt(1 - math.exp(-1)) / (1 - math.exp(-0.5))
-    assert ratio == pytest.approx(2.0206405, abs=1e-6)
-    assert conv1.K0 == pytest.approx(ratio ** 2, rel=1e-12)
-    assert conv1.base_4x == pytest.approx(ratio, rel=1e-12)
-    # monotone in both inputs
-    assert convert_ansatz(2.0, 1.0, 1.0).K0 > conv1.K0
-    assert convert_ansatz(1.0, 2.0, 1.0).theta_2x > conv1.theta_2x
-
-
-def test_convert_ansatz_inequality_on_product_states(rng):
-    """Exact check of the marginal form on random pure product states.
-
-    For a product state the optimal inner-product-form envelope at cut x is
-    prod c_v^2 with c_v = <phi_v| rho_v^{-1/2} |phi_v>; the partial-trace
-    form left side equals the same product, which must stay below the
-    converted constants.
-    """
-    mu = 1.0
-    cap = 8
-    q = math.exp(-mu)
-    rho_inv_sqrt = np.array([((1 - q) * q ** n) ** -0.5 for n in range(cap + 1)])
-    for _ in range(25):
-        phis = []
-        for _site in range(3):
-            v = rng.normal(size=cap + 1) + 1j * rng.normal(size=cap + 1)
-            v *= np.exp(-0.8 * np.arange(cap + 1))  # keep density finite
-            phis.append(v / np.linalg.norm(v))
-        c = [float(np.sum(np.abs(p) ** 2 * rho_inv_sqrt)) for p in phis]
-        # fit inner-product-form constants exactly: K0 covers x=0, theta the growth
-        k0 = max(c[1] ** 2, 1.0)
-        theta = max(math.sqrt(max(c[0] * c[2], 1.0)), 1.0)
-        assumption_ok = True
-        for x in (0, 1):
-            prod = c[1] ** 2 if x == 0 else (c[0] * c[1] * c[2]) ** 2
-            if prod > k0 * theta ** (2 * x) * (1 + 1e-9):
-                assumption_ok = False
-        if not assumption_ok:
-            continue
-        conv = convert_ansatz(k0, theta, mu)
-        for x in (0, 1):
-            lhs = c[1] ** 2 if x == 0 else (c[0] * c[1] * c[2]) ** 2
-            rhs = conv.K0 * conv.theta_2x ** (2 * x)
-            assert lhs <= rhs * (1 + 1e-9)
 
 
 # -- assumptions --------------------------------------------------------------------
@@ -268,7 +217,8 @@ def test_certified_capacity_error_reports_feasible_time(chain_model):
     with pytest.raises(CapacityError) as err:
         certified_expectation(chain_model, occ, DENSITY, 1.0, a,
                               radius=4, per_site_cap=4, state_budget=50)
-    assert "certifiable time" in str(err.value)
+    assert str(err.value) == ("basis would hold 19855 states, budget is 50 (largest "
+                              "certifiable time under this budget ~ 3.577e-06)")
 
 
 def test_certified_formula_radius_clips_to_finite_chain(chain_model):

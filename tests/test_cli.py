@@ -374,6 +374,32 @@ def test_bad_override_is_config_error(config_file, capsys, command, override):
     assert f"config error: {override.partition('=')[0]}" in capsys.readouterr().err
 
 
+SCAN_CONSTANT_KEYS = ("ensemble.mu, ensemble.per_site_cap, model.graph, model.range, "
+                      "experiment.probe")
+
+
+@pytest.mark.parametrize("command,overrides,keys", [
+    ("scan", ["ensemble.mu=1500"], SCAN_CONSTANT_KEYS),
+    ("scan", ["ensemble.mu=1e300"], SCAN_CONSTANT_KEYS),
+    ("scan", ["experiment.probe={eta: {0: 400}}"], SCAN_CONSTANT_KEYS),
+    ("scan", ["experiment.probe={eta: {0: 400}}", "experiment.cone_fractions=null"],
+     SCAN_CONSTANT_KEYS),
+    ("certify", ["experiment.assumption={mu: 1, theta: 1e300, K0: 1}"],
+     "experiment.time, experiment.state, experiment.assumption, experiment.window_radius, "
+     "model.range, constants.epsilon"),
+    ("bounds", ["model.graph.length=500", "model.range=400"],
+     "ensemble.mu, model.graph, model.range, experiment.beta"),
+], ids=["scan_mu_1500", "scan_mu_1e300", "scan_probe_power", "scan_probe_power_grid",
+        "certify_theta", "bounds_range"])
+def test_overflowing_constants_are_config_error(config_file, capsys, command, overrides, keys):
+    # the bound constants overflow a float: exit 2 naming every key they are made from
+    argv = [command, str(config_file())]
+    for override in overrides:
+        argv += ["--set", override]
+    assert main(argv) == 2
+    assert f"config error: {keys}: constants overflow a float: " in capsys.readouterr().err
+
+
 def test_json_written_config_runs(config_file, tmp_path):
     # JSON is YAML, but YAML 1.1 reads 1e-06 as a string: number keys accept it
     path = config_file(kind="cluster", **{

@@ -8,17 +8,15 @@ from scipy.linalg import expm
 from scipy.special import jv
 
 from bosonlc import dynamics
-from bosonlc.dynamics import (HeisenbergScanEngine, connected_correlation, evolve_operator,
-                              evolve_state, ground_state, lightcone_scan, otoc,
-                              single_particle_propagator)
+from bosonlc.dynamics import (HeisenbergScanEngine, connected_correlation, evolve_state,
+                              ground_state, lightcone_scan, single_particle_propagator)
 from bosonlc.fock import (FockBasis, Interaction, ModelSpec, PiecewiseConstant, bose_hubbard,
-                          build_hamiltonian, random_model_spec, total_number_op)
+                          build_hamiltonian, total_number_op)
 from bosonlc.lattice import build_path
 from bosonlc.opspace import (BlockOp, MonomialOp, MuWeights, OperatorMatrix,
-                             _site_average, commutator_weighted_norm,
-                             f_beta_expectation, sector_entries, weighted_inner,
+                             commutator_weighted_norm, f_beta_expectation, sector_entries,
                              weighted_norm_sq)
-from conftest import random_operator
+from conftest import dense_f_beta, random_operator
 
 
 # -- state evolution ------------------------------------------------------------
@@ -213,14 +211,14 @@ def small_system():
 def test_heisenberg_total_number_invariant(small_system):
     model, basis = small_system
     n_op = OperatorMatrix(total_number_op(basis), basis)
-    n_t = evolve_operator(n_op, model, 0.9)
+    n_t = HeisenbergScanEngine(model, basis, n_op).evolved_operator(0.9)
     assert np.max(np.abs((n_t.mat - n_op.mat).toarray())) < 1e-10
 
 
 def test_heisenberg_zero_time(small_system):
     model, basis = small_system
     b0 = MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis)
-    bt = evolve_operator(b0, model, 0.0)
+    bt = HeisenbergScanEngine(model, basis, b0).evolved_operator(0.0)
     assert np.max(np.abs((bt.mat - b0.mat).toarray())) < 1e-14
 
 
@@ -240,15 +238,15 @@ def test_time_reversal(small_system):
     model, basis = small_system
     w = MuWeights(1.0, basis)
     b0 = MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis)
-    bt = evolve_operator(b0, model, 1.3)
-    back = evolve_operator(bt, model, -1.3)
-    assert weighted_norm_sq(back - b0, w) < 1e-16
+    bt = HeisenbergScanEngine(model, basis, b0).evolved_operator(1.3)
+    back = HeisenbergScanEngine(model, basis, bt).evolved_operator(-1.3)
+    assert weighted_norm_sq(OperatorMatrix(back.mat - b0.mat, basis), w) < 1e-16
 
 
-def test_evolve_operator_wrapper(small_system):
+def test_engine_evolves_an_operator_matrix(small_system):
     model, basis = small_system
     b0 = MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis)
-    bt = evolve_operator(b0, model, 0.4)
+    bt = HeisenbergScanEngine(model, basis, b0).evolved_operator(0.4)
     direct = _dense_heisenberg(model, basis, b0, 0.4)
     assert np.max(np.abs(bt.mat.toarray() - direct)) < 1e-13
 
@@ -303,7 +301,7 @@ def test_commutator_oracle_free_model():
     g = single_particle_propagator(model, t)
     for x in (2, 4):
         bx = MonomialOp.from_dicts(zeta={x: 1}).to_matrix(basis)
-        bxt = evolve_operator(bx, model, t)
+        bxt = HeisenbergScanEngine(model, basis, bx).evolved_operator(t)
         bdag0 = MonomialOp.from_dicts(eta={0: 1}).to_matrix(basis)
         comm = (bxt.mat @ bdag0.mat - bdag0.mat @ bxt.mat).toarray()
         # on states with total < total_cap the commutator is exactly G_x0 * I
@@ -322,7 +320,7 @@ def test_scan_engine_matches_dense_expm():
     t = 0.4
     a_t = engine.evolved_operator(t)
     a_t2 = OperatorMatrix(_dense_heisenberg(model, basis, op.to_matrix(basis), t), basis)
-    assert weighted_norm_sq(a_t - a_t2, w) < 1e-18
+    assert weighted_norm_sq(OperatorMatrix(a_t.mat - a_t2.mat, basis), w) < 1e-18
     probe = MonomialOp.from_dicts(eta={3: 1}).to_matrix(basis)
     direct = commutator_weighted_norm(a_t2, OperatorMatrix(probe.mat, basis), w)
     fast = _dense_cell(engine, basis, w, 3, t)
@@ -600,30 +598,6 @@ def test_probe_maps_are_row_major_sector_slices(kind, spec):
         assert np.unique(rows).size == rows.size and np.unique(cols).size == cols.size
 
 
-def _sparse_f_beta(a, site, beta, w, projected):
-    """The entry-list form of the growth functional (reference)."""
-    basis = a.basis
-    coo = a.mat.tocoo()
-    rows, cols, vals = coo.row, coo.col, coo.data
-    occ_r = basis.states[rows, site].astype(np.float64)
-    occ_c = basis.states[cols, site].astype(np.float64)
-    weight = (np.maximum(occ_r, occ_c) + beta) ** beta
-    raw = float(np.sum(np.abs(vals) ** 2 * w.sqrt_w[rows] * w.sqrt_w[cols] * weight))
-    if not projected:
-        return raw
-    urow, ucol, t_vals, (srows, scols, svals, sks, inv) = _site_average(a, site, w)
-    if urow.size == 0:
-        return raw
-    sww_sel = w.sqrt_w[srows] * w.sqrt_w[scols]
-    f_sel = (sks.astype(np.float64) + beta) ** beta
-    cross = np.sum(np.conj(svals) * t_vals[inv] * sww_sel * f_sel)
-    js = np.arange(basis.per_site_cap + 1, dtype=np.float64)
-    s_f = float(np.sum((1.0 - w.q) * w.q ** js * (js + beta) ** beta))
-    strip_sww = w.sqrt_w[urow] * w.sqrt_w[ucol] / (1.0 - w.q)
-    avg_sq = float(np.sum(np.abs(t_vals) ** 2 * strip_sww) * s_f)
-    return max(raw - 2.0 * float(np.real(cross)) + avg_sq, 0.0)
-
-
 def test_blockwise_f_beta_matches_sparse_formula():
     model = bose_hubbard(build_path(5), 1.0, 1.0)
     basis = FockBasis(5, 3)
@@ -634,7 +608,7 @@ def test_blockwise_f_beta_matches_sparse_formula():
         for site in range(5):
             for projected in (False, True):
                 got = f_beta_expectation(a_t, site, 1, w, projected=projected)
-                want = _sparse_f_beta(a_t, site, 1, w, projected)
+                want = dense_f_beta(basis, w, a_t.mat.toarray(), site, 1, projected)
                 assert abs(got - want) <= 1e-13
 
 
@@ -857,53 +831,6 @@ def test_scan_result_violations_and_csv():
     meta = res.metadata
     assert meta["velocity"] == 880.0
     assert meta["size_R"] == 1 and meta["size_R_ell"] == 1
-
-
-# -- otoc -------------------------------------------------------------------------
-
-def test_otoc_disjoint_zero():
-    model = bose_hubbard(build_path(4), 1.0, 1.0)
-    basis = FockBasis(4, 2)
-    a = MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis)
-    b = MonomialOp.from_dicts(eta={3: 1}).to_matrix(basis)
-    res = otoc(model, a, b, 1.0, 0.0)
-    assert res.squared_norm == 0.0
-    assert res.thermal_commutator == 0.0
-
-
-def test_otoc_cauchy_schwarz():
-    model = bose_hubbard(build_path(4), 1.0, 1.0)
-    basis = FockBasis(4, 2)
-    w = MuWeights(1.0, basis)
-    a = MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis)
-    b = MonomialOp.from_dicts(eta={2: 1}).to_matrix(basis)
-    ident = OperatorMatrix.identity(basis)
-    ii = weighted_inner(ident, ident, w).real
-    for t in (0.1, 0.4, 0.8):
-        res = otoc(model, a, b, 1.0, t)
-        assert abs(res.thermal_commutator) <= math.sqrt(ii * res.squared_norm) + 1e-12
-
-
-@pytest.mark.parametrize("a_spec,b_spec", [
-    ({"eta": {0: 1}, "zeta": {0: 1}}, {"eta": {1: 1}, "zeta": {2: 1}}),
-    ({"zeta": {0: 1}}, {"eta": {3: 1}, "zeta": {1: 1}}),
-])
-def test_otoc_thermal_commutator_is_the_weighted_trace(a_spec, b_spec):
-    # tr(rho C) = sum_n w_n C_nn with C = [A(t), B]; the sum of every stored
-    # entry times its column weight, which off-diagonal entries enter, differs
-    model = bose_hubbard(build_path(4), 1.0, 1.0)
-    basis = FockBasis(4, 2)
-    w = MuWeights(1.0, basis)
-    a = MonomialOp.from_dicts(**a_spec).to_matrix(basis)
-    b = MonomialOp.from_dicts(**b_spec).to_matrix(basis)
-    t = 0.7
-    comm = _dense_heisenberg(model, basis, a, t) @ b.mat.toarray()
-    comm -= b.mat.toarray() @ _dense_heisenberg(model, basis, a, t)
-    want = np.trace(np.diag(w.w) @ comm)
-    every_entry = np.sum(comm * w.w[None, :])
-    assert abs(every_entry - want) > 1e-3
-    got = otoc(model, a, b, 1.0, t).thermal_commutator
-    assert abs(got - want) <= 1e-14
 
 
 # -- ground states -------------------------------------------------------------------

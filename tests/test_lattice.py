@@ -4,7 +4,7 @@ import pytest
 
 from bosonlc.lattice import (Graph, GraphError, build_cubic, build_path,
                              build_regular_tree, count_covering_edges, distance,
-                             fatten, hop_ball)
+                             fatten)
 from conftest import bfs_distances
 
 
@@ -114,41 +114,6 @@ def test_metric_axioms_random_graphs(rng):
             assert duv == distance(g, v, u)
             assert (duv == 0) == (u == v)
             assert duv <= distance(g, u, w) + distance(g, w, v)
-
-
-def test_hop_ball_zero_radius():
-    g = build_path(7)
-    assert hop_ball(g, (3, 4), 0) == {3, 4}
-
-
-def test_hop_ball_path():
-    g = build_path(7)
-    assert hop_ball(g, (3, 4), 1) == {2, 3, 4, 5}
-
-
-def test_hop_ball_tree_size():
-    g = build_regular_tree(3, 3)
-    k = 3
-    for e in g.edges[:10]:
-        assert len(hop_ball(g, e, 1)) <= 2 + 2 * (k - 1) + 2  # both endpoints' neighbors
-
-
-def test_hop_ball_rejects_non_edge():
-    g = build_path(5)
-    with pytest.raises(GraphError):
-        hop_ball(g, (0, 2), 1)
-
-
-def test_hop_ball_matches_bruteforce_bfs_filter():
-    for g in (build_path(20), build_cubic([5, 5]), build_regular_tree(3, 4)):
-        adj = {v: list(g.adjacency[v]) for v in g.vertices()}
-        for e in g.edges:
-            du = bfs_distances(adj, e[0])
-            dv = bfs_distances(adj, e[1])
-            for radius in (0, 1, 2):
-                expected = {y for y in g.vertices()
-                            if min(du.get(y, math.inf), dv.get(y, math.inf)) <= radius}
-                assert hop_ball(g, e, radius) == expected
 
 
 def test_covering_count_edge_cases():

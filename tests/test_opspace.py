@@ -15,10 +15,9 @@ from bosonlc.opspace import (BlockOp, MonomialOp, MuWeights, OperatorMatrix,
                              apply_liouvillian, check_thermal_relation,
                              commutator_weighted_norm,
                              f_beta_expectation, identity_f_beta,
-                             monomial_commutator_bound, project_nonidentity,
-                             project_strictly_inside, site_monomial_norm_sq,
+                             monomial_commutator_bound, site_monomial_norm_sq,
                              thermal_expectation, weighted_inner, weighted_norm_sq)
-from conftest import (geometric_series_inner_bb, random_operator, series_b_f,
+from conftest import (dense_f_beta, geometric_series_inner_bb, random_operator, series_b_f,
                       series_identity_f)
 
 
@@ -212,89 +211,6 @@ def test_thermal_relation_multisite(rng):
     assert check_thermal_relation(a, b, k=2, k_prime=0, w=w) <= w.tail_estimate() + 1e-12
 
 
-# -- projectors ---------------------------------------------------------------
-
-def test_project_identity_to_zero():
-    basis = FockBasis(2, 8)
-    w = MuWeights(1.0, basis)
-    ident = OperatorMatrix.identity(basis)
-    proj = project_nonidentity(ident, [0, 1], w)
-    assert weighted_norm_sq(proj, w) <= 1e-24
-
-
-def test_project_traceless_unchanged():
-    basis, w = single_site(cap=20)
-    b = MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis)
-    proj = project_nonidentity(b, [0], w)
-    assert abs(proj.mat - b.mat).sum() == 0
-
-
-def test_projector_idempotent_self_adjoint(rng):
-    basis = FockBasis(2, 6)
-    w = MuWeights(0.9, basis)
-    for _ in range(10):
-        a = random_operator(rng, basis)
-        b = random_operator(rng, basis)
-        pa = project_nonidentity(a, [0, 1], w)
-        ppa = project_nonidentity(pa, [0, 1], w)
-        assert weighted_norm_sq(pa - ppa, w) <= 1e-12
-        lhs = weighted_inner(pa, b, w)
-        rhs = weighted_inner(a, project_nonidentity(b, [0, 1], w), w)
-        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
-
-
-def test_projection_coefficient_bound(rng):
-    # |(nn|(1-P)|O)| <= (nn|I) for normalized O, with the capped unit identity
-    cap, mu = 30, 0.7
-    basis = FockBasis(1, cap)
-    w = MuWeights(mu, basis)
-    q = w.q
-    ident_coeff = np.sqrt((1 - q) / w.site_partition) * np.exp(-mu * np.arange(cap + 1) / 2)
-    for _ in range(50):
-        a = random_operator(rng, basis)
-        norm = math.sqrt(weighted_norm_sq(a, w))
-        a = OperatorMatrix(a.mat / norm, basis)
-        rest = a.mat - project_nonidentity(a, [0], w).mat  # (1 - P) A
-        for n in range(0, cap + 1, 7):
-            # orthonormal-basis coefficient of |nn): entry * sqrt weight
-            coeff = abs(rest[n, n]) * w.sqrt_w[n]
-            assert coeff <= ident_coeff[n] * (1 + 1e-10)
-
-
-def test_strict_interior_resolution_of_identity(rng):
-    basis = FockBasis(3, 3)
-    w = MuWeights(1.0, basis)
-    from bosonlc.opspace import _one_minus_p_site
-    for _ in range(5):
-        a = random_operator(rng, basis)
-        total = None
-        for x in range(2):
-            qx = project_strictly_inside(a, x, w)
-            total = qx if total is None else total + qx
-        rest = a
-        for site in range(3):
-            rest = _one_minus_p_site(rest, site, w)
-        recon = total + rest
-        assert weighted_norm_sq(recon - a, w) <= 1e-18 * weighted_norm_sq(a, w)
-
-
-def test_strict_interior_center_only():
-    basis = FockBasis(3, 4)
-    w = MuWeights(1.0, basis)
-    b_center = MonomialOp.from_dicts(zeta={1: 1}).to_matrix(basis)
-    q0 = project_strictly_inside(b_center, 0, w)
-    assert weighted_norm_sq(q0 - b_center, w) <= 1e-20
-    ident = OperatorMatrix.identity(basis)
-    assert weighted_norm_sq(project_strictly_inside(ident, 1, w), w) == 0
-
-
-def test_strict_interior_rejects_even_chain():
-    basis = FockBasis(4, 2)
-    w = MuWeights(1.0, basis)
-    with pytest.raises(ValueError):
-        project_strictly_inside(OperatorMatrix.identity(basis), 0, w)
-
-
 # -- growth functionals --------------------------------------------------------
 
 def test_identity_f_beta_series():
@@ -326,32 +242,6 @@ def test_b_f_beta_series_oracle():
     assert f_beta_expectation(b, 0, 1, w, projected=True) == pytest.approx(val, rel=1e-12)
 
 
-def dense_oracle(basis, w, mat, site, beta, projected=True):
-    """(A|F_site^beta|A) from a dense matrix, entry by entry."""
-    cap, q = basis.per_site_cap, w.q
-    z = 1 - q ** (cap + 1)
-    states = basis.states
-    dim = basis.dim
-    avg = np.zeros_like(mat)
-    for m in range(dim):
-        for n in range(dim):
-            if not projected or states[m, site] != states[n, site]:
-                continue
-            acc = 0.0 + 0.0j
-            for k in range(cap + 1):
-                mm = list(states[m]); mm[site] = k
-                nn = list(states[n]); nn[site] = k
-                acc += (1 - q) * q ** k * mat[basis.index(mm), basis.index(nn)]
-            avg[m, n] = acc / z
-    pa = mat - avg
-    total = 0.0
-    for m in range(dim):
-        for n in range(dim):
-            fmax = (max(states[m, site], states[n, site]) + beta) ** beta
-            total += abs(pa[m, n]) ** 2 * w.sqrt_w[m] * w.sqrt_w[n] * fmax
-    return total
-
-
 def test_f_beta_projected_dense_oracle(rng):
     """Block-wise projected functional vs a from-scratch dense computation."""
     basis = FockBasis(2, 4)
@@ -362,7 +252,7 @@ def test_f_beta_projected_dense_oracle(rng):
             for beta in (1, 2):
                 fast = f_beta_expectation(OperatorMatrix(mat, basis), site, beta, w,
                                           projected=True)
-                assert fast == pytest.approx(dense_oracle(basis, w, mat, site, beta),
+                assert fast == pytest.approx(dense_f_beta(basis, w, mat, site, beta),
                                              rel=1e-10)
 
 
@@ -382,7 +272,7 @@ def test_f_beta_blockwise_raw_and_conserving_dense_oracle(rng):
             assert all(nr == nc for nr, nc in blocks.blocks)
         for site in (0, 2):
             for projected in (False, True):
-                want = dense_oracle(basis, w, mat, site, 2, projected=projected)
+                want = dense_f_beta(basis, w, mat, site, 2, projected=projected)
                 for op in (a, blocks):
                     got = f_beta_expectation(op, site, 2, w, projected=projected)
                     assert got == pytest.approx(want, rel=1e-10)
@@ -398,10 +288,8 @@ def test_block_op_real_blocks_and_assembly(rng):
     assert blocks.mat is blocks.mat  # assembled once, then cached
     assert abs(blocks.mat - b.mat).max() == 0
     assert weighted_norm_sq(blocks, w) == pytest.approx(weighted_norm_sq(b, w), rel=1e-14)
-    assert abs(project_nonidentity(blocks, [1], w).mat
-               - project_nonidentity(b, [1], w).mat).max() == 0
     a = random_operator(rng, basis)
-    assert weighted_norm_sq(BlockOp.from_matrix(a) - a, w) == 0
+    assert weighted_norm_sq(OperatorMatrix(BlockOp.from_matrix(a).mat - a.mat, basis), w) == 0
     assert weighted_norm_sq(BlockOp.from_matrix(a), w) == pytest.approx(
         weighted_norm_sq(a, w), rel=1e-13)
 
@@ -462,9 +350,8 @@ def test_f_beta_projected_leq_plus_identity_part(rng):
         for site in (0, 1):
             val = f_beta_expectation(a, site, 2, w, projected=True)
             assert val >= 0
-            # agrees with the direct evaluation through the projector
-            pa = project_nonidentity(a, [site], w)
-            direct = f_beta_expectation(pa, site, 2, w, projected=False)
+            # agrees with the dense evaluation
+            direct = dense_f_beta(basis, w, a.mat.toarray(), site, 2)
             assert val == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
 
@@ -494,8 +381,8 @@ def test_commutator_triangle_oracle(rng):
         a = random_operator(rng, basis)
         b = random_operator(rng, basis)
         comm = commutator_weighted_norm(a, b, w)
-        ab = weighted_norm_sq(a @ b, w)
-        ba = weighted_norm_sq(b @ a, w)
+        ab = weighted_norm_sq(OperatorMatrix(a.mat @ b.mat, basis), w)
+        ba = weighted_norm_sq(OperatorMatrix(b.mat @ a.mat, basis), w)
         assert comm <= 2 * ab + 2 * ba + 1e-9 * (ab + ba)
 
 

@@ -12,9 +12,9 @@ Light-cone scan cells come from the nested-commutator series of
 Heisenberg engine evolves A for the large times.  One Gram kernel,
 ``_add_commutator_grams``, computes every cell, a dense cell being the series
 of one order.  Both routes apply ad_H by one step, ``_ad``, to H's sector
-blocks and their transposes, built once per schedule piece by
-``_split_hamiltonian``.  No step allocates: products go into buffers each
-expansion owns, by scipy's own routine for ``h @ x``.
+blocks, built once per schedule piece by ``_split_hamiltonian``, and their
+transposes, CSC views of the same arrays.  No step allocates: products go
+into buffers each expansion owns, by scipy's own routine for ``h @ x``.
 
 Evolved operators are :class:`~bosonlc.opspace.BlockOp` values: one dense
 block per sector pair, never a global sparse matrix unless a caller reads
@@ -62,10 +62,11 @@ def _segments(model: ModelSpec, t0: float, t1: float):
     yield from spans
 
 
-def _with_data(m: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
-    """A CSR matrix with m's sparsity pattern and new values: the index
+def _with_data(m: sp.csr_matrix | sp.csc_matrix,
+               data: np.ndarray) -> sp.csr_matrix | sp.csc_matrix:
+    """A matrix of m's format and sparsity pattern with new values: the index
     arrays are shared, not copied (on the certify sector they are 7 MB)."""
-    return sp.csr_matrix((data, m.indices, m.indptr), shape=m.shape)
+    return type(m)((data, m.indices, m.indptr), shape=m.shape)
 
 
 def _gershgorin(h: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -94,32 +95,35 @@ def _chebyshev_terms(x: float, tol: float) -> tuple[int, float]:
 def _split_hamiltonian(h: sp.csr_matrix, basis: FockBasis):
     """H's diagonal sector blocks {n: csr block}, one for every sector (empty
     ones too), the Gershgorin ends lo[n], hi[n] of every nonempty sector, and
-    the transposed blocks."""
+    the transposed blocks: CSC views that share each block's arrays."""
     blocks = {n: h[ix][:, ix] for n, ix in enumerate(basis.sectors)}
     lower, upper = _gershgorin(h)
     lo = {n: float(np.min(lower[ix])) for n, ix in enumerate(basis.sectors) if ix.size}
     hi = {n: float(np.max(upper[ix])) for n, ix in enumerate(basis.sectors) if ix.size}
-    return blocks, lo, hi, {n: blk.T.tocsr() for n, blk in blocks.items()}
+    return blocks, lo, hi, {n: blk.T for n, blk in blocks.items()}
 
 
-def _matmul_into(h: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """h @ x into a C-contiguous ``out``, by the routine scipy's ``h @ x`` runs."""
+def _matmul_into(h: sp.csr_matrix | sp.csc_matrix, x: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """h @ x into a C-contiguous ``out``, by the routine scipy's ``h @ x`` runs
+    for h's format (CSR or CSC)."""
     if not out.flags.c_contiguous:      # out.ravel() would be a copy, the product lost
         raise ValueError("output buffer must be C-contiguous")
     out.fill(0)     # scipy's result starts zeroed too
     vecs = () if x.ndim == 1 or x.shape[1] == 1 else (x.shape[1],)
-    (_sparsetools.csr_matvecs if vecs else _sparsetools.csr_matvec)(
+    getattr(_sparsetools, f"{h.format}_matvec" + ("s" if vecs else ""))(
         *h.shape, *vecs, h.indptr, h.indices, h.data, x.ravel(), out.ravel())
     return out
 
 
-def _ad(h_row: sp.csr_matrix, h_col_t: sp.csr_matrix, m: np.ndarray, out: np.ndarray,
+def _ad(h_row: sp.csr_matrix, h_col_t: sp.csc_matrix, m: np.ndarray, out: np.ndarray,
         mt: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """ad_H(M) = H_row M - M H_col on one sector pair, written into ``out``.
 
-    ``h_col_t`` is the transpose of the column sector's block of H, so
-    M H = (H^T M^T)^T runs as a sparse-times-dense product.  M^T and H^T M^T
-    go to the caller's buffers ``mt`` and ``tmp``, so a step allocates nothing.
+    ``h_col_t`` is the transpose of the column sector's block of H (a CSC
+    view of the block's arrays, or CSR), so M H = (H^T M^T)^T runs as a
+    sparse-times-dense product.  M^T and H^T M^T go to the caller's buffers
+    ``mt`` and ``tmp``, so a step allocates nothing.
     """
     np.copyto(mt, m.T)
     return np.subtract(_matmul_into(h_row, m, out), _matmul_into(h_col_t, mt, tmp).T, out=out)
@@ -127,7 +131,7 @@ def _ad(h_row: sp.csr_matrix, h_col_t: sp.csr_matrix, m: np.ndarray, out: np.nda
 
 def _chebyshev_expv(h: sp.csr_matrix, v: np.ndarray, t: float, tol: float = 1e-14,
                     interval: tuple[float, float] | None = None,
-                    h_col_t: sp.csr_matrix | None = None) -> tuple[np.ndarray, int, float]:
+                    h_col_t: sp.csc_matrix | None = None) -> tuple[np.ndarray, int, float]:
     """e^{-iLt} v: (result, terms summed, error bound).
 
     L is the Hermitian CSR matrix H, or with ``h_col_t`` the map ad_H of ``_ad``
@@ -288,7 +292,7 @@ SERIES_MAX_ORDER = 14
 _CHUNK_BYTES = 512 << 10
 
 
-def _nested_commutators(h_row: sp.csr_matrix, h_col_t: sp.csr_matrix, block: np.ndarray,
+def _nested_commutators(h_row: sp.csr_matrix, h_col_t: sp.csc_matrix, block: np.ndarray,
                         lowest: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """M_k = ad_H^k(A) on one sector pair for k = lowest..order, and every
     ||M_k||_F^2 for k = 0..order.

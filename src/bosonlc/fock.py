@@ -6,8 +6,9 @@ Conventions fixed here and used everywhere else:
 * truncation: raising transitions that would exceed the per-site cap or the
   total cap are dropped (projector-truncated Hamiltonian P H P), which keeps
   every assembled operator exactly Hermitian and number conserving;
-* basis order: occupation vectors are enumerated lexicographically, with
-  site 0 the most significant digit.
+* basis order: occupation vectors are ranked lexicographically, with site 0
+  the most significant digit; one table of completion counts
+  (``FockBasis._ranks``) gives both a vector's row and, unranked, the rows.
 """
 
 from __future__ import annotations
@@ -69,14 +70,16 @@ def count_states(num_sites: int, per_site_cap: int, total_cap: int | None,
 
 
 class FockBasis:
-    """Exhaustive, duplicate-free enumeration of capped occupation vectors.
+    """Exhaustive, duplicate-free basis of capped occupation vectors.
 
     ``states`` is a read-only (dim, num_sites) uint8 array in lexicographic
     order; ``index`` maps an occupation vector back to its row.  The row is
     the vector's lexicographic rank, computed rather than searched: each
     site adds, for every smaller digit it could have held, the number of
     completions of the later sites that the caps allow (``_rank_table``,
-    from ``counts_by_total``).  With ``number`` the basis holds only the
+    from ``counts_by_total``).  The same table is the only encoding of the
+    basis: ``states`` holds rows 0..dim-1 unranked from it, and ``totals``
+    the bosons that pass placed.  With ``number`` the basis holds only the
     vectors with exactly that many bosons: the N-sector rows of the capped
     basis, in the same order.  Every Hamiltonian of the model class
     conserves N, so a number eigenstate evolves inside that sector.
@@ -104,38 +107,26 @@ class FockBasis:
         self.per_site_cap = per_site_cap
         self.total_cap = total_cap
         self.number = number
-        self.states = self._enumerate(num_sites, per_site_cap, total_cap, number)
-        self.states.setflags(write=False)
-        self.dim = self.states.shape[0]
-        assert self.dim == size
-        self.totals = self.states.sum(axis=1, dtype=np.int64)
+        self.dim = size
         # bosons a vector holds in all: exactly N, or at most the total cap
         limit = number if number is not None else total_cap
         self._budget = num_sites * per_site_cap if limit is None else min(
             limit, num_sites * per_site_cap)
         self._rank_table = self._ranks(num_sites, per_site_cap, self._budget,
-                                       exact=number is not None, clip=self.dim)
-
-    @staticmethod
-    def _enumerate(num_sites: int, cap: int, total_cap: int | None,
-                   number: int | None) -> np.ndarray:
-        digits = np.arange(cap + 1, dtype=np.uint8)
-        rows = np.zeros((1, 0), dtype=np.uint8)
-        sums = np.zeros(1, dtype=np.int64)
-        for placed in range(1, num_sites + 1):
-            rep = np.repeat(rows, cap + 1, axis=0)
-            col = np.tile(digits, rows.shape[0])[:, None]
-            rows = np.concatenate([rep, col], axis=1)
-            sums = np.repeat(sums, cap + 1) + col.ravel()
-            keep = np.ones(sums.size, dtype=bool)
-            if total_cap is not None:
-                keep &= sums <= total_cap
-            if number is not None:
-                # drop prefixes already above N or unable to reach it
-                keep &= (sums <= number) & (sums + (num_sites - placed) * cap >= number)
-            rows = rows[keep]
-            sums = sums[keep]
-        return np.ascontiguousarray(rows)
+                                       exact=number is not None, clip=size)
+        # unrank rows 0..dim-1: at each site the digit is the largest whose
+        # table entry does not pass the rank still left (entries grow with it)
+        width = per_site_cap + 1
+        digits = np.zeros((num_sites, size), dtype=np.uint8)
+        self.totals = np.zeros(size, dtype=np.int64)      # bosons placed so far
+        left = np.arange(size, dtype=np.int64)
+        for digit, table in zip(digits, self._rank_table):
+            for n in range(1, width):
+                digit += np.take(table[:, n], self.totals) <= left
+            left -= np.take(table.ravel(), self.totals * width + digit)
+            self.totals += digit
+        self.states = np.ascontiguousarray(digits.T)
+        self.states.setflags(write=False)
 
     @staticmethod
     def _ranks(num_sites: int, cap: int, budget: int, exact: bool, clip: int) -> np.ndarray:
@@ -204,12 +195,6 @@ class FockBasis:
             out += table[(placed + shift * (i > lo)) * width + n + (i == dst) - (i == src)]
             placed += n
         return out
-
-    def shifted_rows(self, rows: np.ndarray, site: int, to: np.ndarray | int) -> np.ndarray:
-        """Indices of the given states with site occupancy replaced by ``to``."""
-        occ = self.states[rows].copy()
-        occ[:, site] = to
-        return self.lookup_rows(occ)
 
     @cached_property
     def sectors(self) -> list[np.ndarray]:
@@ -400,16 +385,19 @@ def ladder_op(basis: FockBasis, site: int, kind: str) -> sp.csr_matrix:
             shape=(basis.dim, basis.dim))
     if kind == "annihilate":
         cols = np.where(occ >= 1)[0]
-        rows = basis.shifted_rows(cols, site, basis.states[cols, site] - 1)
+        step = -1
         amp = np.sqrt(occ[cols].astype(np.float64))
     elif kind == "create":
         cols = np.where(occ < basis.per_site_cap)[0]
+        step = 1
         if basis.total_cap is not None:
             cols = cols[basis.totals[cols] < basis.total_cap]
-        rows = basis.shifted_rows(cols, site, basis.states[cols, site] + 1)
         amp = np.sqrt(occ[cols].astype(np.float64) + 1.0)
     else:
         raise ValueError(f"unknown ladder kind {kind!r}")
+    shifted = basis.states[cols].astype(np.int64)
+    shifted[:, site] += step
+    rows = basis.lookup_rows(shifted)
     good = rows >= 0
     return sp.csr_matrix(
         (amp[good], (rows[good], cols[good])),

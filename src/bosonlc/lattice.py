@@ -53,10 +53,6 @@ class Graph:
     def vertices(self) -> range:
         return range(self.num_vertices)
 
-    def degree(self, v: int) -> int:
-        self._check(v)
-        return len(self.adjacency[v])
-
     @property
     def max_degree(self) -> int:
         """K, the maximum vertex degree."""

@@ -49,11 +49,6 @@ class MuWeights:
         # per-site partition of a capped site; 1 - q^(cap+1)
         self.site_partition = 1.0 - self.q ** (basis.per_site_cap + 1)
 
-    @property
-    def nbar(self) -> float:
-        """Mean occupancy of an uncapped site, 1/(e^mu - 1)."""
-        return self.q / (1.0 - self.q)
-
     def total_weight(self) -> float:
         """Sum of state weights; 1 minus the truncation tail."""
         return float(self.w.sum())

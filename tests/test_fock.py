@@ -89,11 +89,21 @@ def test_fixed_number_index_misses_raise_key_error():
        number=st.one_of(st.none(), st.integers(0, 12)), data=st.data())
 def test_lookup_rows_is_the_basis_rank(sites, cap, total, number, data):
     basis = FockBasis(sites, cap, total, number=number)
+    # the rows, independent of the rank table: the capped grid, filtered
+    grid = np.array(list(itertools.product(range(cap + 1), repeat=sites)))
+    sums = grid.sum(axis=1)
+    keep = np.ones(sums.size, dtype=bool)
+    if total is not None:
+        keep &= sums <= total
+    if number is not None:
+        keep &= sums == number
+    oracle = grid[keep].astype(np.uint8)
+    assert basis.states.shape == oracle.shape and basis.states.tobytes() == oracle.tobytes()
+    assert np.array_equal(basis.totals, oracle.sum(axis=1))
     assert np.array_equal(basis.lookup_rows(basis.states), np.arange(basis.dim))
     # every vector of the uncapped-total grid, and some with entries out of
-    # 0..cap, against a dict of the enumerated rows
-    row_of = {s: i for i, s in enumerate(map(tuple, basis.states.tolist()))}
-    grid = np.array(list(itertools.product(range(cap + 1), repeat=sites)))
+    # 0..cap, against a dict of the oracle's rows
+    row_of = {s: i for i, s in enumerate(map(tuple, oracle.tolist()))}
     wild = np.array(data.draw(st.lists(st.lists(st.integers(-2, cap + 2), min_size=sites,
                                                 max_size=sites), min_size=1, max_size=20)))
     for vecs in (grid, wild):
@@ -297,6 +307,18 @@ def test_hamiltonian_is_bit_identical_to_coo_assembly(name, model, times, cap, t
         assert h.dtype == ref.dtype and h.has_sorted_indices
         for got, want in ((h.indptr, ref.indptr), (h.indices, ref.indices), (h.data, ref.data)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_basis_peak_memory():
+    # the certify sector, 11 sites, cap 3, N = 11: 154,518 states unranked
+    # in place, with no discarded candidate rows
+    tracemalloc.start()
+    try:
+        basis = FockBasis(11, 3, number=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * basis.states.nbytes
 
 
 def test_hamiltonian_assembly_peak_memory():

@@ -67,7 +67,7 @@ def test_tree_branching_two_is_path():
         assert g.num_vertices == 2 * depth + 1
         assert g.max_degree == 2
         # path: two leaves of degree 1
-        assert sum(1 for v in g.vertices() if g.degree(v) == 1) == 2
+        assert sum(1 for v in g.vertices() if len(g.adjacency[v]) == 1) == 2
 
 
 def test_tree_rejects_small_branching():

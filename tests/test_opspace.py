@@ -183,7 +183,7 @@ def test_thermal_relation_bb():
     b = MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis)
     # (b|b) = e^(mu/2) nbar with nbar the mean site occupancy
     assert weighted_inner(b, b, w).real == pytest.approx(
-        math.exp(w.mu / 2) * w.nbar, abs=1e-12)
+        math.exp(w.mu / 2) * w.q / (1 - w.q), abs=1e-12)
     assert check_thermal_relation(b, b, k=1, k_prime=0, w=w) <= 1e-12
 
 

@@ -32,18 +32,17 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh
 from scipy.sparse import _sparsetools
-from scipy.sparse.linalg import eigsh
 
 from . import bounds as bounds_mod
-from .fock import FockBasis, ModelSpec, build_hamiltonian
+from .fock import CapacityError, FockBasis, ModelSpec, build_hamiltonian
 from .lattice import Graph, fatten, set_distance
 from .opspace import (BlockOp, MonomialOp, MuWeights, OperatorMatrix, f_beta_expectation,
-                      sector_entries, weighted_norm_sq)
+                      scatter_block, sector_entries, weighted_norm_sq)
 
 
 class EvolutionError(RuntimeError):
@@ -82,7 +81,14 @@ def _chebyshev_terms(x: float, tol: float) -> tuple[int, float]:
 
     (x/2)^k / k! bounds |J_k(x)|.  For K >= x/2 - 1 the terms past K shrink by
     at least the ratio x / (2K + 4): their sum is at most the first / (1 - ratio).
+    As K starts there, an x with x/2 - 1 >= CHEBYSHEV_MAX_TERMS is refused
+    before any term is counted (CapacityError).
     """
+    if not x / 2.0 - 1.0 < CHEBYSHEV_MAX_TERMS:     # an infinite x too
+        raise CapacityError(x / 2.0 - 1.0, CHEBYSHEV_MAX_TERMS,
+                            hint=f"time times spectral half-width a|t| = {x:.3g}; "
+                                 "evolve to a shorter time",
+                            needs="a Chebyshev expansion would sum at least {:.3g} terms")
     order = max(1, math.floor(x / 2.0) - 1)
     while True:
         log_bound = (math.log(2.0 / (1.0 - x / (2.0 * order + 4.0)))
@@ -153,7 +159,7 @@ def _chebyshev_expv(h: sp.csr_matrix, v: np.ndarray, t: float, tol: float = 1e-1
         raise ValueError("ad_H needs the sector pair's interval")
     mats = [h] if h_col_t is None else [h, h_col_t]
     real = (not any(np.iscomplexobj(m.data) and np.any(m.data.imag) for m in mats)
-            and not np.any(np.imag(v)))
+            and not (np.iscomplexobj(v) and np.any(v.imag)))
     prev = np.array(np.real(v) if real else v, np.float64 if real else np.complex128, order="C")
     norm = float(np.linalg.norm(prev))
     if t == 0.0 or norm == 0.0:
@@ -223,6 +229,8 @@ def single_particle_propagator(model: ModelSpec, t: float) -> np.ndarray:
     schedule segments, with h the Hermitian hopping matrix; the unitary
     free-field oracle against which many-body results are checked.
     """
+    from scipy.linalg import eigh   # not at module top, as in ground_state
+
     n = model.graph.num_vertices
     g = np.eye(n, dtype=np.complex128)
     for a, b in _segments(model, 0.0, t):
@@ -247,15 +255,22 @@ class HeisenbergScanEngine:
     with its spectrum in [lo_row - hi_col, hi_row - lo_col] (Gershgorin ends
     per sector): each span takes one Chebyshev expansion, as a state does.
     H is built once per schedule piece, when a time first needs it.
-    ``initial`` is the operator at t = 0.
+
+    A ``BlockOp`` is kept as given.  A monomial or matrix is kept as its
+    stored entries by sector pair (``sector_entries``), and each dense block
+    is scattered only when its expansion starts, so at most one dense block
+    of the operator at t = 0 exists beside the evolved ones.
     """
 
     def __init__(self, model: ModelSpec, basis: FockBasis,
                  op: MonomialOp | OperatorMatrix | BlockOp):
         self.model = model
         self.basis = basis
-        self.initial = BlockOp.from_matrix(
-            op.to_matrix(basis) if isinstance(op, MonomialOp) else op)
+        if isinstance(op, BlockOp):
+            self._blocks, self._entries = op.blocks, {}
+        else:
+            mat = (op.to_matrix(basis) if isinstance(op, MonomialOp) else op).mat
+            self._blocks, self._entries = {}, sector_entries(mat, basis)
         self._breaks = model.breakpoints()
         self._h: dict[int, tuple] = {}    # schedule piece -> _split_hamiltonian
 
@@ -263,20 +278,27 @@ class HeisenbergScanEngine:
         """Sector blocks {(n_row, n_col): dense block} of O(t).
 
         With U(t) = U_k ... U_1 over the spans of ``_segments``, O(t) =
-        U_1^dag ... U_k^dag O U_k ... U_1: the last span acts first.
+        U_1^dag ... U_k^dag O U_k ... U_1: the last span acts first.  Each
+        block runs through every span before the next block is made.
         """
-        blocks = dict(self.initial.blocks)   # t = 0: exact zeros stay zero
+        spans = []
         for a, b in reversed(list(_segments(self.model, 0.0, t))):
             mid = (a + b) / 2.0
             piece = bisect_right(self._breaks, mid)   # the piece holding mid, as in .at(mid)
             if piece not in self._h:
                 self._h[piece] = _split_hamiltonian(
                     build_hamiltonian(self.model, self.basis, mid), self.basis)
-            h, lo, hi, h_t = self._h[piece]
-            for (n_row, n_col), block in blocks.items():
-                blocks[(n_row, n_col)] = _chebyshev_expv(
-                    h[n_row], block, a - b, interval=(lo[n_row] - hi[n_col], hi[n_row] - lo[n_col]),
+            spans.append((self._h[piece], a - b))
+        initial = chain(self._blocks.items(),
+                        ((pair, scatter_block(self.basis, pair, entries))
+                         for pair, entries in self._entries.items()))
+        blocks = {}
+        for (n_row, n_col), block in initial:   # t = 0: exact zeros stay zero
+            for (h, lo, hi, h_t), dt in spans:
+                block = _chebyshev_expv(
+                    h[n_row], block, dt, interval=(lo[n_row] - hi[n_col], hi[n_row] - lo[n_col]),
                     h_col_t=h_t[n_col])[0]
+            blocks[(n_row, n_col)] = block
         return blocks
 
     def evolved_operator(self, t: float) -> BlockOp:
@@ -289,24 +311,28 @@ class HeisenbergScanEngine:
 
 SERIES_RTOL = 1e-10
 SERIES_MAX_ORDER = 14
+CHEBYSHEV_MAX_TERMS = 100_000     # far above any expansion of a shipped config
 _CHUNK_BYTES = 512 << 10
 
 
-def _nested_commutators(h_row: sp.csr_matrix, h_col_t: sp.csc_matrix, block: np.ndarray,
+def _nested_commutators(h_row: sp.csr_matrix, h_col_t: sp.csc_matrix, scatter, dtype,
                         lowest: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """M_k = ad_H^k(A) on one sector pair for k = lowest..order, and every
     ||M_k||_F^2 for k = 0..order.
 
     ``h_col_t`` is the transpose of the column sector's block of H.  M_k
     goes into its slot, or below ``lowest`` into two spare buffers in turn.
+    ``scatter(out)`` writes A's block into ``out``: order 0's slot, or else
+    the last slot, which only the final step writes (for order >= 2; a
+    buffer of its own otherwise).  So A's block, read by step 0 alone,
+    takes no memory beside the sequence.
     """
-    seq = np.empty((order + 1 - lowest,) + block.shape, dtype=block.dtype)
+    shape = (h_row.shape[0], h_col_t.shape[1])
+    seq = np.empty((order + 1 - lowest,) + shape, dtype=dtype)
     norms_sq = np.empty(order + 1)
-    if lowest == 0:
-        seq[0] = block
-    below = [np.empty(block.shape, block.dtype) for _ in range(min(lowest - 1, 2))]
-    mt, tmp = np.empty((2,) + block.shape[::-1], block.dtype)
-    m = block
+    below = [np.empty(shape, dtype) for _ in range(min(lowest - 1, 2))]
+    mt, tmp = np.empty((2,) + shape[::-1], dtype)
+    m = scatter(seq[0] if lowest == 0 else seq[-1] if order > 1 else np.empty(shape, dtype))
     for k in range(order + 1):
         norms_sq[k] = np.vdot(m, m).real
         if k < order:
@@ -455,9 +481,11 @@ class CommutatorSeries:
         gram, k0 = self.grams[r], self.first[r]
         if t == 0.0:
             return float(gram[0, 0].real), 0.0, k0
+        x = abs(t) * self.spread
+        if x >= self.order + 2:     # no order converges; the powers of t might overflow
+            return None
         ks = np.arange(self.order + 1)
         coef = np.array([(1j * t) ** k / math.factorial(k) for k in ks])
-        x = abs(t) * self.spread
         for order in range(k0, self.order + 1):
             if x >= order + 2:
                 continue
@@ -474,28 +502,29 @@ class CommutatorSeries:
         return None
 
 
-def commutator_series(model: ModelSpec, basis: FockBasis, a0: BlockOp, maps: dict[int, dict],
+def commutator_series(model: ModelSpec, basis: FockBasis, a0: dict, maps: dict[int, dict],
                       first: dict[int, int], mu: float) -> CommutatorSeries:
-    """Stream the nested commutators of ``a0`` through every probe's Gram matrix.
+    """Stream the nested commutators of A through every probe's Gram matrix.
 
-    ``maps[r]`` is ``sector_entries`` of the probe B_r at separation r.  Orders
-    run up to SERIES_MAX_ORDER: enough for every in-cone cell of the 6- and
-    7-site cap-3 chains (the deepest, r = 6 at t = 0.01, needs 14).  A column
-    sector's M_k = ad_H^k(A) is made, from H's sparse sector blocks, when
-    ``_add_commutator_grams`` first needs it.
+    ``a0`` and ``maps[r]`` are ``sector_entries`` of A and of the probe B_r
+    at separation r.  Orders run up to SERIES_MAX_ORDER: enough for every
+    in-cone cell of the 6- and 7-site cap-3 chains (the deepest, r = 6 at
+    t = 0.01, needs 14).  A column sector's M_k = ad_H^k(A) is made, from H's
+    sparse sector blocks, when ``_add_commutator_grams`` first needs it; A's
+    dense block on that pair is scattered then, into a slot of the sequence.
     """
     order = SERIES_MAX_ORDER
     h = build_hamiltonian(model, basis)
     h_blocks, lo, hi, h_t = _split_hamiltonian(h, basis)
-    pairs = {n_col: (n_row, block) for (n_row, n_col), block in a0.blocks.items()}
-    if len(pairs) != len(a0.blocks):
+    pairs = {n_col: (n_row, entries) for (n_row, n_col), entries in a0.items()}
+    if len(pairs) != len(a0):
         raise ValueError("series route needs an operator of definite number change")
     if not pairs:   # A = 0 on this basis: every commutator vanishes
         return CommutatorSeries(order, {r: np.zeros((order + 1, order + 1)) for r in maps},
                                 first, np.zeros(order + 1), 0.0, 0.0)
     # B's number change, read off its sector pairs (any value if B = 0 here)
     gamma_b = next((n_row - n_col for m in maps.values() for n_row, n_col in m), 0)
-    dtype = np.result_type(h.dtype, *(b.dtype for b in a0.blocks.values()))
+    dtype = np.result_type(h.dtype, *(data.dtype for _, _, data in a0.values()))
     w = MuWeights(mu, basis)
 
     # spectral spread between the sectors A connects; Gershgorin per sector
@@ -510,13 +539,14 @@ def commutator_series(model: ModelSpec, basis: FockBasis, a0: BlockOp, maps: dic
     lowest = min(min(first.values()), order)
 
     def sequence(n_col: int) -> np.ndarray:
-        n_row, block = pairs[n_col]
+        n_row, entries = pairs[n_col]
         seq, norms_sq = _nested_commutators(
-            h_blocks[n_row], h_t[n_col], block.astype(dtype, copy=False), lowest, order)
+            h_blocks[n_row], h_t[n_col], partial(scatter_block, basis, (n_row, n_col), entries),
+            dtype, lowest, order)
         m_norms_sq[:] += w.pair_weight(n_row, n_col) * norms_sq
         return seq
 
-    n_row, n_col = next(iter(a0.blocks))
+    n_row, n_col = next(iter(a0))
     _add_commutator_grams(grams, {r: first[r] - lowest for r in maps},
                           {r: m for r, m in maps.items() if first[r] <= order},
                           pairs, sequence, n_row - n_col, gamma_b, w)
@@ -626,9 +656,11 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
     k = graph.max_degree
     ell = model.interaction_range
     velocity = bounds_mod.velocity_bound(mu, k, ell, beta)
-    a0 = BlockOp.from_matrix(op.to_matrix(basis))
-    seeds = {x: f_beta_expectation(a0, x, beta, w, projected=False) for x in support}
-    norm_sq = weighted_norm_sq(a0, w)
+    a0 = op.to_matrix(basis)
+    dense = BlockOp.from_matrix(a0)     # only for the seeds and the norm
+    seeds = {x: f_beta_expectation(dense, x, beta, w, projected=False) for x in support}
+    norm_sq = weighted_norm_sq(dense, w)
+    del dense
     r_ell = len(fatten(graph, support, ell))
     params = bounds_mod.BoundParams(
         mu=mu, K=k, ell=ell, beta=beta, gamma=gamma,
@@ -667,7 +699,8 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
 
     out_cells: dict[tuple[int, float], ScanCell] = {}
     orders, worst = [], 0.0
-    series = commutator_series(model, basis, a0, maps, first, mu) if maps else None
+    series = (commutator_series(model, basis, sector_entries(a0.mat, basis), maps, first, mu)
+              if maps else None)
     for r, t in sorted(set(cells)):
         got = series.cell(r, t)
         if got is None:
@@ -726,7 +759,13 @@ def ground_state(h: sp.spmatrix, degeneracy_threshold: float = 1e-6) -> GroundSt
     The ARPACK start vector is uniform, so when a symmetry of H fixes it (the
     reflection of a uniform chain), the excited states odd under that
     symmetry are missed and the gap is the gap to the lowest even state.
+    The solvers are imported here, on first use: at module top every
+    subcommand would load scipy.linalg and scipy.sparse.linalg, and only
+    ground states need them.
     """
+    from scipy.linalg import eigh
+    from scipy.sparse.linalg import eigsh
+
     dim = h.shape[0]
     if dim <= 600:
         evals, evecs = eigh(h.toarray())

@@ -28,12 +28,16 @@ DEFAULT_STATE_BUDGET = 5_000_000
 
 
 class CapacityError(MemoryError):
-    """Basis enumeration would exceed the configured state budget."""
+    """A basis would exceed the state budget, or an expansion its term budget.
 
-    def __init__(self, requested: int, budget: int, hint: str = ""):
+    ``needs`` words the request; it is formatted with ``requested``.
+    """
+
+    def __init__(self, requested: int, budget: int, hint: str = "",
+                 needs: str = "basis would hold {} states"):
         self.requested = requested
         self.budget = budget
-        msg = f"basis would hold {requested} states, budget is {budget}"
+        msg = f"{needs.format(requested)}, budget is {budget}"
         if hint:
             msg += f" ({hint})"
         super().__init__(msg)

@@ -111,6 +111,33 @@ def sector_entries(mat: sp.spmatrix, basis: FockBasis) -> dict[tuple[int, int], 
             for key, sel in zip(uniq, np.split(order, starts[1:]))}
 
 
+def scatter_block(basis: FockBasis, pair: tuple[int, int], entries: tuple,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The dense block of one sector pair from its ``sector_entries``, in a
+    new array or written over ``out`` (C-contiguous, of the block's shape).
+
+    Equal, bit for bit, to ``np.add.at`` of the entries into zeros of the
+    output's dtype: duplicates summed in stored order, and a stored zero still
+    makes its block.  The entries of a canonical matrix come in strictly
+    increasing row-major order, and then each is written once.
+    """
+    rows, cols, data = entries
+    shape = (basis.sectors[pair[0]].size, basis.sectors[pair[1]].size)
+    if out is None:
+        block = np.zeros(shape, data.dtype)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"output must be a C-contiguous {shape} array")
+    else:
+        block = out
+        block.fill(0)
+    flat = rows * block.shape[1] + cols
+    if np.all(flat[1:] > flat[:-1]):
+        block.reshape(-1)[flat] += data     # 0 + x, as np.add.at forms it
+    else:
+        np.add.at(block, (rows, cols), data)
+    return block
+
+
 class BlockOp:
     """An operator stored as dense blocks between total-number sectors.
 
@@ -131,12 +158,8 @@ class BlockOp:
         summed, a stored zero still makes its block); a BlockOp passes through."""
         if isinstance(op, BlockOp):
             return op
-        sectors, blocks = op.basis.sectors, {}
-        for (n_row, n_col), (rows, cols, data) in sector_entries(op.mat, op.basis).items():
-            block = np.zeros((sectors[n_row].size, sectors[n_col].size), op.mat.dtype)
-            np.add.at(block, (rows, cols), data)
-            blocks[(n_row, n_col)] = block
-        return cls(op.basis, blocks)
+        return cls(op.basis, {pair: scatter_block(op.basis, pair, entries)
+                              for pair, entries in sector_entries(op.mat, op.basis).items()})
 
     @property
     def mat(self) -> sp.csr_matrix:

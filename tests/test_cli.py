@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -168,6 +170,38 @@ def test_exit_code_missing_file(tmp_path):
 def test_exit_code_capacity(config_file):
     path = config_file(**{"ensemble.per_site_cap": 40, "model.graph.length": 12})
     assert main(["scan", str(path)]) == 3
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("command, config, overrides", [
+    ("scan", "tests/golden/scan_5site.yaml", ["experiment.extra_times=[1e300]"]),
+    ("scan", "tests/golden/scan_5site.yaml", ["experiment.extra_times=[1e8]"]),
+    ("certify", "configs/certify_chain11.yaml",
+     ["experiment.window_radius=null", "experiment.time=1e10"]),
+    ("certify", "configs/certify_chain11.yaml", ["experiment.time=1e8"]),
+], ids=["scan_1e300", "scan_1e8", "certify_formula_window_1e10", "certify_1e8"])
+def test_huge_time_exits_capacity(tmp_path, capsys, command, config, overrides):
+    # the Chebyshev term budget refuses the time before any product is
+    # formed, and no power of t overflows on the way; a run that does not
+    # end within 20 s fails instead of hanging
+    def too_slow(*_):
+        raise TimeoutError("no exit within 20 s")
+
+    argv = [command, str(ROOT / config), "--out", str(tmp_path)]
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 20.0)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv + [arg for o in overrides for arg in ("--set", o)]) == 3
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    err = capsys.readouterr().err
+    assert "capacity error: a Chebyshev expansion would sum at least" in err
+    assert "terms, budget is 100000" in err and "shorter time" in err
 
 
 def test_certify_formula_window_over_budget_exits_capacity(config_file, capsys):
@@ -662,6 +696,19 @@ def test_module_invocation_smoke(config_file, tmp_path):
         [sys.executable, "-m", "bosonlc.cli", "bounds", str(path)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_loads_no_eigensolver():
+    """scipy.linalg and scipy.sparse.linalg load only when a ground state is
+    computed, not with the CLI."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, bosonlc.cli, bosonlc.config; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_package_invocation_runs_the_cli(config_file, tmp_path):

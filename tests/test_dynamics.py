@@ -4,10 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as sparse_linalg
 from scipy.linalg import expm
 from scipy.special import jv
 
 from bosonlc import dynamics
+from bosonlc.bounds import velocity_bound
 from bosonlc.dynamics import (HeisenbergScanEngine, connected_correlation, evolve_state,
                               ground_state, lightcone_scan, single_particle_propagator)
 from bosonlc.fock import (FockBasis, Interaction, ModelSpec, PiecewiseConstant, bose_hubbard,
@@ -390,7 +392,7 @@ def test_long_span_matches_dense_expm_within_bound(rng):
     engine = HeisenbergScanEngine(model, basis, op)
     assert np.max(np.abs(engine.evolved_operator(t).mat.toarray() - dense)) < 1e-12
     h, lo, hi, h_t = dynamics._split_hamiltonian(build_hamiltonian(model, basis), basis)
-    for (n_row, n_col), block in engine.initial.blocks.items():
+    for (n_row, n_col), block in BlockOp.from_matrix(op).blocks.items():
         want = dense[np.ix_(basis.sectors[n_row], basis.sectors[n_col])]
         for tol in (1e-3, 1e-6, 1e-14):
             out, terms, bound = dynamics._chebyshev_expv(
@@ -537,6 +539,48 @@ def test_ad_expansion_peak_memory():
     assert peak <= 7.5 * block.nbytes
 
 
+def _traced_peak(run):
+    """(result, peak bytes traced by tracemalloc while ``run()`` ran)."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_engine_peak_memory_holds_one_initial_block():
+    # b_0 on the 6-site cap-3 chain at t = 4.75/880: beside the complex
+    # result, the engine holds H, one expansion's buffers and one dense block
+    # of b_0 at a time, not all of them (then it was 8.5 real blocks over)
+    model = bose_hubbard(build_path(6), 1.0, 1.0)
+    basis = FockBasis(6, 3)
+    blocks, peak = _traced_peak(lambda: HeisenbergScanEngine(
+        model, basis, MonomialOp.from_dicts(zeta={0: 1})).evolved_blocks(4.75 / 880))
+    result = sum(block.nbytes for block in blocks.values())
+    largest_real = 8 * max(block.size for block in blocks.values())
+    assert largest_real == 8 * 546 * 580
+    assert peak <= result + 6 * largest_real
+
+
+def test_lightcone_scan_peak_memory_holds_no_dense_operator():
+    # the benchmark's scan (6-site cap-3 chain, 20 cells, all from the
+    # series): two live sequences of 13 stored orders, one spare order and
+    # two transposed buffers, 29 blocks of 546 x 580 doubles, with 2 to
+    # spare (29.6 in all).  A dense copy of b_0 kept through the series
+    # made it 34.7, and a block of b_0 scattered beside the sequence 30.6
+    model = bose_hubbard(build_path(6), 1.0, 1.0)
+    basis = FockBasis(6, 3)
+    v = velocity_bound(1.0, 2, 0, 1)
+    cells = [(r, f * r / v) for r in (2, 3, 4, 5) for f in (0.4, 0.6, 0.8, 0.95)]
+    cells += [(r, 0.01) for r in (2, 3, 4, 5)]
+    res, peak = _traced_peak(lambda: lightcone_scan(
+        model, MonomialOp.from_dicts(zeta={0: 1}), MonomialOp.from_dicts(eta={0: 1}), 1.0,
+        [], [], cells=cells, basis=basis))
+    assert len(res.cells) == 20 and res.metadata["series"]["dense_cells"] == []
+    assert peak <= 31 * 8 * 546 * 580
+
+
 SPLIT_BASES = {"product": (4, 3, None, None), "total_cap": (5, 3, 6, None),
                "fixed_n": (5, 2, None, 5)}
 
@@ -654,10 +698,11 @@ def test_lightcone_scan_free_bessel_column():
 def _dense_cell(engine, basis, w, r, t):
     """The dense route's value of one cell: evolve, then the series' Gram
     kernel on the evolved blocks as a one-order sequence."""
-    seqs = {n_col: block[None] for (_, n_col), block in engine.evolved_blocks(t).items()}
+    blocks = engine.evolved_blocks(t)
+    seqs = {n_col: block[None] for (_, n_col), block in blocks.items()}
     gram = {r: np.zeros((1, 1), complex)}
     probe = MonomialOp.from_dicts(eta={r: 1})
-    n_row, n_col = next(iter(engine.initial.blocks))
+    n_row, n_col = next(iter(blocks))
     maps = {r: sector_entries(probe.to_matrix(basis).mat, basis)}
     dynamics._add_commutator_grams(gram, {r: 0}, maps, seqs, seqs.__getitem__,
                                    n_row - n_col, probe.gamma, w)
@@ -883,13 +928,14 @@ def test_ground_state_real_and_complex_paths_agree(sites, monkeypatch):
     h_complex = (gauge @ h @ gauge.conj()).tocsr()
     assert np.any(h_complex.data.imag)
     dtypes = []
-    real_eigsh = dynamics.eigsh
+    real_eigsh = sparse_linalg.eigsh
 
     def spy(mat, **kwargs):
         dtypes.append(mat.dtype)
         return real_eigsh(mat, **kwargs)
 
-    monkeypatch.setattr(dynamics, "eigsh", spy)
+    # ground_state imports the solver when called, so it finds the spy
+    monkeypatch.setattr(sparse_linalg, "eigsh", spy)
     real = ground_state(h)
     cplx = ground_state(h_complex)
     if sites == 8:

@@ -15,8 +15,9 @@ from bosonlc.opspace import (BlockOp, MonomialOp, MuWeights, OperatorMatrix,
                              apply_liouvillian, check_thermal_relation,
                              commutator_weighted_norm,
                              f_beta_expectation, identity_f_beta,
-                             monomial_commutator_bound, site_monomial_norm_sq,
-                             thermal_expectation, weighted_inner, weighted_norm_sq)
+                             monomial_commutator_bound, scatter_block, sector_entries,
+                             site_monomial_norm_sq, thermal_expectation, weighted_inner,
+                             weighted_norm_sq)
 from conftest import (dense_f_beta, geometric_series_inner_bb, random_operator, series_b_f,
                       series_identity_f)
 
@@ -339,6 +340,52 @@ def test_block_op_from_matrix_matches_dense_slices(rng, kind, dtype):
         assert list(got) == sorted(want)
         for pair, block in got.items():
             assert block.dtype == dtype and np.array_equal(block, want[pair])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_scatter_block_matches_add_at_bit_for_bit(rng, dtype):
+    # canonical entries (written once) and repeated or unsorted ones (summed
+    # in stored order) against np.add.at into zeros, byte for byte: a stored
+    # -0.0 reads +0.0 there, and a pair holding only a stored zero is a block
+    basis = FockBasis(4, 2)
+    sectors = basis.sectors
+    pair = (3, 2)
+    shape = (sectors[3].size, sectors[2].size)
+
+    def values(size):
+        out = rng.normal(size=size)
+        return out + 1j * rng.normal(size=size) if dtype == np.complex128 else out
+
+    flat = np.sort(rng.choice(shape[0] * shape[1], size=40, replace=False))
+    rows, cols = np.divmod(flat, shape[1])
+    data = values(rows.size)
+    data[:3] = -0.0
+    repeat = np.r_[np.arange(rows.size), [5, 5, 5, 9, 0]]
+    shuffled = rng.permutation(rows.size)
+    cases = [(rows, cols, data), (rows[repeat], cols[repeat], values(repeat.size)),
+             (rows[shuffled], cols[shuffled], data[shuffled]),
+             (rows[:1], cols[:1], np.zeros(1, dtype))]
+    for entries in cases:
+        want = np.zeros(shape, dtype)
+        np.add.at(want, entries[:2], entries[2])
+        got = scatter_block(basis, pair, entries)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # over a used buffer, and widened to complex as a complex sum forms it
+        want = np.zeros(shape, np.complex128)
+        np.add.at(want, entries[:2], entries[2])
+        out = np.full(shape, np.nan, np.complex128)
+        assert scatter_block(basis, pair, entries, out=out) is out
+        assert out.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="C-contiguous"):
+        scatter_block(basis, pair, cases[0], out=np.empty(shape[::-1]).T)
+    # and the entries sector_entries groups from a matrix with a duplicate
+    dim = basis.dim
+    mat = sp.csr_matrix((values(3), [0, 0, 1], [0, 2, 2] + [3] * (dim - 2)), shape=(dim, dim))
+    for key, entries in sector_entries(mat, basis).items():
+        want = np.zeros((sectors[key[0]].size, sectors[key[1]].size), dtype)
+        np.add.at(want, entries[:2], entries[2])
+        assert scatter_block(basis, key, entries).tobytes() == want.tobytes()
 
 
 def test_f_beta_projected_leq_plus_identity_part(rng):

@@ -21,7 +21,7 @@ import numpy as np
 from .dynamics import evolve_state
 from .fock import CapacityError, FockBasis, ModelSpec, count_states
 from .lattice import build_path
-from .opspace import MonomialOp
+from .opspace import MU_FLOOR, MonomialOp
 
 
 class WindowError(ValueError):
@@ -57,7 +57,7 @@ def fock_state_assumption(occupations, center: int | None = None) -> DensityAssu
 
     With exactly N_x bosons on the 2x+1 central sites one may take
     mu = (2x+1)/N_x and theta = K0 = e/(1 - e^-mu); the binding cut (largest
-    admissible density) fixes mu.
+    admissible density) fixes mu; a mu below MU_FLOOR raises ValueError.
     """
     occ = list(occupations)
     if center is None:
@@ -71,6 +71,8 @@ def fock_state_assumption(occupations, center: int | None = None) -> DensityAssu
             best_mu = min(best_mu, (2 * x + 1) / n_window)
     if not math.isfinite(best_mu):
         best_mu = 1.0  # empty state: any positive density parameter works
+    if best_mu < MU_FLOOR:
+        raise ValueError(f"the state's density gives mu = {best_mu:.3g}, below {MU_FLOOR:g}")
     theta = math.e / (1.0 - math.exp(-best_mu))
     return DensityAssumption(mu=best_mu, theta=theta, K0=theta, form="inner")
 
@@ -303,7 +305,7 @@ def certified_expectation(model: ModelSpec, occupations, observable: MonomialOp,
         psi = np.zeros(basis.dim, dtype=np.complex128)
         psi[basis.index(window_occ)] = 1.0
         psi, terms, evolution_bound = evolve_state(psi, sub_model, basis, t)
-        obs_mat = observable.translate(center - lo).to_matrix(basis).mat
+        obs_mat = observable.translate(center - lo).to_matrix(basis)
         value = complex(np.vdot(psi, obs_mat @ psi))
 
     restriction = restriction_error_bound(r_used, t, assumption.theta, ell, vprime, c3)

@@ -156,9 +156,12 @@ def _run_certify(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
                           f"need {length} nonnegative integers, one per site")
     site = exp["observable.site"]
     observable = MonomialOp.from_dicts(eta={site: 1}, zeta={site: 1})
-    assumption = (certify_mod.fock_state_assumption(occupations) if exp["assumption"] is None
-                  else certify_mod.DensityAssumption(*(exp[f"assumption.{k}"]
-                                                       for k in ("mu", "theta", "K0"))))
+    try:
+        assumption = (certify_mod.fock_state_assumption(occupations) if exp["assumption"] is None
+                      else certify_mod.DensityAssumption(*(exp[f"assumption.{k}"]
+                                                           for k in ("mu", "theta", "K0"))))
+    except ValueError as exc:   # a derived mu below the floor; the config checked the rest
+        raise ConfigError("experiment.state.occupations", str(exc)) from exc
     try:
         with _constants_of("experiment.time", "experiment.state", "experiment.assumption",
                            "experiment.window_radius", "model.range", "constants.epsilon"):

@@ -19,7 +19,7 @@ from .certify import DensityAssumption
 from .dynamics import connected_correlation, ground_state
 from .fock import FockBasis, ModelSpec, build_hamiltonian
 from .lattice import is_path
-from .opspace import MonomialOp, OperatorMatrix, site_monomial_norm_sq
+from .opspace import MonomialOp, site_monomial_norm_sq
 
 
 class GaplessError(RuntimeError):
@@ -124,15 +124,13 @@ def clustering_experiment(model: ModelSpec, r_list, *, per_site_cap: int,
         norm = math.sqrt(site_monomial_norm_sq(template, mu_w, length,
                                                per_site_cap, n_target))
         left_op = template.adjoint()
-        left = left_op.to_matrix(basis)
-        left = OperatorMatrix(left.mat / norm, basis)
+        left = left_op.to_matrix(basis) / norm
         for r in sorted(set(int(x) for x in r_list)):
             if not (1 <= r < length):
                 raise ValueError(f"separation {r} outside the chain")
             right_op = template.translate(r)
             if template.gamma == 0:
-                right = right_op.to_matrix(basis)
-                right = OperatorMatrix(right.mat / norm, basis)
+                right = right_op.to_matrix(basis) / norm
                 cor = abs(connected_correlation(gs.vector, left, right))
             else:
                 # A and B change N, so <A> = <B> = 0 in the number eigenstate,
@@ -141,7 +139,7 @@ def clustering_experiment(model: ModelSpec, r_list, *, per_site_cap: int,
                 product = MonomialOp(tuple(sorted(left_op.eta + right_op.eta)),
                                      tuple(sorted(left_op.zeta + right_op.zeta)))
                 psi = gs.vector
-                cor = abs(complex(np.vdot(psi, product.to_matrix(basis).mat @ psi))) / norm ** 2
+                cor = abs(complex(np.vdot(psi, product.to_matrix(basis) @ psi))) / norm ** 2
             bound = clustering_bound(r, gs.gap, assumption.mu, assumption.theta, ell, eps, c5)
             minimal = cor / (bound / c5) if bound > 0 else math.inf
             rows.append(ClusterRow(observable=name, r=r, exact=cor, bound=bound,

@@ -23,7 +23,7 @@ from .cluster import FAMILIES
 from .fock import (Interaction, ModelSpec, PiecewiseConstant,
                    onsite_density_interaction)
 from .lattice import Graph, build_cubic, build_path, build_regular_tree
-from .opspace import MonomialOp
+from .opspace import MU_FLOOR, MonomialOp
 
 
 class ConfigError(ValueError):
@@ -71,7 +71,7 @@ MAPPING = Rule("mapping")
 SECTION = Rule("mapping", optional=True)
 NUMBER = Rule("number")
 POSITIVE = Rule("number", 0.0, strict=True)
-MU = Rule("number", 1e-15)  # below about 1.1e-16, e^-mu rounds to 1 and 1/(1 - e^-mu) fails
+MU = Rule("number", MU_FLOOR)
 TIME = Rule("number", 0.0)
 TIMES = Rule("number", 0.0, many=True, optional=True)
 SEPARATIONS = Rule("integer", 1, many=True)

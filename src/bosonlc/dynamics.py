@@ -16,11 +16,11 @@ blocks, built once per schedule piece by ``_split_hamiltonian``, and their
 transposes, CSC views of the same arrays.  No step allocates: products go
 into buffers each expansion owns, by scipy's own routine for ``h @ x``.
 
-Evolved operators are :class:`~bosonlc.opspace.BlockOp` values: one dense
-block per sector pair, never a global sparse matrix unless a caller reads
-``.mat``.  ``build_hamiltonian`` returns a real H when every hopping
-amplitude is real; on a real state or block the recursion then runs in
-float64.
+Operators enter as monomials or scipy sparse matrices, and evolved ones
+are :class:`~bosonlc.opspace.BlockOp` values: one dense block per sector
+pair, never a global sparse matrix unless a caller reads ``.mat``.
+``build_hamiltonian`` returns a real H when every hopping amplitude is real;
+on a real state or block the recursion then runs in float64.
 
 Piecewise-constant schedules are handled by composing per-segment
 propagators, so no expansion ever straddles a schedule discontinuity.
@@ -32,7 +32,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,8 +40,8 @@ from scipy.sparse import _sparsetools
 from . import bounds as bounds_mod
 from .fock import CapacityError, FockBasis, ModelSpec, build_hamiltonian
 from .lattice import Graph, fatten, set_distance
-from .opspace import (BlockOp, MonomialOp, MuWeights, OperatorMatrix, f_beta_expectation,
-                      scatter_block, sector_entries, weighted_norm_sq)
+from .opspace import (BlockOp, MonomialOp, MuWeights, f_beta_expectation, scatter_block,
+                      sector_entries, weighted_norm_sq)
 
 
 class EvolutionError(RuntimeError):
@@ -256,21 +255,17 @@ class HeisenbergScanEngine:
     per sector): each span takes one Chebyshev expansion, as a state does.
     H is built once per schedule piece, when a time first needs it.
 
-    A ``BlockOp`` is kept as given.  A monomial or matrix is kept as its
-    stored entries by sector pair (``sector_entries``), and each dense block
-    is scattered only when its expansion starts, so at most one dense block
-    of the operator at t = 0 exists beside the evolved ones.
+    ``op`` is a monomial or a scipy sparse matrix over ``basis``.  It is
+    kept as its stored entries by sector pair (``sector_entries``), and each
+    dense block is scattered only when its expansion starts, so at most one
+    dense block of the operator at t = 0 exists beside the evolved ones.
     """
 
-    def __init__(self, model: ModelSpec, basis: FockBasis,
-                 op: MonomialOp | OperatorMatrix | BlockOp):
+    def __init__(self, model: ModelSpec, basis: FockBasis, op: MonomialOp | sp.spmatrix):
         self.model = model
         self.basis = basis
-        if isinstance(op, BlockOp):
-            self._blocks, self._entries = op.blocks, {}
-        else:
-            mat = (op.to_matrix(basis) if isinstance(op, MonomialOp) else op).mat
-            self._blocks, self._entries = {}, sector_entries(mat, basis)
+        mat = op.to_matrix(basis) if isinstance(op, MonomialOp) else op
+        self._entries = sector_entries(mat, basis)
         self._breaks = model.breakpoints()
         self._h: dict[int, tuple] = {}    # schedule piece -> _split_hamiltonian
 
@@ -289,9 +284,8 @@ class HeisenbergScanEngine:
                 self._h[piece] = _split_hamiltonian(
                     build_hamiltonian(self.model, self.basis, mid), self.basis)
             spans.append((self._h[piece], a - b))
-        initial = chain(self._blocks.items(),
-                        ((pair, scatter_block(self.basis, pair, entries))
-                         for pair, entries in self._entries.items()))
+        initial = ((pair, scatter_block(self.basis, pair, entries))
+                   for pair, entries in self._entries.items())
         blocks = {}
         for (n_row, n_col), block in initial:   # t = 0: exact zeros stay zero
             for (h, lo, hi, h_t), dt in spans:
@@ -657,7 +651,7 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
     ell = model.interaction_range
     velocity = bounds_mod.velocity_bound(mu, k, ell, beta)
     a0 = op.to_matrix(basis)
-    dense = BlockOp.from_matrix(a0)     # only for the seeds and the norm
+    dense = BlockOp.from_matrix(basis, a0)      # only for the seeds and the norm
     seeds = {x: f_beta_expectation(dense, x, beta, w, projected=False) for x in support}
     norm_sq = weighted_norm_sq(dense, w)
     del dense
@@ -675,8 +669,8 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
     missing = sorted({r for r, _ in cells} - set(sites))
     if missing:
         raise ValueError(f"no vertex at distance {missing[0]} from {support}")
-    maps = {r: sector_entries(probe.translate(sites[r] - probe_anchor).to_matrix(basis).mat,
-                              basis) for r, _ in cells}
+    maps = {r: sector_entries(probe.translate(sites[r] - probe_anchor).to_matrix(basis), basis)
+            for r, _ in cells}
 
     # ad_H grows a support by one hop or one interaction range per order; on
     # a product basis an operator commutes with a probe its support misses
@@ -699,7 +693,7 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
 
     out_cells: dict[tuple[int, float], ScanCell] = {}
     orders, worst = [], 0.0
-    series = (commutator_series(model, basis, sector_entries(a0.mat, basis), maps, first, mu)
+    series = (commutator_series(model, basis, sector_entries(a0, basis), maps, first, mu)
               if maps else None)
     for r, t in sorted(set(cells)):
         got = series.cell(r, t)
@@ -793,10 +787,10 @@ def ground_state(h: sp.spmatrix, degeneracy_threshold: float = 1e-6) -> GroundSt
                        degenerate=gap < degeneracy_threshold)
 
 
-def connected_correlation(psi0: np.ndarray, a: OperatorMatrix, b: OperatorMatrix) -> complex:
+def connected_correlation(psi0: np.ndarray, a: sp.spmatrix, b: sp.spmatrix) -> complex:
     """<psi|A B|psi> - <psi|A|psi><psi|B|psi>."""
-    b_psi = b.mat @ psi0
-    exp_ab = complex(np.vdot(psi0, a.mat @ b_psi))
-    exp_a = complex(np.vdot(psi0, a.mat @ psi0))
+    b_psi = b @ psi0
+    exp_ab = complex(np.vdot(psi0, a @ b_psi))
+    exp_a = complex(np.vdot(psi0, a @ psi0))
     exp_b = complex(np.vdot(psi0, b_psi))
     return exp_ab - exp_a * exp_b

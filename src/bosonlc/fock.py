@@ -65,7 +65,8 @@ def count_states(num_sites: int, per_site_cap: int, total_cap: int | None,
     With ``number`` only vectors holding exactly that many bosons count.
     """
     if number is not None:
-        if number < 0 or (total_cap is not None and number > total_cap):
+        if number < 0 or number > num_sites * per_site_cap or (
+                total_cap is not None and number > total_cap):
             return 0
         return counts_by_total(num_sites, per_site_cap, number)[number]
     if total_cap is None:

@@ -1,8 +1,9 @@
 """Weighted operator inner products, commutator norms, and growth functionals.
 
-Operators live as matrices over a :class:`~bosonlc.fock.FockBasis`; the
-grand-canonical weights ``w_m = prod_v (1 - e^-mu) e^(-mu n_v)`` are applied
-inside the inner product
+Operators over a :class:`~bosonlc.fock.FockBasis` are scipy sparse matrices
+or :class:`BlockOp` values; the basis comes with the grand-canonical weights
+``w_m = prod_v (1 - e^-mu) e^(-mu n_v)`` (:class:`MuWeights`), which are
+applied inside the inner product
 
     (A|B) = sum_{m,n} conj(A_mn) B_mn sqrt(w_m w_n),
 
@@ -33,6 +34,8 @@ import scipy.sparse as sp
 
 from .fock import FockBasis, counts_by_total
 
+MU_FLOOR = 1e-15  # below about 1.1e-16, e^-mu rounds to 1 and 1/(1 - e^-mu) fails
+
 
 class MuWeights:
     """Chemical-potential weights over a basis, with square roots precomputed."""
@@ -61,32 +64,16 @@ class MuWeights:
         """sqrt(w_m w_n), shared by every state pair of sectors (n_row, n_col)."""
         return self.prefactor * self.q ** ((n_row + n_col) / 2.0)
 
+    def require_over_basis(self, *mats: sp.spmatrix) -> None:
+        """Raise unless each matrix is square over this basis."""
+        if any(mat.shape != (self.basis.dim, self.basis.dim) for mat in mats):
+            raise ValueError(f"operator shapes {[mat.shape for mat in mats]} are not over "
+                             f"the {self.basis.dim}-state basis of the weights")
+
     def require_product_basis(self):
         if self.basis.total_cap is not None or self.basis.number is not None:
             raise ValueError("the projected functional needs a product basis: "
                              "no total cap, no fixed N")
-
-
-@dataclass
-class OperatorMatrix:
-    """A matrix over a Fock basis.
-
-    A real or complex matrix keeps its dtype, widened to 64-bit parts; any
-    other dtype becomes float64.
-    """
-
-    mat: sp.csr_matrix
-    basis: FockBasis
-
-    def __post_init__(self):
-        mat = sp.csr_matrix(self.mat)
-        self.mat = mat.astype(np.result_type(mat.dtype, np.float64))
-        if self.mat.shape != (self.basis.dim, self.basis.dim):
-            raise ValueError("matrix dimension does not match basis size")
-
-    @classmethod
-    def identity(cls, basis: FockBasis) -> "OperatorMatrix":
-        return cls(sp.identity(basis.dim, format="csr"), basis)
 
 
 def sector_entries(mat: sp.spmatrix, basis: FockBasis) -> dict[tuple[int, int], tuple]:
@@ -153,13 +140,11 @@ class BlockOp:
         self._mat: sp.csr_matrix | None = None
 
     @classmethod
-    def from_matrix(cls, op: "OperatorMatrix | BlockOp") -> "BlockOp":
-        """Dense sector blocks of an OperatorMatrix's stored entries (duplicates
-        summed, a stored zero still makes its block); a BlockOp passes through."""
-        if isinstance(op, BlockOp):
-            return op
-        return cls(op.basis, {pair: scatter_block(op.basis, pair, entries)
-                              for pair, entries in sector_entries(op.mat, op.basis).items()})
+    def from_matrix(cls, basis: FockBasis, matrix: sp.spmatrix) -> "BlockOp":
+        """Dense sector blocks of a sparse matrix's stored entries over ``basis``
+        (duplicates summed, a stored zero still makes its block)."""
+        return cls(basis, {pair: scatter_block(basis, pair, entries)
+                           for pair, entries in sector_entries(matrix, basis).items()})
 
     @property
     def mat(self) -> sp.csr_matrix:
@@ -219,7 +204,7 @@ class MonomialOp:
         return MonomialOp(tuple((s + offset, p) for s, p in self.eta),
                           tuple((s + offset, p) for s, p in self.zeta))
 
-    def to_matrix(self, basis: FockBasis) -> OperatorMatrix:
+    def to_matrix(self, basis: FockBasis) -> sp.csr_matrix:
         """Matrix over ``basis``, built by one vectorized lookup.
 
         Annihilations act first, then creations (normal order; sites
@@ -257,9 +242,8 @@ class MonomialOp:
                 target[:, site] = occ[site][cols]
             rows = basis.lookup_rows(target)
         hit = rows >= 0
-        mat = sp.csr_matrix((amp[cols[hit]], (rows[hit], cols[hit])),
-                            shape=(basis.dim, basis.dim))
-        return OperatorMatrix(mat, basis)
+        return sp.csr_matrix((amp[cols[hit]], (rows[hit], cols[hit])),
+                             shape=(basis.dim, basis.dim))
 
 
 def site_monomial_norm_sq(op: MonomialOp, mu: float, num_sites: int, per_site_cap: int,
@@ -297,36 +281,37 @@ def site_monomial_norm_sq(op: MonomialOp, mu: float, num_sites: int, per_site_ca
 # inner products
 
 
-def weighted_inner(a: OperatorMatrix, b: OperatorMatrix, w: MuWeights) -> complex:
+def weighted_inner(a: sp.spmatrix, b: sp.spmatrix, w: MuWeights) -> complex:
     """(A|B) = sum conj(A_mn) B_mn sqrt(w_m w_n); conjugate symmetric, positive."""
-    if a.basis.dim != b.basis.dim:
-        raise ValueError("operators live over different bases")
-    prod = sp.coo_matrix(a.mat.conjugate().multiply(b.mat))
+    w.require_over_basis(a, b)
+    prod = sp.coo_matrix(a.conjugate().multiply(b))
     if prod.nnz == 0:
         return 0.0 + 0.0j
     return complex(np.sum(prod.data * w.sqrt_w[prod.row] * w.sqrt_w[prod.col]))
 
 
-def weighted_norm_sq(a: OperatorMatrix | BlockOp, w: MuWeights) -> float:
+def weighted_norm_sq(a: sp.spmatrix | BlockOp, w: MuWeights) -> float:
     """(A|A); block by block for a BlockOp, over stored entries otherwise."""
     if isinstance(a, BlockOp):
         return float(sum(w.pair_weight(n_row, n_col) * _sq_sum(block)
                          for (n_row, n_col), block in a.blocks.items()))
-    coo = sp.coo_matrix(a.mat)
+    w.require_over_basis(a)
+    coo = sp.coo_matrix(a)
     if coo.nnz == 0:
         return 0.0
     return float(np.sum(np.abs(coo.data) ** 2 * w.sqrt_w[coo.row] * w.sqrt_w[coo.col]))
 
 
-def thermal_expectation(a: OperatorMatrix, b: OperatorMatrix, w: MuWeights) -> complex:
+def thermal_expectation(a: sp.spmatrix, b: sp.spmatrix, w: MuWeights) -> complex:
     """tr(rho A^dag B) over the capped basis (column-weighted entry sum)."""
-    prod = sp.coo_matrix(a.mat.conjugate().multiply(b.mat))
+    w.require_over_basis(a, b)
+    prod = sp.coo_matrix(a.conjugate().multiply(b))
     if prod.nnz == 0:
         return 0.0 + 0.0j
     return complex(np.sum(prod.data * w.w[prod.col]))
 
 
-def check_thermal_relation(a: OperatorMatrix, b: OperatorMatrix, k: int, k_prime: int,
+def check_thermal_relation(a: sp.spmatrix, b: sp.spmatrix, k: int, k_prime: int,
                            w: MuWeights) -> float:
     """Residual of (A|B) = delta_{k',0} e^{mu k/2} tr(rho A^dag B).
 
@@ -345,7 +330,7 @@ def check_thermal_relation(a: OperatorMatrix, b: OperatorMatrix, k: int, k_prime
 # growth functionals
 
 
-def f_beta_expectation(a: OperatorMatrix | BlockOp, site: int, beta: int, w: MuWeights,
+def f_beta_expectation(a: sp.spmatrix | BlockOp, site: int, beta: int, w: MuWeights,
                        projected: bool = True) -> float:
     """Quadratic form weighting site occupancies, (A| F_site^beta |A).
 
@@ -354,8 +339,8 @@ def f_beta_expectation(a: OperatorMatrix | BlockOp, site: int, beta: int, w: MuW
     functional used in the growth bounds); without it the raw form is
     returned (the seed values entering the envelope initial conditions).
 
-    Runs block by block over sector pairs, each with one weight; an
-    OperatorMatrix is split into dense blocks first.  The raw term contracts
+    Runs block by block over sector pairs, each with one weight; a sparse
+    matrix is split into dense blocks over ``w.basis`` first.  The raw term contracts
     the occupancy-resolved block sums R^T |D|^2 C (R, C one-hot in the site
     occupancy of the row and column states) with the (max(k, k') + beta)^beta
     table.  The identity component averages, over k, the sub-blocks whose
@@ -367,8 +352,10 @@ def f_beta_expectation(a: OperatorMatrix | BlockOp, site: int, beta: int, w: MuW
         raise ValueError("beta must be a positive integer")
     if projected:
         w.require_product_basis()
-    op = BlockOp.from_matrix(a)
-    basis, q = op.basis, w.q
+    basis, q = w.basis, w.q
+    if not isinstance(a, BlockOp):
+        w.require_over_basis(a)
+        a = BlockOp.from_matrix(basis, a)
     levels = np.arange(basis.per_site_cap + 1)
     f = (levels + float(beta)) ** beta
     table = np.maximum.outer(f, f)
@@ -379,7 +366,7 @@ def f_beta_expectation(a: OperatorMatrix | BlockOp, site: int, beta: int, w: MuW
     raw = 0.0
     avg: dict[tuple[int, int], np.ndarray] = {}      # identity component
     f_sum: dict[tuple[int, int], np.ndarray] = {}    # sum_k q^k f_k sub-block
-    for (n_row, n_col), block in op.blocks.items():
+    for (n_row, n_col), block in a.blocks.items():
         sq = block.real ** 2 + block.imag ** 2 if np.iscomplexobj(block) else block ** 2
         counts = one_hot[n_row].T @ sq @ one_hot[n_col]
         raw += w.pair_weight(n_row, n_col) * float(np.sum(counts * table))
@@ -424,19 +411,18 @@ def identity_f_beta(mu: float, beta: int, cap: int | None = None) -> float:
     return float(np.sum((1.0 - q) * q ** js * (js + beta) ** beta) / z)
 
 
-def commutator_weighted_norm(a: OperatorMatrix, b: OperatorMatrix, w: MuWeights) -> float:
+def commutator_weighted_norm(a: sp.spmatrix, b: sp.spmatrix, w: MuWeights) -> float:
     """([A,B] | [A,B]) under the weighted inner product."""
-    if a.basis.dim != b.basis.dim:
-        raise ValueError("operators live over different bases")
-    return weighted_norm_sq(OperatorMatrix(a.mat @ b.mat - b.mat @ a.mat, a.basis), w)
+    w.require_over_basis(a, b)
+    return weighted_norm_sq(a @ b - b @ a, w)
 
 
-def apply_liouvillian(h: sp.spmatrix, a: OperatorMatrix) -> OperatorMatrix:
+def apply_liouvillian(h: sp.spmatrix, a: sp.spmatrix) -> sp.spmatrix:
     """i [H, A], the generator of Heisenberg evolution."""
-    return OperatorMatrix(1j * (h @ a.mat - a.mat @ h), a.basis)
+    return 1j * (h @ a - a @ h)
 
 
-def monomial_commutator_bound(o: OperatorMatrix, probe: MonomialOp, w: MuWeights,
+def monomial_commutator_bound(o: sp.spmatrix, probe: MonomialOp, w: MuWeights,
                               region: frozenset[int] | None = None) -> tuple[float, float]:
     """Both sides of the monomial-probe commutator inequality.
 
@@ -449,7 +435,7 @@ def monomial_commutator_bound(o: OperatorMatrix, probe: MonomialOp, w: MuWeights
     """
     region = frozenset(region) if region is not None else probe.support
     beta, gamma = probe.beta, probe.gamma
-    lhs = commutator_weighted_norm(o, probe.to_matrix(o.basis), w)
+    lhs = commutator_weighted_norm(o, probe.to_matrix(w.basis), w)
     q = w.q
     prefactor = (8.0 * beta ** beta * math.cosh(w.mu * gamma / 2.0)
                  * (1.0 + beta * (beta / (1.0 - q)) ** beta))

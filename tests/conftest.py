@@ -10,6 +10,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 
 def bfs_distances(adjacency, source):
@@ -64,13 +65,12 @@ def rng():
 
 def random_operator(rng, basis, max_occ=None):
     """Dense random operator, optionally supported on low occupancies only."""
-    from bosonlc.opspace import OperatorMatrix
     mat = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim, basis.dim))
     if max_occ is not None:
         keep = basis.states.max(axis=1) <= max_occ
         mat[~keep, :] = 0
         mat[:, ~keep] = 0
-    return OperatorMatrix(mat, basis)
+    return sp.csr_matrix(mat)
 
 
 def dense_f_beta(basis, w, mat, site, beta, projected=True):

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.special import jv
 
@@ -20,8 +21,7 @@ from bosonlc.fock import (FockBasis, bose_hubbard, build_hamiltonian,
                           random_model_spec, total_number_op,
                           check_number_conservation)
 from bosonlc.lattice import build_cubic, build_path, build_regular_tree, distance
-from bosonlc.opspace import (MonomialOp, MuWeights, OperatorMatrix,
-                             apply_liouvillian, f_beta_expectation,
+from bosonlc.opspace import (MonomialOp, MuWeights, apply_liouvillian, f_beta_expectation,
                              weighted_inner, weighted_norm_sq)
 
 RNG = np.random.default_rng(874261)
@@ -125,7 +125,7 @@ def test_criterion_3_free_boson_oracle():
         bx = MonomialOp.from_dicts(zeta={x: 1}).to_matrix(basis)
         bxt = HeisenbergScanEngine(model, basis, bx).evolved_operator(t)
         bdag0 = MonomialOp.from_dicts(eta={0: 1}).to_matrix(basis)
-        comm = (bxt.mat @ bdag0.mat - bdag0.mat @ bxt.mat).toarray()
+        comm = (bxt.mat @ bdag0 - bdag0 @ bxt.mat).toarray()
         sub = comm[np.ix_(protected, protected)]
         worst = max(worst, float(np.max(np.abs(sub - g[x, 0] * np.eye(sub.shape[0])))))
         norm = float(np.sum(np.abs(sub) ** 2 * sww))
@@ -153,10 +153,10 @@ def test_criterion_4_structural_identities():
     w = MuWeights(MU, basis)
     worst = 0.0
     for _ in range(25):
-        a = OperatorMatrix(RNG.normal(size=(basis.dim,) * 2)
-                           + 1j * RNG.normal(size=(basis.dim,) * 2), basis)
-        b = OperatorMatrix(RNG.normal(size=(basis.dim,) * 2)
-                           + 1j * RNG.normal(size=(basis.dim,) * 2), basis)
+        a = sp.csr_matrix(RNG.normal(size=(basis.dim,) * 2)
+                          + 1j * RNG.normal(size=(basis.dim,) * 2))
+        b = sp.csr_matrix(RNG.normal(size=(basis.dim,) * 2)
+                          + 1j * RNG.normal(size=(basis.dim,) * 2))
         scale = math.sqrt(weighted_norm_sq(a, w) * weighted_norm_sq(b, w))
         lhs = weighted_inner(a, apply_liouvillian(h, b), w)
         rhs = -np.conj(weighted_inner(b, apply_liouvillian(h, a), w))
@@ -226,7 +226,7 @@ def _batched_monomial_check(cap, mu, probes, batches, batch):
     sww = np.outer(sw, sw)
     z = 1 - q ** (cap + 1)
     basis = FockBasis(1, cap)
-    mats = [p.to_matrix(basis).mat.toarray() for p in probes]
+    mats = [p.to_matrix(basis).toarray() for p in probes]
     ns = np.arange(cap + 1, dtype=float)
     count = 0
     for _ in range(batches):
@@ -268,7 +268,7 @@ def test_criterion_5_monomial_commutator_fuzz():
         keep = basis.states.max(axis=1) <= 3
         mat[~keep, :] = 0
         mat[:, ~keep] = 0
-        o = OperatorMatrix(mat, basis)
+        o = sp.csr_matrix(mat)
         probe = MonomialOp.from_dicts(eta={0: 1}, zeta={1: 1})
         lhs, rhs = monomial_commutator_bound(o, probe, w)
         assert lhs <= rhs * (1 + 1e-10)

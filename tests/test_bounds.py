@@ -8,7 +8,7 @@ from bosonlc.bounds import (BoundParams, MMatrixBound, check_scalar_inequality,
                             derivation_trace, ensemble_commutator_bound,
                             finite_density_commutator_bound, initial_envelope,
                             integrate_envelope, m_matrix_bound,
-                            matrix_element_bound, velocity_bound, velocity_bound_1d,
+                            matrix_element_bound, velocity_bound,
                             velocity_from_coupling)
 from bosonlc.lattice import Graph, build_path
 
@@ -55,12 +55,6 @@ def test_velocity_composition_identity():
                     velocity_from_coupling(mu, k, ell, beta), rel=1e-12)
 
 
-def test_velocity_1d_matches_base():
-    for mu in (0.5, 1.0, 2.0):
-        assert velocity_bound_1d(mu, 2, 0) == velocity_bound(mu, 2, 0, 1)
-        assert velocity_bound_1d(mu, 2, 1) == velocity_bound(mu, 2, 1, 1)
-
-
 def test_validation():
     with pytest.raises(ValueError):
         velocity_bound(-1.0, 2, 0, 1)
@@ -92,7 +86,7 @@ def test_initial_envelope_missing_seed():
 
 def test_integrate_envelope_zero_coupling():
     g = build_path(4)
-    coup = MMatrixBound(0.0, 0.0, "zero")
+    coup = MMatrixBound(0.0, 0.0)
     c0 = np.array([1.0, 2.0, 0.0, 0.5])
     env = integrate_envelope(g, coup, c0, [0.5, 1.0], 0)
     assert np.allclose(env.values[:, -1], c0)
@@ -100,7 +94,7 @@ def test_integrate_envelope_zero_coupling():
 
 def test_integrate_envelope_scalar_exponential():
     g = Graph(1, [])
-    coup = MMatrixBound(0.0, 2.5, "scalar")
+    coup = MMatrixBound(0.0, 2.5)
     env = integrate_envelope(g, coup, np.array([3.0]), [0.4, 1.0], 0)
     for t in (0.4, 1.0):
         exact = 3.0 * math.exp(2.5 * t)
@@ -228,7 +222,7 @@ def test_ensemble_bound_monotonicity_grid():
 
 def test_finite_density_bound_cone_edge():
     mu, theta, ell, eps = 1.0, 2.0, 0, 0.1
-    vprime = (1 + eps) * velocity_bound_1d(mu / 2, 2, ell)
+    vprime = (1 + eps) * velocity_bound(mu / 2, 2, ell, 1)
     cone_v = (2 * theta) ** 4 * vprime
     r = 10
     t_edge = r / cone_v
@@ -242,7 +236,7 @@ def test_finite_density_bound_uses_half_mu():
     # same inputs but mu doubled must match a manual composition at mu/2
     mu, theta, ell, eps = 2.0, 3.0, 0, 0.05
     r, t = 8, 1e-7
-    vprime = (1 + eps) * velocity_bound_1d(mu / 2, 2, ell)
+    vprime = (1 + eps) * velocity_bound(mu / 2, 2, ell, 1)
     expected = 2.0 * ((2 * theta) ** 4 * vprime * t / r) ** r
     got = finite_density_commutator_bound(r, t, mu, theta, 2.0, ell, eps)
     assert got == pytest.approx(expected, rel=1e-12)

@@ -11,7 +11,7 @@ from bosonlc.certify import (DensityAssumption, boson_cutoff,
                              chain_center, fock_state_assumption, restriction_error_bound,
                              total_error_bound, truncation_radius,
                              validate_fock_assumption, windowed_model)
-from bosonlc.bounds import velocity_bound_1d
+from bosonlc.bounds import velocity_bound
 from bosonlc.dynamics import evolve_state
 from bosonlc.fock import (CapacityError, FockBasis, ModelSpec, PiecewiseConstant,
                           bose_hubbard, build_hamiltonian)
@@ -239,7 +239,7 @@ def test_certified_vprime_uses_half_mu(chain_model):
     a = fock_state_assumption(occ)
     cv = certified_expectation(chain_model, occ, DENSITY, 0.1, a,
                                radius=1, per_site_cap=2, eps=0.25)
-    assert cv.vprime == pytest.approx(1.25 * velocity_bound_1d(a.mu / 2, 2, 0), rel=1e-12)
+    assert cv.vprime == pytest.approx(1.25 * velocity_bound(a.mu / 2, 2, 0, 1), rel=1e-12)
 
 
 def test_certified_refuses_radius_below_one(chain_model):
@@ -272,7 +272,7 @@ def full_basis_value(model, occ, observable, t, radius, cap):
     psi[basis.index(window_occ)] = 1.0
     psi = evolve_state(psi, sub, basis, t)[0]
     center = chain_center(model)
-    obs = observable.translate(center - lo).to_matrix(basis).mat
+    obs = observable.translate(center - lo).to_matrix(basis)
     return complex(np.vdot(psi, obs @ psi))
 
 
@@ -304,7 +304,7 @@ def test_certified_value_matches_dense_expm(chain_model):
     psi = np.zeros(basis.dim, dtype=np.complex128)
     psi[basis.index(window_occ)] = 1.0
     psi = expm(-1j * t * build_hamiltonian(sub, basis).toarray()) @ psi
-    obs = DENSITY.translate(chain_center(chain_model) - lo).to_matrix(basis).mat
+    obs = DENSITY.translate(chain_center(chain_model) - lo).to_matrix(basis)
     assert abs(cv.value - np.vdot(psi, obs @ psi)) <= 1e-12
     assert cv.evolution_terms > 1 and 0.0 < cv.evolution_error_bound <= 1e-14
 

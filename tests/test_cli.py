@@ -175,6 +175,21 @@ def test_exit_code_capacity(config_file):
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _main_within(seconds: float, argv: list[str]) -> int:
+    """``main(argv)`` under an alarm: a run that does not end within
+    ``seconds`` fails instead of hanging."""
+    def too_slow(*_):
+        raise TimeoutError(f"no exit within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("command, config, overrides", [
     ("scan", "tests/golden/scan_5site.yaml", ["experiment.extra_times=[1e300]"]),
     ("scan", "tests/golden/scan_5site.yaml", ["experiment.extra_times=[1e8]"]),
@@ -184,24 +199,43 @@ ROOT = Path(__file__).resolve().parents[1]
 ], ids=["scan_1e300", "scan_1e8", "certify_formula_window_1e10", "certify_1e8"])
 def test_huge_time_exits_capacity(tmp_path, capsys, command, config, overrides):
     # the Chebyshev term budget refuses the time before any product is
-    # formed, and no power of t overflows on the way; a run that does not
-    # end within 20 s fails instead of hanging
-    def too_slow(*_):
-        raise TimeoutError("no exit within 20 s")
-
+    # formed, and no power of t overflows on the way
     argv = [command, str(ROOT / config), "--out", str(tmp_path)]
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.setitimer(signal.ITIMER_REAL, 20.0)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert main(argv + [arg for o in overrides for arg in ("--set", o)]) == 3
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _main_within(20.0, argv + [arg for o in overrides for arg in ("--set", o)]) == 3
     err = capsys.readouterr().err
     assert "capacity error: a Chebyshev expansion would sum at least" in err
     assert "terms, budget is 100000" in err and "shorter time" in err
+
+
+def test_huge_exponent_exits_config_at_once(tmp_path, capsys):
+    # an exact integer power past the float range is refused before it is
+    # raised (2000002 ** 1000002 alone takes seconds)
+    argv = ["bounds", str(ROOT / "configs/scan_chain7.yaml"), "--out", str(tmp_path),
+            "--set", "experiment.beta=1000001"]
+    assert _main_within(2.0, argv) == 2
+    err = capsys.readouterr().err
+    assert "experiment.beta" in err and "exceeds the float range" in err
+
+
+@pytest.mark.parametrize("bosons, code", [(10**15, 0), (10**16, 2), (10**21, 2), (10**30, 2)])
+def test_huge_occupation_ends_in_a_documented_exit(tmp_path, capsys, bosons, code):
+    # up to 1e15 bosons on one site the density parameter mu = 1/N stays
+    # above the floor and the caps cut the state (value 0, with a note), with
+    # no table of N entries; past it the derived mu is refused
+    occupations = [1] * 11
+    occupations[5] = bosons
+    state = json.dumps({"kind": "fock", "occupations": occupations})
+    argv = ["certify", str(ROOT / "configs/certify_chain11.yaml"), "--out", str(tmp_path),
+            "--set", f"experiment.state={state}"]
+    assert _main_within(20.0, argv) == code
+    if code == 2:
+        assert "config error: experiment.state.occupations" in capsys.readouterr().err
+    else:
+        cert = json.loads((tmp_path / "certificate.json").read_text())
+        assert cert["value"] == {"re": 0.0, "im": 0.0}
+        assert any("truncated by the caps" in note for note in cert["notes"])
 
 
 def test_certify_formula_window_over_budget_exits_capacity(config_file, capsys):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from bosonlc.bounds import velocity_bound_1d
+from bosonlc.bounds import velocity_bound
 from bosonlc.cluster import GaplessError, clustering_bound, clustering_experiment
 from bosonlc.fock import bose_hubbard
 from bosonlc.lattice import build_cubic, build_path
@@ -21,7 +21,7 @@ def test_bound_decay_rate():
         return -math.log(clustering_bound(r + 1, g, mu, theta, 0)
                          / clustering_bound(r, g, mu, theta, 0))
 
-    vprime = 1.1 * velocity_bound_1d(mu / 2.0, K=2, ell=0)
+    vprime = 1.1 * velocity_bound(mu / 2.0, 2, 0, 1)
     assert rate(1) == pytest.approx(gap / (2.0 * (2.0 * theta) ** 4 * vprime), rel=1e-12)
     assert rate(6) == pytest.approx(rate(1), rel=1e-12)
     # doubling the gap halves the decay length

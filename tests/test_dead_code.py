@@ -4,7 +4,9 @@ A top-level definition that nothing in ``src/bosonlc`` references, apart from
 its own body and the package exports, is code no result runs; so is a method
 or property whose name no attribute read outside its own body names.  The
 benchmark's child process (``perfbench/child.py``) counts as a caller: it
-alone runs ``HeisenbergScanEngine.evolved_operator``.  The only unreferenced
+alone runs ``HeisenbergScanEngine.evolved_operator``.  So does its tracer
+(``perfbench/tracing.py``), whose count of evolved-operator entries reads
+``BlockOp.mat``, which no result reads.  The only unreferenced
 definitions allowed are the reference implementations kept for the tests in
 ``ORACLES``.
 """
@@ -16,7 +18,7 @@ import bosonlc
 
 SOURCE = Path(bosonlc.__file__).resolve().parent
 CALLERS = ([path for path in sorted(SOURCE.glob("*.py")) if path.name != "__init__.py"]
-           + [SOURCE.parents[1] / "perfbench" / "child.py"])
+           + [SOURCE.parents[1] / "perfbench" / name for name in ("child.py", "tracing.py")])
 # the plain Bose-Hubbard model, the single-ladder matrices and the free-boson
 # propagator: independent oracles of the tests, which no result calls
 ORACLES = {"bose_hubbard", "ladder_op", "single_particle_propagator"}

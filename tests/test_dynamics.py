@@ -15,8 +15,7 @@ from bosonlc.dynamics import (HeisenbergScanEngine, connected_correlation, evolv
 from bosonlc.fock import (FockBasis, Interaction, ModelSpec, PiecewiseConstant, bose_hubbard,
                           build_hamiltonian, total_number_op)
 from bosonlc.lattice import build_path
-from bosonlc.opspace import (BlockOp, MonomialOp, MuWeights, OperatorMatrix,
-                             commutator_weighted_norm, f_beta_expectation, sector_entries,
+from bosonlc.opspace import (BlockOp, MonomialOp, MuWeights, commutator_weighted_norm, f_beta_expectation, sector_entries,
                              weighted_norm_sq)
 from conftest import dense_f_beta, random_operator
 
@@ -200,7 +199,7 @@ def _dense_heisenberg(model, basis, op, t):
     for a, b in dynamics._segments(model, 0.0, t):
         h = build_hamiltonian(model, basis, (a + b) / 2.0).toarray()
         u = expm(-1j * h * (b - a)) @ u
-    return u.conj().T @ op.mat.toarray() @ u
+    return u.conj().T @ op.toarray() @ u
 
 
 @pytest.fixture(scope="module")
@@ -212,16 +211,16 @@ def small_system():
 
 def test_heisenberg_total_number_invariant(small_system):
     model, basis = small_system
-    n_op = OperatorMatrix(total_number_op(basis), basis)
+    n_op = total_number_op(basis)
     n_t = HeisenbergScanEngine(model, basis, n_op).evolved_operator(0.9)
-    assert np.max(np.abs((n_t.mat - n_op.mat).toarray())) < 1e-10
+    assert np.max(np.abs((n_t.mat - n_op).toarray())) < 1e-10
 
 
 def test_heisenberg_zero_time(small_system):
     model, basis = small_system
     b0 = MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis)
     bt = HeisenbergScanEngine(model, basis, b0).evolved_operator(0.0)
-    assert np.max(np.abs((bt.mat - b0.mat).toarray())) < 1e-14
+    assert np.max(np.abs((bt.mat - b0).toarray())) < 1e-14
 
 
 def test_norm_preservation_long_time(small_system):
@@ -241,8 +240,8 @@ def test_time_reversal(small_system):
     w = MuWeights(1.0, basis)
     b0 = MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis)
     bt = HeisenbergScanEngine(model, basis, b0).evolved_operator(1.3)
-    back = HeisenbergScanEngine(model, basis, bt).evolved_operator(-1.3)
-    assert weighted_norm_sq(OperatorMatrix(back.mat - b0.mat, basis), w) < 1e-16
+    back = HeisenbergScanEngine(model, basis, bt.mat).evolved_operator(-1.3)
+    assert weighted_norm_sq(back.mat - b0, w) < 1e-16
 
 
 def test_engine_evolves_an_operator_matrix(small_system):
@@ -305,7 +304,7 @@ def test_commutator_oracle_free_model():
         bx = MonomialOp.from_dicts(zeta={x: 1}).to_matrix(basis)
         bxt = HeisenbergScanEngine(model, basis, bx).evolved_operator(t)
         bdag0 = MonomialOp.from_dicts(eta={0: 1}).to_matrix(basis)
-        comm = (bxt.mat @ bdag0.mat - bdag0.mat @ bxt.mat).toarray()
+        comm = (bxt.mat @ bdag0 - bdag0 @ bxt.mat).toarray()
         # on states with total < total_cap the commutator is exactly G_x0 * I
         safe = basis.totals < basis.total_cap
         sub = comm[np.ix_(safe, safe)]
@@ -321,10 +320,10 @@ def test_scan_engine_matches_dense_expm():
     engine = HeisenbergScanEngine(model, basis, op)
     t = 0.4
     a_t = engine.evolved_operator(t)
-    a_t2 = OperatorMatrix(_dense_heisenberg(model, basis, op.to_matrix(basis), t), basis)
-    assert weighted_norm_sq(OperatorMatrix(a_t.mat - a_t2.mat, basis), w) < 1e-18
+    a_t2 = sp.csr_matrix(_dense_heisenberg(model, basis, op.to_matrix(basis), t))
+    assert weighted_norm_sq(a_t.mat - a_t2, w) < 1e-18
     probe = MonomialOp.from_dicts(eta={3: 1}).to_matrix(basis)
-    direct = commutator_weighted_norm(a_t2, OperatorMatrix(probe.mat, basis), w)
+    direct = commutator_weighted_norm(a_t2, probe, w)
     fast = _dense_cell(engine, basis, w, 3, t)
     assert fast == pytest.approx(direct, rel=1e-10, abs=1e-18)
 
@@ -340,9 +339,8 @@ def test_evolved_operator_matches_dense_expm():
         assert isinstance(a_t, BlockOp)
         assert sorted(a_t.blocks) == [(n - 1, n) for n in range(1, 11)]
         ref = sp.csr_matrix(_dense_heisenberg(model, basis, op.to_matrix(basis), t))
-        assert weighted_norm_sq(OperatorMatrix(a_t.mat - ref, basis), w) < 1e-18
-        assert weighted_norm_sq(a_t, w) == pytest.approx(
-            weighted_norm_sq(OperatorMatrix(ref, basis), w), rel=1e-12)
+        assert weighted_norm_sq(a_t.mat - ref, w) < 1e-18
+        assert weighted_norm_sq(a_t, w) == pytest.approx(weighted_norm_sq(ref, w), rel=1e-12)
 
 
 def _complex_eig_evolved_blocks(model, basis, op, t):
@@ -352,7 +350,7 @@ def _complex_eig_evolved_blocks(model, basis, op, t):
     for n, ix in enumerate(basis.sectors):
         eigs[n] = np.linalg.eigh(h[np.ix_(ix, ix)])
     out = {}
-    for (n_row, n_col), dense in BlockOp.from_matrix(op.to_matrix(basis)).blocks.items():
+    for (n_row, n_col), dense in BlockOp.from_matrix(basis, op.to_matrix(basis)).blocks.items():
         (e_r, v_r), (e_c, v_c) = eigs[n_row], eigs[n_col]
         tilde = v_r.conj().T @ dense @ v_c
         phased = np.exp(1j * e_r * t)[:, None] * tilde * np.exp(-1j * e_c * t)[None, :]
@@ -392,7 +390,7 @@ def test_long_span_matches_dense_expm_within_bound(rng):
     engine = HeisenbergScanEngine(model, basis, op)
     assert np.max(np.abs(engine.evolved_operator(t).mat.toarray() - dense)) < 1e-12
     h, lo, hi, h_t = dynamics._split_hamiltonian(build_hamiltonian(model, basis), basis)
-    for (n_row, n_col), block in BlockOp.from_matrix(op).blocks.items():
+    for (n_row, n_col), block in BlockOp.from_matrix(basis, op).blocks.items():
         want = dense[np.ix_(basis.sectors[n_row], basis.sectors[n_col])]
         for tol in (1e-3, 1e-6, 1e-14):
             out, terms, bound = dynamics._chebyshev_expv(
@@ -526,7 +524,7 @@ def test_ad_expansion_peak_memory():
     basis = FockBasis(6, 3)
     h, lo, hi, h_t = dynamics._split_hamiltonian(
         build_hamiltonian(bose_hubbard(build_path(6), 1.0, 1.0), basis), basis)
-    op = BlockOp.from_matrix(MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis))
+    op = BlockOp.from_matrix(basis, MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis))
     (n_row, n_col), block = max(op.blocks.items(), key=lambda kv: kv[1].size)
     assert block.shape == (546, 580)
     tracemalloc.start()
@@ -630,12 +628,12 @@ def test_probe_maps_are_row_major_sector_slices(kind, spec):
     sites, cap, total_cap, number = SPLIT_BASES[kind]
     basis = FockBasis(sites, cap, total_cap=total_cap, number=number)
     probe = MonomialOp.from_dicts(**spec)
-    full = probe.to_matrix(basis).mat.toarray()
+    full = probe.to_matrix(basis).toarray()
     sectors = basis.sectors
     slices = {(a, b): full[np.ix_(sectors[a], sectors[b])]
               for a in range(len(sectors)) for b in range(len(sectors))}
     want = {pair: sub for pair, sub in slices.items() if np.any(sub)}
-    maps = sector_entries(probe.to_matrix(basis).mat, basis)
+    maps = sector_entries(probe.to_matrix(basis), basis)
     assert list(maps) == sorted(want)
     assert bool(maps) == (number is None or probe.gamma == 0)
     for pair, (rows, cols, amps) in maps.items():
@@ -685,7 +683,7 @@ def test_lightcone_scan_free_bessel_column():
     protected = basis.totals < basis.total_cap
     weight = float(np.sum(w.w[protected]))
     for r in (2, 3, 4):
-        probe = MonomialOp.from_dicts(eta={r: 1}).to_matrix(basis).mat
+        probe = MonomialOp.from_dicts(eta={r: 1}).to_matrix(basis)
         a_t = engine.evolved_operator(t)
         comm = (a_t.mat @ probe - probe @ a_t.mat).toarray()
         sub = comm[np.ix_(protected, protected)]
@@ -703,7 +701,7 @@ def _dense_cell(engine, basis, w, r, t):
     gram = {r: np.zeros((1, 1), complex)}
     probe = MonomialOp.from_dicts(eta={r: 1})
     n_row, n_col = next(iter(blocks))
-    maps = {r: sector_entries(probe.to_matrix(basis).mat, basis)}
+    maps = {r: sector_entries(probe.to_matrix(basis), basis)}
     dynamics._add_commutator_grams(gram, {r: 0}, maps, seqs, seqs.__getitem__,
                                    n_row - n_col, probe.gamma, w)
     return float(gram[r][0, 0].real)
@@ -954,7 +952,7 @@ def test_connected_correlation_identity_vanishes(rng):
     psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     psi /= np.linalg.norm(psi)
     a = random_operator(rng, basis)
-    ident = OperatorMatrix.identity(basis)
+    ident = sp.identity(basis.dim, format="csr")
     assert abs(connected_correlation(psi, a, ident)) < 1e-10
     assert abs(connected_correlation(psi, ident, a)) < 1e-10
 

@@ -11,7 +11,7 @@ from bosonlc.config import load_config
 from bosonlc.fock import (FockBasis, build_hamiltonian, bose_hubbard, ladder_op,
                           random_model_spec, total_number_op)
 from bosonlc.lattice import build_path
-from bosonlc.opspace import (BlockOp, MonomialOp, MuWeights, OperatorMatrix,
+from bosonlc.opspace import (BlockOp, MonomialOp, MuWeights,
                              apply_liouvillian, check_thermal_relation,
                              commutator_weighted_norm,
                              f_beta_expectation, identity_f_beta,
@@ -43,11 +43,8 @@ def test_matrices_are_real_by_construction():
         assert ladder_op(basis, 1, kind).dtype == np.float64
     assert total_number_op(basis).dtype == np.float64
     op = MonomialOp.from_dicts(eta={0: 2}, zeta={1: 1}).to_matrix(basis)
-    assert op.mat.dtype == np.float64
-    assert OperatorMatrix.identity(basis).mat.dtype == np.float64
-    for dense in (np.eye(basis.dim), np.eye(basis.dim, dtype=np.int64)):
-        assert OperatorMatrix(dense, basis).mat.dtype == np.float64
-    blocks = BlockOp.from_matrix(op)
+    assert op.dtype == np.float64
+    blocks = BlockOp.from_matrix(basis, op)
     assert blocks.blocks and all(b.dtype == np.float64 for b in blocks.blocks.values())
     assert blocks.mat.dtype == np.float64
 
@@ -91,7 +88,7 @@ def basis_and_monomial(draw):
 @given(basis_and_monomial())
 def test_to_matrix_bit_identical_to_ladder_products(case):
     basis, op = case
-    assert stored_entries(op.to_matrix(basis).mat) == stored_entries(ladder_product(op, basis))
+    assert stored_entries(op.to_matrix(basis)) == stored_entries(ladder_product(op, basis))
 
 
 def test_to_matrix_on_fixed_number_basis():
@@ -101,13 +98,13 @@ def test_to_matrix_on_fixed_number_basis():
     for op in (MonomialOp.from_dicts(eta={1: 1}, zeta={1: 1}),
                MonomialOp.from_dicts(eta={0: 2}, zeta={0: 2}),
                MonomialOp.from_dicts(eta={0: 1}, zeta={3: 1})):
-        want = op.to_matrix(full).mat[rows][:, rows]
-        assert (op.to_matrix(sector).mat != want).nnz == 0
+        want = op.to_matrix(full)[rows][:, rows]
+        assert (op.to_matrix(sector) != want).nnz == 0
     # the ladder product would pass through N = 4 and lose the density
-    density = MonomialOp.from_dicts(eta={2: 1}, zeta={2: 1}).to_matrix(sector).mat
+    density = MonomialOp.from_dicts(eta={2: 1}, zeta={2: 1}).to_matrix(sector)
     assert np.allclose(density.diagonal(), sector.states[:, 2], rtol=1e-15, atol=0)
     for op in (MonomialOp.from_dicts(zeta={0: 1}), MonomialOp.from_dicts(eta={0: 2, 1: 1})):
-        assert op.to_matrix(sector).mat.nnz == 0
+        assert op.to_matrix(sector).nnz == 0
 
 
 def test_to_matrix_rejects_site_outside_basis():
@@ -138,7 +135,7 @@ def test_site_monomial_norm_needs_one_site():
 
 def test_identity_normalized():
     basis, w = single_site(cap=45)
-    ident = OperatorMatrix.identity(basis)
+    ident = sp.identity(basis.dim, format="csr")
     assert weighted_inner(ident, ident, w).real == pytest.approx(1.0, abs=1e-15)
 
 
@@ -168,13 +165,32 @@ def test_inner_product_axioms(rng):
         ba = weighted_inner(b, a, w)
         assert ab == pytest.approx(np.conj(ba), abs=1e-10)
         lam = complex(rng.normal(), rng.normal())
-        lin = weighted_inner(a, OperatorMatrix(lam * b.mat + c.mat, basis), w)
+        lin = weighted_inner(a, lam * b + c, w)
         assert lin == pytest.approx(lam * ab + weighted_inner(a, c, w), rel=1e-10)
         norm = weighted_inner(a, a, w)
         assert norm.imag == pytest.approx(0.0, abs=1e-10)
         assert norm.real > 0
-    zero = OperatorMatrix(sp.csr_matrix((basis.dim, basis.dim)), basis)
+    zero = sp.csr_matrix((basis.dim, basis.dim))
     assert weighted_inner(zero, zero, w) == 0
+
+
+@pytest.mark.parametrize("form", [
+    lambda a, w: weighted_inner(a, a, w),
+    weighted_norm_sq,
+    lambda a, w: thermal_expectation(a, a, w),
+    lambda a, w: check_thermal_relation(a, a, 0, 0, w),
+    lambda a, w: f_beta_expectation(a, 0, 1, w),
+    lambda a, w: commutator_weighted_norm(a, a, w),
+    lambda a, w: monomial_commutator_bound(a, MonomialOp.from_dicts(zeta={0: 1}), w),
+], ids=["inner", "norm", "thermal", "thermal_relation", "f_beta", "commutator", "monomial"])
+def test_weighted_forms_reject_a_matrix_off_the_basis(form):
+    # the weights carry the basis; a matrix of any other shape is refused
+    # before an entry is weighted
+    basis = FockBasis(2, 2)
+    w = MuWeights(1.0, basis)
+    for shape in ((basis.dim - 1,) * 2, (basis.dim + 1,) * 2, (basis.dim, basis.dim + 1)):
+        with pytest.raises(ValueError, match="not over the"):
+            form(sp.identity(max(shape), format="csr")[:shape[0], :shape[1]], w)
 
 
 # -- thermal relation ---------------------------------------------------------
@@ -199,7 +215,7 @@ def test_thermal_relation_sector_mismatch_vanishes():
 
 def test_thermal_relation_identity_trace():
     basis, w = single_site(cap=45)
-    ident = OperatorMatrix.identity(basis)
+    ident = sp.identity(basis.dim, format="csr")
     assert thermal_expectation(ident, ident, w).real == pytest.approx(1.0, abs=1e-14)
     assert check_thermal_relation(ident, ident, 0, 0, w) <= 1e-13
 
@@ -219,7 +235,7 @@ def test_identity_f_beta_series():
         q = math.exp(-mu)
         basis = FockBasis(1, 80)
         w = MuWeights(mu, basis)
-        ident = OperatorMatrix.identity(basis)
+        ident = sp.identity(basis.dim, format="csr")
         val = f_beta_expectation(ident, 0, 1, w, projected=False)
         assert val == pytest.approx(1.0 / (1.0 - q), rel=1e-10)
         assert val == pytest.approx(series_identity_f(mu, 1), rel=1e-10)
@@ -251,15 +267,14 @@ def test_f_beta_projected_dense_oracle(rng):
         mat = rng.normal(size=(basis.dim,) * 2) + 1j * rng.normal(size=(basis.dim,) * 2)
         for site in (0, 1):
             for beta in (1, 2):
-                fast = f_beta_expectation(OperatorMatrix(mat, basis), site, beta, w,
-                                          projected=True)
+                fast = f_beta_expectation(sp.csr_matrix(mat), site, beta, w, projected=True)
                 assert fast == pytest.approx(dense_f_beta(basis, w, mat, site, beta),
                                              rel=1e-10)
 
 
 def test_f_beta_blockwise_raw_and_conserving_dense_oracle(rng):
-    """Raw and projected functionals, number-conserving or not, as an
-    OperatorMatrix or a BlockOp, against the dense oracle."""
+    """Raw and projected functionals, number-conserving or not, as a
+    sparse matrix or a BlockOp, against the dense oracle."""
     basis = FockBasis(3, 2)
     w = MuWeights(0.7, basis)
     same_sector = basis.totals[:, None] == basis.totals[None, :]
@@ -267,8 +282,8 @@ def test_f_beta_blockwise_raw_and_conserving_dense_oracle(rng):
         mat = rng.normal(size=(basis.dim,) * 2) + 1j * rng.normal(size=(basis.dim,) * 2)
         if conserving:
             mat[~same_sector] = 0
-        a = OperatorMatrix(mat, basis)
-        blocks = BlockOp.from_matrix(a)
+        a = sp.csr_matrix(mat)
+        blocks = BlockOp.from_matrix(basis, a)
         if conserving:
             assert all(nr == nc for nr, nc in blocks.blocks)
         for site in (0, 2):
@@ -283,15 +298,15 @@ def test_block_op_real_blocks_and_assembly(rng):
     basis = FockBasis(3, 2)
     w = MuWeights(1.0, basis)
     b = MonomialOp.from_dicts(zeta={1: 1}).to_matrix(basis)
-    blocks = BlockOp.from_matrix(b)
+    blocks = BlockOp.from_matrix(basis, b)
     assert sorted(blocks.blocks) == [(n - 1, n) for n in range(1, 7)]
     assert all(block.dtype == np.float64 for block in blocks.blocks.values())
     assert blocks.mat is blocks.mat  # assembled once, then cached
-    assert abs(blocks.mat - b.mat).max() == 0
+    assert abs(blocks.mat - b).max() == 0
     assert weighted_norm_sq(blocks, w) == pytest.approx(weighted_norm_sq(b, w), rel=1e-14)
     a = random_operator(rng, basis)
-    assert weighted_norm_sq(OperatorMatrix(BlockOp.from_matrix(a).mat - a.mat, basis), w) == 0
-    assert weighted_norm_sq(BlockOp.from_matrix(a), w) == pytest.approx(
+    assert weighted_norm_sq(BlockOp.from_matrix(basis, a).mat - a, w) == 0
+    assert weighted_norm_sq(BlockOp.from_matrix(basis, a), w) == pytest.approx(
         weighted_norm_sq(a, w), rel=1e-13)
 
 
@@ -329,14 +344,12 @@ def test_block_op_from_matrix_matches_dense_slices(rng, kind, dtype):
              (dup, set()), (zero_only, {(int(basis.totals[-1]),) * 2}),
              (sp.csr_matrix((dim, dim), dtype=dtype), set())]
     for mat, zero_pairs in cases:
-        op = OperatorMatrix(mat, basis)
-        assert op.mat.dtype == dtype and op.mat.nnz == mat.nnz   # duplicates kept
         full = mat.toarray()
         want = {(a, b): full[np.ix_(sectors[a], sectors[b])]
                 for a in range(len(sectors)) for b in range(len(sectors))}
         want = {pair: block for pair, block in want.items()
                 if np.any(block) or pair in zero_pairs}
-        got = BlockOp.from_matrix(op).blocks
+        got = BlockOp.from_matrix(basis, mat).blocks
         assert list(got) == sorted(want)
         for pair, block in got.items():
             assert block.dtype == dtype and np.array_equal(block, want[pair])
@@ -398,7 +411,7 @@ def test_f_beta_projected_leq_plus_identity_part(rng):
             val = f_beta_expectation(a, site, 2, w, projected=True)
             assert val >= 0
             # agrees with the dense evaluation
-            direct = dense_f_beta(basis, w, a.mat.toarray(), site, 2)
+            direct = dense_f_beta(basis, w, a.toarray(), site, 2)
             assert val == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
 
@@ -416,7 +429,7 @@ def test_commutator_canonical_pair():
     basis, w = single_site(cap=40)
     b = MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis)
     bdag = MonomialOp.from_dicts(eta={0: 1}).to_matrix(basis)
-    ident = OperatorMatrix.identity(basis)
+    ident = sp.identity(basis.dim, format="csr")
     val = commutator_weighted_norm(b, bdag, w)
     assert val == pytest.approx(weighted_inner(ident, ident, w).real, abs=1e-10)
 
@@ -428,8 +441,8 @@ def test_commutator_triangle_oracle(rng):
         a = random_operator(rng, basis)
         b = random_operator(rng, basis)
         comm = commutator_weighted_norm(a, b, w)
-        ab = weighted_norm_sq(OperatorMatrix(a.mat @ b.mat, basis), w)
-        ba = weighted_norm_sq(OperatorMatrix(b.mat @ a.mat, basis), w)
+        ab = weighted_norm_sq(a @ b, w)
+        ba = weighted_norm_sq(b @ a, w)
         assert comm <= 2 * ab + 2 * ba + 1e-9 * (ab + ba)
 
 
@@ -493,5 +506,5 @@ def test_monomial_bound_evolved_operator(rng):
     probe = MonomialOp.from_dicts(eta={3: 1})
     for t in (0.0, 0.05, 0.2, 0.5):
         bt = engine.evolved_operator(t)
-        lhs, rhs = monomial_commutator_bound(bt, probe, w)
+        lhs, rhs = monomial_commutator_bound(bt.mat, probe, w)
         assert lhs <= rhs * (1 + 1e-9) + 1e-12

@@ -160,15 +160,19 @@ def coupling_matrix(graph: Graph, coupling: MMatrixBound, ell: int) -> np.ndarra
     return m
 
 
+ENVELOPE_ORDER = 8     # Taylor degree of each envelope step
+ENVELOPE_STEP = 0.25   # envelope step size times the infinity norm of M
+
+
 def integrate_envelope(graph: Graph, coupling: MMatrixBound, c0: np.ndarray,
-                       times, ell: int, order: int = 8,
-                       step_factor: float = 0.25) -> Envelope:
+                       times, ell: int) -> Envelope:
     """Certified super-solution of dC/dt <= M C by one-sided Taylor stepping.
 
-    Each step applies the degree-``order`` Taylor polynomial of exp(h M) and
-    then adds the rigorous remainder bound
+    Each step of size h = ENVELOPE_STEP / |M| applies the degree-d Taylor
+    polynomial of exp(h M), d = ENVELOPE_ORDER, and then adds the rigorous
+    remainder bound
 
-        (h |M|)^(order+1) / (order+1)! * e^(h |M|) * max C
+        (h |M|)^(d+1) / (d+1)! * e^(h |M|) * max C
 
     to every component, so the result dominates the exact solution at every
     grid time.  Nonnegativity of M and C makes the one-sided rounding valid
@@ -186,16 +190,16 @@ def integrate_envelope(graph: Graph, coupling: MMatrixBound, c0: np.ndarray,
     now = 0.0
     for j, t_out in enumerate(times):
         while now < t_out - 1e-15:
-            h = min(step_factor / norm if norm > 0 else t_out - now, t_out - now)
+            h = min(ENVELOPE_STEP / norm if norm > 0 else t_out - now, t_out - now)
             if h <= 0:
                 raise FloatingPointError("envelope step size underflow")
             term = c.copy()
             new = c.copy()
-            for k in range(1, order + 1):
+            for k in range(1, ENVELOPE_ORDER + 1):
                 term = (h / k) * (m @ term)
                 new += term
             hn = h * norm
-            remainder = (hn ** (order + 1) / math.factorial(order + 1)
+            remainder = (hn ** (ENVELOPE_ORDER + 1) / math.factorial(ENVELOPE_ORDER + 1)
                          * math.exp(hn) * float(c.max(initial=0.0)))
             new += remainder
             c = new

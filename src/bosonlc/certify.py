@@ -52,7 +52,7 @@ class DensityAssumption:
             raise ValueError("form must be 'inner' or 'partial-trace'")
 
 
-def fock_state_assumption(occupations, center: int | None = None) -> DensityAssumption:
+def fock_state_assumption(occupations) -> DensityAssumption:
     """Assumption parameters for a number eigenstate on a symmetric chain.
 
     With exactly N_x bosons on the 2x+1 central sites one may take
@@ -60,12 +60,11 @@ def fock_state_assumption(occupations, center: int | None = None) -> DensityAssu
     admissible density) fixes mu; a mu below MU_FLOOR raises ValueError.
     """
     occ = list(occupations)
-    if center is None:
-        if len(occ) % 2 == 0:
-            raise ValueError("chain must have odd length for the symmetric labeling")
-        center = len(occ) // 2
+    if len(occ) % 2 == 0:
+        raise ValueError("chain must have odd length for the symmetric labeling")
+    center = len(occ) // 2
     best_mu = math.inf
-    for x in range(0, min(center, len(occ) - 1 - center) + 1):
+    for x in range(center + 1):
         n_window = sum(occ[center - x:center + x + 1])
         if n_window > 0:
             best_mu = min(best_mu, (2 * x + 1) / n_window)
@@ -77,9 +76,9 @@ def fock_state_assumption(occupations, center: int | None = None) -> DensityAssu
     return DensityAssumption(mu=best_mu, theta=theta, K0=theta, form="inner")
 
 
-def validate_fock_assumption(occupations, assumption: DensityAssumption,
-                             center: int | None = None) -> bool:
-    """Exact check of the inner-product form for a number eigenstate.
+def validate_fock_assumption(occupations, assumption: DensityAssumption) -> bool:
+    """Exact check of the inner-product form for a number eigenstate,
+    its cuts centred on the middle site.
 
     For a Fock state the optimal constant at cut x is
     (1-e^-mu)^-(2x+1) e^(mu N_x); the assumption holds iff this never
@@ -87,8 +86,7 @@ def validate_fock_assumption(occupations, assumption: DensityAssumption,
     powers leave the float range from x of a few hundred on.
     """
     occ = list(occupations)
-    if center is None:
-        center = len(occ) // 2
+    center = len(occ) // 2
     q = math.exp(-assumption.mu)
     for x in range(0, min(center, len(occ) - 1 - center) + 1):
         n_window = sum(occ[center - x:center + x + 1])
@@ -291,7 +289,7 @@ def certified_expectation(model: ModelSpec, occupations, observable: MonomialOp,
         notes.append("initial state truncated by the caps; projected without renormalization")
 
     status = "asserted, unverified"
-    if validate_fock_assumption(occ, assumption, center):
+    if validate_fock_assumption(occ, assumption):
         status = "validated exactly (number eigenstate)"
     else:
         notes.append("declared density assumption could not be verified for this state")

@@ -65,12 +65,12 @@ def _write_table(cfg: ExperimentConfig, out: Path, stem: str, result, provenance
                  verbose: bool) -> None:
     """``stem``.csv and ``stem``.json, each only if ``output.formats`` lists it."""
     if "csv" in cfg.formats:
-        header = {"resolved_config": cfg.resolved(), "constants": cfg.constants,
+        header = {"resolved_config": cfg.raw, "constants": cfg.constants,
                   "provenance": provenance}
         lines = ["# " + line for line in _json_dump(header).splitlines()]
         _write(out / f"{stem}.csv", "\n".join(lines) + "\n" + result.to_csv(), verbose)
     if "json" in cfg.formats:
-        payload = {**result.to_dict(), "resolved_config": cfg.resolved(),
+        payload = {**result.to_dict(), "resolved_config": cfg.raw,
                    "constants_ledger": cfg.constants}
         _write(out / f"{stem}.json", _json_dump(payload), verbose)
 
@@ -91,7 +91,7 @@ def _run_bounds(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
     with _constants_of("ensemble.mu", "model.graph", "model.range", "experiment.beta"):
         trace = bounds_mod.derivation_trace(cfg.mu, cfg.model.graph.max_degree,
                                             cfg.model.interaction_range, cfg.experiment["beta"])
-    report = {"resolved_config": cfg.resolved(), "constants_ledger": cfg.constants,
+    report = {"resolved_config": cfg.raw, "constants_ledger": cfg.constants,
               "trace": trace, "note": ("scale constants C1/C3/C4/C5 are configuration inputs "
                                        "with default 1; the derivation leaves them unspecified")}
     _write(out / "bounds.json", _json_dump(report), verbose)
@@ -172,7 +172,7 @@ def _run_certify(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
                 eps=cfg.constants["epsilon"])
     except certify_mod.WindowError as exc:
         raise ConfigError("experiment.observable.site", str(exc)) from exc
-    cert = {**value.to_dict(), "resolved_config": cfg.resolved(),
+    cert = {**value.to_dict(), "resolved_config": cfg.raw,
             "constants_ledger": cfg.constants}
     _write(out / "certificate.json", _json_dump(cert), verbose)
     return EXIT_OK
@@ -208,7 +208,7 @@ def _run_cluster(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
 def _run_selftest(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
     from .selftest import run_selftest
     report = run_selftest(seed=cfg.seed, samples=cfg.experiment["samples"])
-    payload = {"resolved_config": cfg.resolved(), "checks": report}
+    payload = {"resolved_config": cfg.raw, "checks": report}
     _write(out / "selftest.json", _json_dump(payload), verbose)
     for check in report:
         print(f"[{'PASS' if check['passed'] else 'FAIL'}] {check['name']} "

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import worst_case_velocities
-from .certify import DensityAssumption
 from .dynamics import connected_correlation, ground_state
 from .fock import FockBasis, ModelSpec, build_hamiltonian
 from .lattice import is_path
@@ -81,11 +80,9 @@ FAMILIES = {
 
 def clustering_experiment(model: ModelSpec, r_list, *, per_site_cap: int,
                           filling: int = 1,
-                          assumption: DensityAssumption | None = None,
                           observables: tuple[str, ...] = ("density",),
                           gap_threshold: float = 1e-6,
-                          c5: float = 1.0, eps: float = 0.1,
-                          mu: float | None = None) -> ClusterReport:
+                          c5: float = 1.0, eps: float = 0.1) -> ClusterReport:
     """Exact connected correlations vs the clustering bound, per separation.
 
     The eigensolve runs in the exact total-number sector ``filling *
@@ -107,13 +104,12 @@ def clustering_experiment(model: ModelSpec, r_list, *, per_site_cap: int,
         raise GaplessError(
             f"in-sector gap {gs.gap:.3e} below threshold {gap_threshold:.1e}")
 
-    if assumption is None:
-        mu_a = (2 * (length // 2) + 1) / n_target if n_target else 1.0
-        theta = math.e / (1.0 - math.exp(-mu_a))
-        assumption = DensityAssumption(mu=mu_a, theta=theta, K0=theta)
-    mu_w = mu if mu is not None else assumption.mu
+    # the finite-density assumption, mu = (2 floor(L/2) + 1) / N and theta
+    # = K0 = e / (1 - e^-mu), serves the bound and the observables' weights
+    mu = (2 * (length // 2) + 1) / n_target if n_target else 1.0
+    theta = math.e / (1.0 - math.exp(-mu))
     ell = model.interaction_range
-    velocity = worst_case_velocities(assumption.mu, assumption.theta, ell, eps)[1]
+    velocity = worst_case_velocities(mu, theta, ell, eps)[1]
 
     rows: list[ClusterRow] = []
     density_log: list[tuple[int, float]] = []
@@ -121,7 +117,7 @@ def clustering_experiment(model: ModelSpec, r_list, *, per_site_cap: int,
         template = FAMILIES[name]
         # unit weighted norm on the grand-canonical capped basis (total cap
         # n_target); every site has the same norm
-        norm = math.sqrt(site_monomial_norm_sq(template, mu_w, length,
+        norm = math.sqrt(site_monomial_norm_sq(template, mu, length,
                                                per_site_cap, n_target))
         left_op = template.adjoint()
         left = left_op.to_matrix(basis) / norm
@@ -140,7 +136,7 @@ def clustering_experiment(model: ModelSpec, r_list, *, per_site_cap: int,
                                      tuple(sorted(left_op.zeta + right_op.zeta)))
                 psi = gs.vector
                 cor = abs(complex(np.vdot(psi, product.to_matrix(basis) @ psi))) / norm ** 2
-            bound = clustering_bound(r, gs.gap, assumption.mu, assumption.theta, ell, eps, c5)
+            bound = clustering_bound(r, gs.gap, mu, theta, ell, eps, c5)
             minimal = cor / (bound / c5) if bound > 0 else math.inf
             rows.append(ClusterRow(observable=name, r=r, exact=cor, bound=bound,
                                    ratio=cor / bound if bound > 0 else math.inf,
@@ -158,8 +154,7 @@ def clustering_experiment(model: ModelSpec, r_list, *, per_site_cap: int,
     meta = {
         "length": length, "per_site_cap": per_site_cap, "filling": filling,
         "sector_dim": basis.dim, "gap_threshold": gap_threshold,
-        "assumption": {"mu": assumption.mu, "theta": assumption.theta,
-                       "K0": assumption.K0},
+        "assumption": {"mu": mu, "theta": theta, "K0": theta},
         "note": ("the bound scale C5 is a configuration input (default 1); "
                  "only the decay shape is asserted"),
     }

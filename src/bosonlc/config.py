@@ -227,7 +227,7 @@ def _check_rows(raw: dict, rows, values: dict) -> None:
 
 @dataclass
 class ExperimentConfig:
-    raw: dict
+    raw: dict               # the parsed config, embedded in every output file
     model: ModelSpec
     mu: float
     per_site_cap: int
@@ -238,10 +238,6 @@ class ExperimentConfig:
     formats: tuple[str, ...]
     constants: dict
     seed: int
-
-    def resolved(self) -> dict:
-        """The fully resolved config embedded in every output file."""
-        return self.raw
 
 
 def _build_interaction(term: dict, path: str, graph: Graph) -> list[Interaction]:

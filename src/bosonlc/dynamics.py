@@ -48,16 +48,15 @@ class EvolutionError(RuntimeError):
     """A ground-state eigensolve failed or missed its residual target."""
 
 
-def _segments(model: ModelSpec, t0: float, t1: float):
-    """Constant-Hamiltonian intervals covering [t0, t1] (either direction)."""
-    if t1 == t0:
-        return
-    lo, hi = (t0, t1) if t1 > t0 else (t1, t0)
+def _segments(model: ModelSpec, t: float) -> list[tuple[float, float]]:
+    """Constant-Hamiltonian spans (a, b) from 0 to t, in the order they run:
+    backwards, each with b < a, for a negative t."""
+    if t == 0.0:
+        return []
+    lo, hi = min(t, 0.0), max(t, 0.0)
     cuts = [lo] + [b for b in model.breakpoints() if lo < b < hi] + [hi]
     spans = list(zip(cuts[:-1], cuts[1:]))
-    if t1 < t0:
-        spans = [(b, a) for a, b in reversed(spans)]
-    yield from spans
+    return spans if t > 0 else [(b, a) for a, b in reversed(spans)]
 
 
 def _with_data(m: sp.csr_matrix | sp.csc_matrix,
@@ -203,9 +202,9 @@ def _chebyshev_expv(h: sp.csr_matrix, v: np.ndarray, t: float, tol: float = 1e-1
     return np.multiply(np.exp(-1j * c * t), out, out=out), order + 1, tail * norm
 
 
-def evolve_state(psi: np.ndarray, model: ModelSpec, basis: FockBasis, t: float,
-                 t0: float = 0.0) -> tuple[np.ndarray, int, float]:
-    """Propagate a state vector from t0 to t under the (piecewise) Hamiltonian.
+def evolve_state(psi: np.ndarray, model: ModelSpec, basis: FockBasis,
+                 t: float) -> tuple[np.ndarray, int, float]:
+    """Propagate a state vector from 0 to t under the (piecewise) Hamiltonian.
 
     Returns (state, Chebyshev terms summed, error bound).  Each constant
     segment takes one expansion; the bound on ||state - exact state|| is the
@@ -213,7 +212,7 @@ def evolve_state(psi: np.ndarray, model: ModelSpec, basis: FockBasis, t: float,
     """
     out = np.array(psi, dtype=np.complex128)
     terms, bound = 0, 0.0
-    for a, b in _segments(model, t0, t):
+    for a, b in _segments(model, t):
         h = build_hamiltonian(model, basis, (min(a, b) + max(a, b)) / 2.0)
         out, k, err = _chebyshev_expv(h, out, b - a)
         terms += k
@@ -232,7 +231,7 @@ def single_particle_propagator(model: ModelSpec, t: float) -> np.ndarray:
 
     n = model.graph.num_vertices
     g = np.eye(n, dtype=np.complex128)
-    for a, b in _segments(model, 0.0, t):
+    for a, b in _segments(model, t):
         h = model.hopping_matrix((a + b) / 2.0)
         evals, evecs = eigh(h)
         phase = np.exp(-1j * evals * (b - a))
@@ -277,7 +276,7 @@ class HeisenbergScanEngine:
         block runs through every span before the next block is made.
         """
         spans = []
-        for a, b in reversed(list(_segments(self.model, 0.0, t))):
+        for a, b in reversed(_segments(self.model, t)):
             mid = (a + b) / 2.0
             piece = bisect_right(self._breaks, mid)   # the piece holding mid, as in .at(mid)
             if piece not in self._h:
@@ -571,8 +570,8 @@ class ScanResult:
     cells: list[ScanCell]
     metadata: dict
 
-    def violations(self, include_tail: bool = True) -> list[ScanCell]:
-        """Cells inside the cone where exact (+ tail) exceeds the bound.
+    def violations(self) -> list[ScanCell]:
+        """Cells inside the cone where exact + tail exceeds the bound.
 
         At t = 0 disjoint supports commute structurally, so the tail does not
         apply there: the cell is sound iff the exact value is zero.
@@ -585,8 +584,7 @@ class ScanResult:
                 if cell.exact > 0.0:
                     bad.append(cell)
                 continue
-            lhs = cell.exact + (cell.tail_estimate if include_tail else 0.0)
-            if lhs > cell.bound_ensemble:
+            if cell.exact + cell.tail_estimate > cell.bound_ensemble:
                 bad.append(cell)
         return bad
 
@@ -673,15 +671,10 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
             for r, _ in cells}
 
     # ad_H grows a support by one hop or one interaction range per order; on
-    # a product basis an operator commutes with a probe its support misses
-    growth = max(1, ell)
-    first = {}
-    for r in maps:
-        order = 0
-        if basis.total_cap is None and basis.number is None:
-            while sites[r] not in fatten(graph, support, order * growth):
-                order += 1
-        first[r] = order
+    # a product basis an operator commutes with a probe its support misses,
+    # so the series at distance r starts at order ceil(r / max(1, ell))
+    product = basis.total_cap is None and basis.number is None
+    first = {r: math.ceil(r / max(1, ell)) if product else 0 for r in maps}
 
     def make_cell(r: int, t: float, exact: float) -> ScanCell:
         bound = bounds_mod.ensemble_commutator_bound(r, t, params)

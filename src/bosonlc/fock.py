@@ -340,9 +340,9 @@ def bose_hubbard(graph: Graph, j: complex = 1.0, u0: float = 1.0) -> ModelSpec:
     return ModelSpec(graph=graph, hopping=hopping, interactions=terms, interaction_range=0)
 
 
-def random_model_spec(rng: np.random.Generator, graph: Graph | None = None,
-                      interaction_range: int = 1) -> ModelSpec:
-    """Seeded random model inside the allowed class, for structural fuzzing."""
+def random_model_spec(rng: np.random.Generator, graph: Graph | None = None) -> ModelSpec:
+    """Seeded random model inside the allowed class, for structural fuzzing:
+    on-site and nearest-neighbour terms, interaction range 1."""
     if graph is None:
         length = int(rng.integers(3, 7))
         graph = Graph(length, [(i, i + 1) for i in range(length - 1)])
@@ -361,14 +361,12 @@ def random_model_spec(rng: np.random.Generator, graph: Graph | None = None,
     for v in graph.vertices():
         if rng.random() < 0.7:
             terms.append(onsite_density_interaction(v, float(rng.uniform(-2, 2))))
-    if interaction_range >= 1:
-        for u, v in graph.edges:
-            if rng.random() < 0.4:
-                terms.append(Interaction(
-                    support=(u, v),
-                    monomials=((float(rng.uniform(-1, 1)), ((u, 1), (v, 1))),)))
+    for u, v in graph.edges:
+        if rng.random() < 0.4:
+            terms.append(Interaction(
+                support=(u, v), monomials=((float(rng.uniform(-1, 1)), ((u, 1), (v, 1))),)))
     return ModelSpec(graph=graph, hopping=hopping, interactions=tuple(terms),
-                     interaction_range=interaction_range)
+                     interaction_range=1)
 
 
 # ---------------------------------------------------------------------------

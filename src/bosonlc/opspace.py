@@ -64,11 +64,18 @@ class MuWeights:
         """sqrt(w_m w_n), shared by every state pair of sectors (n_row, n_col)."""
         return self.prefactor * self.q ** ((n_row + n_col) / 2.0)
 
-    def require_over_basis(self, *mats: sp.spmatrix) -> None:
-        """Raise unless each matrix is square over this basis."""
-        if any(mat.shape != (self.basis.dim, self.basis.dim) for mat in mats):
-            raise ValueError(f"operator shapes {[mat.shape for mat in mats]} are not over "
-                             f"the {self.basis.dim}-state basis of the weights")
+    def require_over_basis(self, *ops: sp.spmatrix | BlockOp) -> None:
+        """Raise unless each operator is over this basis: a matrix square over
+        it, or a BlockOp over a basis of the same sites, caps and number."""
+        def spec(basis: FockBasis) -> tuple:
+            return basis.num_sites, basis.per_site_cap, basis.total_cap, basis.number
+        for op in ops:
+            if isinstance(op, BlockOp) and spec(op.basis) != spec(self.basis):
+                raise ValueError(f"blocks over sites, caps and number {spec(op.basis)} are "
+                                 f"not over the basis {spec(self.basis)} of the weights")
+            if not isinstance(op, BlockOp) and op.shape != (self.basis.dim, self.basis.dim):
+                raise ValueError(f"operator shape {op.shape} is not over "
+                                 f"the {self.basis.dim}-state basis of the weights")
 
     def require_product_basis(self):
         if self.basis.total_cap is not None or self.basis.number is not None:
@@ -292,10 +299,10 @@ def weighted_inner(a: sp.spmatrix, b: sp.spmatrix, w: MuWeights) -> complex:
 
 def weighted_norm_sq(a: sp.spmatrix | BlockOp, w: MuWeights) -> float:
     """(A|A); block by block for a BlockOp, over stored entries otherwise."""
+    w.require_over_basis(a)
     if isinstance(a, BlockOp):
         return float(sum(w.pair_weight(n_row, n_col) * _sq_sum(block)
                          for (n_row, n_col), block in a.blocks.items()))
-    w.require_over_basis(a)
     coo = sp.coo_matrix(a)
     if coo.nnz == 0:
         return 0.0
@@ -353,8 +360,8 @@ def f_beta_expectation(a: sp.spmatrix | BlockOp, site: int, beta: int, w: MuWeig
     if projected:
         w.require_product_basis()
     basis, q = w.basis, w.q
+    w.require_over_basis(a)
     if not isinstance(a, BlockOp):
-        w.require_over_basis(a)
         a = BlockOp.from_matrix(basis, a)
     levels = np.arange(basis.per_site_cap + 1)
     f = (levels + float(beta)) ** beta
@@ -393,19 +400,9 @@ def f_beta_expectation(a: sp.spmatrix | BlockOp, site: int, beta: int, w: MuWeig
     return max(raw - 2.0 * cross + avg_sq, 0.0)
 
 
-def identity_f_beta(mu: float, beta: int, cap: int | None = None) -> float:
-    """(I|F^beta|I) for a single uncapped site (or truncated at ``cap``)."""
+def identity_f_beta(mu: float, beta: int, cap: int) -> float:
+    """(I|F^beta|I) for a single site truncated at ``cap`` bosons."""
     q = math.exp(-mu)
-    if cap is None:
-        # series sum (1-q) sum (n+beta)^beta q^n, summed until it converges
-        total = 0.0
-        n = 0
-        while True:
-            term = (1.0 - q) * (n + beta) ** beta * q ** n
-            total += term
-            if term < 1e-18 * max(total, 1.0) and n > 8 * beta:
-                return total
-            n += 1
     js = np.arange(cap + 1, dtype=np.float64)
     z = 1.0 - q ** (cap + 1)
     return float(np.sum((1.0 - q) * q ** js * (js + beta) ** beta) / z)
@@ -422,22 +419,21 @@ def apply_liouvillian(h: sp.spmatrix, a: sp.spmatrix) -> sp.spmatrix:
     return 1j * (h @ a - a @ h)
 
 
-def monomial_commutator_bound(o: sp.spmatrix, probe: MonomialOp, w: MuWeights,
-                              region: frozenset[int] | None = None) -> tuple[float, float]:
+def monomial_commutator_bound(o: sp.spmatrix, probe: MonomialOp,
+                              w: MuWeights) -> tuple[float, float]:
     """Both sides of the monomial-probe commutator inequality.
 
     lhs is the exact weighted norm of [O, probe]; rhs is
 
         8 beta^beta cosh(mu gamma / 2) (1 + beta (beta/(1-q))^beta)
-            * sum_{x in region} (O| projected F_x^beta |O)
+            * sum_{x in supp(probe)} (O| projected F_x^beta |O)
 
-    with region defaulting to the probe support.  Tests assert lhs <= rhs.
+    Tests assert lhs <= rhs.
     """
-    region = frozenset(region) if region is not None else probe.support
     beta, gamma = probe.beta, probe.gamma
     lhs = commutator_weighted_norm(o, probe.to_matrix(w.basis), w)
     q = w.q
     prefactor = (8.0 * beta ** beta * math.cosh(w.mu * gamma / 2.0)
                  * (1.0 + beta * (beta / (1.0 - q)) ** beta))
-    seed_sum = sum(f_beta_expectation(o, x, beta, w, projected=True) for x in region)
+    seed_sum = sum(f_beta_expectation(o, x, beta, w, projected=True) for x in probe.support)
     return lhs, prefactor * seed_sum

@@ -82,8 +82,9 @@ def _metric_properties(rng, samples):
     return _check("graph metric axioms", samples, bad == 0, f"{bad} violations")
 
 
-def _single_site_projections(rng, samples, mu=0.7, cap=30):
+def _single_site_projections(rng, samples):
     """Identity-projection coefficient bounds on a capped single site."""
+    mu, cap = 0.7, 30
     basis = FockBasis(1, per_site_cap=cap)
     w = MuWeights(mu, basis)
     q = w.q

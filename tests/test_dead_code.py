@@ -9,6 +9,16 @@ alone runs ``HeisenbergScanEngine.evolved_operator``.  So does its tracer
 ``BlockOp.mat``, which no result reads.  The only unreferenced
 definitions allowed are the reference implementations kept for the tests in
 ``ORACLES``.
+
+Every defaulted parameter of a top-level function or method (the oracles
+aside) is set by some call in the same caller files, by keyword or by
+position; a ``Class(...)`` call sets ``__init__``'s.  A value no caller
+sets is a constant, not a parameter.  A function passed as a value, as
+``scatter_block`` is to ``partial``, counts as setting all of its
+parameters.  The only defaults left to the tests are ``TEST_HOOKS``.  The
+check matches calls by name alone, so two cases pass it unseen: a function
+whose name is also a local variable (``violations`` in ``cli.py``), and a
+default that every caller overrides.
 """
 
 import ast
@@ -72,3 +82,67 @@ def test_only_the_oracles_are_unreferenced():
 
 def test_every_method_and_property_has_a_caller():
     assert unreferenced_methods() == set()
+
+
+# defaults that only the tests set: a loose Chebyshev tolerance shows the
+# a-priori bound holding, and a low state budget reaches the capacity path
+# without building a large basis
+TEST_HOOKS = {"_chebyshev_expv.tol", "certified_expectation.state_budget"}
+
+
+def _defaults(fn: ast.FunctionDef, bound: int) -> dict[str, int | None]:
+    """Each defaulted parameter of ``fn``: its index among the positional
+    arguments of a call, after the ``bound`` ones the call binds itself
+    (``self``, ``cls``), or None if keyword-only."""
+    positional = [a.arg for a in fn.args.posonlyargs + fn.args.args][bound:]
+    first = len(positional) - len(fn.args.defaults)
+    out: dict[str, int | None] = {p: i for i, p in enumerate(positional) if i >= first}
+    out.update({a.arg: None for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if d is not None})
+    return out
+
+
+def unset_defaults() -> set[str]:
+    """``function.parameter`` or ``Class.method.parameter`` of each defaulted
+    parameter of a top-level function or method that no call sets."""
+    defined: dict[str, list[tuple[str, dict]]] = {}    # name called -> definitions
+    classes = set()
+    for path, stmt in _statements():
+        if path.parent != SOURCE or getattr(stmt, "name", None) in ORACLES:
+            continue
+        if isinstance(stmt, ast.FunctionDef):
+            defined.setdefault(stmt.name, []).append((stmt.name, _defaults(stmt, 0)))
+        elif isinstance(stmt, ast.ClassDef):
+            classes.add(stmt.name)
+            for part in stmt.body:
+                if isinstance(part, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in part.decorator_list)
+                    called = stmt.name if part.name == "__init__" else part.name
+                    defined.setdefault(called, []).append(
+                        (f"{stmt.name}.{part.name}", _defaults(part, 0 if static else 1)))
+    unset = {f"{qualified}.{p}" for defs in defined.values() for qualified, params in defs
+             for p in params}
+    for _, stmt in _statements():
+        nodes = list(ast.walk(stmt))
+        callees = {id(n.func) for n in nodes if isinstance(n, ast.Call)}
+        for node in nodes:
+            if isinstance(node, ast.Call):
+                func, given = node.func, len(node.args)
+                keywords = {k.arg for k in node.keywords}
+                every = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in callees:
+                func, given, keywords, every = node, 0, set(), True   # passed as a value
+            else:
+                continue
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if func is node and name in classes:
+                continue    # a class named as a value sets none of its parameters
+            for qualified, params in defined.get(name, []):
+                unset -= {f"{qualified}.{p}" for p, i in params.items()
+                          if every or p in keywords or (i is not None and i < given)}
+    return unset
+
+
+def test_every_default_is_set_by_a_caller():
+    assert unset_defaults() == TEST_HOOKS

@@ -91,27 +91,29 @@ def test_evolve_state_complex_phase_hopping_matches_dense_expm():
     assert np.linalg.norm(out - dense) <= bound + 1e-14
 
 
-@pytest.mark.parametrize("t0,t1", [(0.0, 1.0), (1.0, 0.1), (0.7, -0.4)])
-def test_evolve_state_piecewise_spans_match_dense_expm(t0, t1):
-    # forward and backward spans across both breakpoints, one dense
+@pytest.mark.parametrize("t,segments", [(1.0, [(0.0, 0.2), (0.2, 0.55), (0.55, 1.0)]),
+                                        (-0.7, [(0.0, -0.3), (-0.3, -0.7)])],
+                         ids=["forward", "backward"])
+def test_evolve_state_piecewise_spans_match_dense_expm(t, segments):
+    # forward across two breakpoints and backward across one, one dense
     # exponential per constant segment
     g = build_path(3)
-    sched = PiecewiseConstant((0.2, 0.55), (1.0, 0.4 - 0.6j, -0.8))
+    sched = PiecewiseConstant((-0.3, 0.2, 0.55), (0.7 + 0.2j, 1.0, 0.4 - 0.6j, -0.8))
     model = ModelSpec(graph=g, hopping={e: sched for e in g.edges},
                       interactions=bose_hubbard(g, 1.0, 1.2).interactions, interaction_range=0)
     basis = FockBasis(3, 3)
     rng = np.random.default_rng(5)
     psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     psi /= np.linalg.norm(psi)
-    out, terms, bound = evolve_state(psi, model, basis, t1, t0=t0)
+    out, terms, bound = evolve_state(psi, model, basis, t)
     dense = psi
-    for a, b in dynamics._segments(model, t0, t1):
+    for a, b in segments:
         h = build_hamiltonian(model, basis, (a + b) / 2.0).toarray()
         dense = expm(-1j * (b - a) * h) @ dense
     assert np.max(np.abs(out - dense)) < 1e-12
     assert np.linalg.norm(out - dense) <= bound + 1e-14
-    # three segments, each with its own expansion and bound
-    assert len(list(dynamics._segments(model, t0, t1))) == 3 and terms > 3
+    # each segment with its own expansion and bound
+    assert dynamics._segments(model, t) == segments and terms > len(segments)
 
 
 def test_chebyshev_zero_vector_stays_zero():
@@ -196,7 +198,7 @@ def _dense_heisenberg(model, basis, op, t):
     """U^dag O U as a dense array, with U the product of dense expm over the
     schedule segments from 0 to t: an oracle independent of the eigensolves."""
     u = np.eye(basis.dim, dtype=np.complex128)
-    for a, b in dynamics._segments(model, 0.0, t):
+    for a, b in dynamics._segments(model, t):
         h = build_hamiltonian(model, basis, (a + b) / 2.0).toarray()
         u = expm(-1j * h * (b - a)) @ u
     return u.conj().T @ op.toarray() @ u

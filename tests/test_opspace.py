@@ -193,6 +193,17 @@ def test_weighted_forms_reject_a_matrix_off_the_basis(form):
             form(sp.identity(max(shape), format="csr")[:shape[0], :shape[1]], w)
 
 
+def test_weighted_forms_reject_blocks_over_another_basis():
+    # a BlockOp over other caps has sectors of other sizes: it is refused,
+    # neither weighted by the wrong sectors nor multiplied out of shape
+    small, large = FockBasis(3, 2), FockBasis(3, 3)
+    a = BlockOp.from_matrix(small, MonomialOp.from_dicts(zeta={0: 1}).to_matrix(small))
+    w = MuWeights(1.0, large)
+    for form in (weighted_norm_sq, lambda a, w: f_beta_expectation(a, 0, 1, w)):
+        with pytest.raises(ValueError, match="not over the"):
+            form(a, w)
+
+
 # -- thermal relation ---------------------------------------------------------
 
 def test_thermal_relation_bb():

@@ -68,9 +68,18 @@ def _with_data(m: sp.csr_matrix | sp.csc_matrix,
 
 def _gershgorin(h: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     """Per-row Gershgorin interval ends (lower, upper) of a Hermitian matrix:
-    the spectrum of any principal block lies in the union over its rows."""
+    the spectrum of any principal block lies in the union over its rows.
+    The sums of |H| over rows are the reduceat of scipy's ``sum(axis=1)``,
+    taken _GERSHGORIN_ROWS rows at a time: no |H| array of H's size is made."""
     diag = h.diagonal().real
-    radius = np.asarray(_with_data(h, np.abs(h.data)).sum(axis=1)).ravel() - np.abs(diag)
+    radius = np.zeros(h.shape[0])      # a row with no stored entry sums to 0
+    for first in range(0, h.shape[0], _GERSHGORIN_ROWS):
+        ptr = h.indptr[first:first + _GERSHGORIN_ROWS + 1]
+        rows = np.flatnonzero(np.diff(ptr))
+        if rows.size:
+            radius[first + rows] = np.add.reduceat(np.abs(h.data[ptr[0]:ptr[-1]]),
+                                                   ptr[rows] - ptr[0])
+    radius -= np.abs(diag)
     return diag - radius, diag + radius
 
 
@@ -150,6 +159,12 @@ def _chebyshev_expv(h: sp.csr_matrix, v: np.ndarray, t: float, tol: float = 1e-1
     T_k(X) v is real: the recursion runs in float64, the even orders summed
     into the result's real part, the odd ones (with imaginary coefficients)
     into its imaginary part.  No step allocates.
+
+    The state path consumes H (its values are scaled by 2/a in place; the
+    caller builds a fresh H for each expansion) and never writes v.  The
+    block path scales copies of the H blocks the engine reuses, and consumes
+    v: the recursion starts in v itself when v is writable, C-contiguous and
+    of the recursion's dtype, as the engine's freshly scattered blocks are.
     """
     from scipy.special import jv   # not at module top: it adds ~55 ms to every import
 
@@ -158,13 +173,16 @@ def _chebyshev_expv(h: sp.csr_matrix, v: np.ndarray, t: float, tol: float = 1e-1
     mats = [h] if h_col_t is None else [h, h_col_t]
     real = (not any(np.iscomplexobj(m.data) and np.any(m.data.imag) for m in mats)
             and not (np.iscomplexobj(v) and np.any(v.imag)))
-    prev = np.array(np.real(v) if real else v, np.float64 if real else np.complex128, order="C")
+    dtype = np.float64 if real else np.complex128
+    prev = (v if h_col_t is not None and v.dtype == dtype and v.flags.c_contiguous
+            and v.flags.writeable else np.array(np.real(v) if real else v, dtype, order="C"))
     norm = float(np.linalg.norm(prev))
     if t == 0.0 or norm == 0.0:
         return np.array(v, dtype=np.complex128), 0, 0.0
     if interval is None:
         lower, upper = _gershgorin(h)
         interval = float(lower.min()), float(upper.max())
+        del lower, upper
     lo, hi = interval
     c, a = (hi + lo) / 2.0, (hi - lo) / 2.0 or 1.0    # any a > 0 encloses L = c
     order, tail = _chebyshev_terms(a * abs(t), tol)
@@ -174,8 +192,11 @@ def _chebyshev_expv(h: sp.csr_matrix, v: np.ndarray, t: float, tol: float = 1e-1
     coef[3::4] *= -1.0
     if real and t > 0:      # the odd orders' factor -i sgn t, as their imaginary part
         coef[1::2] *= -1.0
-    h2 = [_with_data(m, (m.data.real if real else m.data.astype(np.complex128, copy=False))
-                     * (2.0 / a)) for m in mats]
+    if h_col_t is None and h.dtype == dtype:
+        h2 = [_with_data(h, np.multiply(h.data, 2.0 / a, out=h.data))]   # h consumed
+    else:
+        h2 = [_with_data(m, (m.data.real if real else m.data.astype(np.complex128, copy=False))
+                         * (2.0 / a)) for m in mats]
     shift = 2.0 * c / a     # 2X = 2L / a - shift
     cur, spare = np.empty((2,) + prev.shape, prev.dtype)     # T_k rotates through prev, cur, spare
     if h_col_t is None:
@@ -210,14 +231,13 @@ def evolve_state(psi: np.ndarray, model: ModelSpec, basis: FockBasis,
     segment takes one expansion; the bound on ||state - exact state|| is the
     sum of the segments' truncation bounds, as every propagator is unitary.
     """
-    out = np.array(psi, dtype=np.complex128)
-    terms, bound = 0, 0.0
+    out, terms, bound = psi, 0, 0.0    # the first expansion copies psi
     for a, b in _segments(model, t):
         h = build_hamiltonian(model, basis, (min(a, b) + max(a, b)) / 2.0)
         out, k, err = _chebyshev_expv(h, out, b - a)
         terms += k
         bound += err
-    return out, terms, bound
+    return (np.array(psi, np.complex128) if out is psi else out), terms, bound
 
 
 def single_particle_propagator(model: ModelSpec, t: float) -> np.ndarray:
@@ -306,6 +326,7 @@ SERIES_RTOL = 1e-10
 SERIES_MAX_ORDER = 14
 CHEBYSHEV_MAX_TERMS = 100_000     # far above any expansion of a shipped config
 _CHUNK_BYTES = 512 << 10
+_GERSHGORIN_ROWS = 1 << 12
 
 
 def _nested_commutators(h_row: sp.csr_matrix, h_col_t: sp.csc_matrix, scatter, dtype,
@@ -668,7 +689,7 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
     if missing:
         raise ValueError(f"no vertex at distance {missing[0]} from {support}")
     maps = {r: sector_entries(probe.translate(sites[r] - probe_anchor).to_matrix(basis), basis)
-            for r, _ in cells}
+            for r in dict.fromkeys(r for r, _ in cells)}
 
     # ad_H grows a support by one hop or one interaction range per order; on
     # a product basis an operator commutes with a probe its support misses,

@@ -14,7 +14,7 @@ from bosonlc.dynamics import (HeisenbergScanEngine, connected_correlation, evolv
                               ground_state, lightcone_scan, single_particle_propagator)
 from bosonlc.fock import (FockBasis, Interaction, ModelSpec, PiecewiseConstant, bose_hubbard,
                           build_hamiltonian, total_number_op)
-from bosonlc.lattice import build_path
+from bosonlc.lattice import build_cubic, build_path
 from bosonlc.opspace import (BlockOp, MonomialOp, MuWeights, commutator_weighted_norm, f_beta_expectation, sector_entries,
                              weighted_norm_sq)
 from conftest import dense_f_beta, random_operator
@@ -396,7 +396,7 @@ def test_long_span_matches_dense_expm_within_bound(rng):
         want = dense[np.ix_(basis.sectors[n_row], basis.sectors[n_col])]
         for tol in (1e-3, 1e-6, 1e-14):
             out, terms, bound = dynamics._chebyshev_expv(
-                h[n_row], block, -t, tol, interval=(lo[n_row] - hi[n_col], hi[n_row] - lo[n_col]),
+                h[n_row], block.copy(), -t, tol, interval=(lo[n_row] - hi[n_col], hi[n_row] - lo[n_col]),
                 h_col_t=h_t[n_col])
             assert np.linalg.norm(out - want) <= bound + 1e-12
             assert bound <= tol * np.linalg.norm(block)
@@ -457,7 +457,7 @@ def test_chebyshev_buffers_equal_allocating_recursion(rng, hopping, t, given):
     interval = (float(lower.min()) - 0.5, float(upper.max()) + 0.25) if given else None
     for psi in (rng.normal(size=basis.dim),
                 rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)):
-        got, terms, _ = dynamics._chebyshev_expv(h, psi, t, interval=interval)
+        got, terms, _ = dynamics._chebyshev_expv(h.copy(), psi, t, interval=interval)
         assert terms > 2 and np.all(got == _allocating_expv(h, psi, t, interval))
     blocks, lo, hi, h_t = dynamics._split_hamiltonian(h, basis)
     n_row, n_col = 5, 6
@@ -469,7 +469,7 @@ def test_chebyshev_buffers_equal_allocating_recursion(rng, hopping, t, given):
         return
     ival = (lo[n_row] - hi[n_col], hi[n_row] - lo[n_col])
     for block in (real, real + 1j * rng.normal(size=shape), np.asfortranarray(real)):
-        got = dynamics._chebyshev_expv(blocks[n_row], block, t, interval=ival,
+        got = dynamics._chebyshev_expv(blocks[n_row], block.copy(order="K"), t, interval=ival,
                                        h_col_t=h_t[n_col])[0]
         want = _allocating_expv(blocks[n_row], block, t, ival, h_col_t=blocks[n_col].T.tocsr())
         assert np.all(got == want)
@@ -490,7 +490,7 @@ def test_ad_expansion_needs_the_pair_interval():
     diverged = _allocating_expv(blocks[n_row], block, t, h_col_t=h_t[n_col])
     assert np.linalg.norm(diverged) > 10 * np.linalg.norm(block)
     out, _, bound = dynamics._chebyshev_expv(
-        blocks[n_row], block, t, interval=(lo[n_row] - hi[n_col], hi[n_row] - lo[n_col]),
+        blocks[n_row], block.copy(), t, interval=(lo[n_row] - hi[n_col], hi[n_row] - lo[n_col]),
         h_col_t=h_t[n_col])
     assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(block), rel=1e-12)
     assert bound <= 1e-14 * np.linalg.norm(block)
@@ -521,8 +521,9 @@ def test_ad_writes_into_a_sequence_slot(rng, hopping):
 
 def test_ad_expansion_peak_memory():
     # b_0's largest block on the 6-site cap-3 chain, 546 x 580 float64: one
-    # expansion (138 terms) holds three recursion buffers, two transposed
-    # ones and the complex result, 7 blocks, and allocates nothing per step
+    # expansion (138 terms) starts its recursion in the given block and holds
+    # two more recursion buffers, two transposed ones and the complex result,
+    # 6 blocks, and allocates nothing per step (a copy of the block made 7)
     basis = FockBasis(6, 3)
     h, lo, hi, h_t = dynamics._split_hamiltonian(
         build_hamiltonian(bose_hubbard(build_path(6), 1.0, 1.0), basis), basis)
@@ -536,7 +537,46 @@ def test_ad_expansion_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7.5 * block.nbytes
+    assert peak <= 6.5 * block.nbytes
+
+
+@pytest.mark.parametrize("hopping", [1.0, np.exp(0.7j)])
+def test_state_expansion_allocates_nothing_of_h_size(hopping):
+    # after H is built, one expansion of a state holds vectors and one chunk
+    # of |H| for the Gershgorin sums, about half of H's values on the 3 x 3
+    # cap-2 lattice (19,683 states, 11.7 stored entries a row); an |H| or a
+    # scaled copy of H's values (its size each) made it 1.6-1.7
+    g = build_cubic([3, 3])
+    model = ModelSpec(graph=g, hopping={e: PiecewiseConstant.constant(hopping) for e in g.edges},
+                      interactions=bose_hubbard(g, 1.0, 1.0).interactions, interaction_range=0)
+    basis = FockBasis(9, 2)
+    h = build_hamiltonian(model, basis)
+    psi = np.random.default_rng(3).normal(size=basis.dim) * hopping
+    assert h.shape[0] > 4 * dynamics._GERSHGORIN_ROWS
+    _, peak = _traced_peak(lambda: dynamics._chebyshev_expv(h, psi, 1.0))
+    assert peak < h.data.nbytes
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize("hopping", [0.9, 0.9 * np.exp(0.7j)])
+def test_gershgorin_chunks_equal_scipy_row_sums(rng, monkeypatch, hopping, rows):
+    # the row sums of |H|, taken a chunk of rows at a time, equal scipy's
+    # sum(axis=1) bit for bit: random values, and rows with no stored entry
+    # at both ends and as a whole chunk of 3
+    if rows is not None:
+        monkeypatch.setattr(dynamics, "_GERSHGORIN_ROWS", rows)
+    h, _ = _chain4(hopping)
+    keep = np.ones(h.shape[0])
+    keep[[0, 6, 7, 8, -1]] = 0.0
+    h = (sp.diags(keep) @ h).tocsr()
+    data = rng.normal(size=h.nnz) + (1j * rng.normal(size=h.nnz) if h.dtype.kind == "c" else 0)
+    h = dynamics._with_data(h, data)
+    assert np.count_nonzero(np.diff(h.indptr) == 0) == 5
+    diag = h.diagonal().real
+    radius = np.asarray(dynamics._with_data(h, np.abs(h.data)).sum(axis=1)).ravel() - np.abs(diag)
+    lower, upper = dynamics._gershgorin(h)
+    assert lower.tobytes() == (diag - radius).tobytes()
+    assert upper.tobytes() == (diag + radius).tobytes()
 
 
 def _traced_peak(run):
@@ -858,8 +898,8 @@ def test_chebyshev_route_follows_values_not_dtypes(rng):
     psi = rng.normal(size=basis.dim)
     psi_c = psi.astype(complex)
     for t in (0.1, -0.05):
-        real = dynamics._chebyshev_expv(h, psi, t)
-        typed = dynamics._chebyshev_expv(h_c, psi_c, t)
+        real = dynamics._chebyshev_expv(h.copy(), psi, t)
+        typed = dynamics._chebyshev_expv(h_c.copy(), psi_c, t)
         assert np.array_equal(real[0], typed[0]) and real[1:] == typed[1:]
     assert np.array_equal(psi_c, psi)
 
@@ -978,10 +1018,10 @@ def test_chebyshev_error_within_reported_bound(rng):
     dense = expm(10.0j * h.toarray()) @ psi
     orders = []
     for tol in (1e-2, 1e-5, 1e-8):    # truncation, not rounding, dominates
-        out, terms, bound = dynamics._chebyshev_expv(h, psi, -10.0, tol)
+        out, terms, bound = dynamics._chebyshev_expv(h.copy(), psi, -10.0, tol)
         assert np.linalg.norm(out - dense) <= bound + 1e-14
         assert bound <= tol * np.linalg.norm(psi)
-        assert dynamics._chebyshev_expv(h, 2.0 * psi, -10.0, tol)[2] == 2.0 * bound
+        assert dynamics._chebyshev_expv(h.copy(), 2.0 * psi, -10.0, tol)[2] == 2.0 * bound
         orders.append(terms)
     assert orders == sorted(orders) and orders[0] < orders[-1]
 

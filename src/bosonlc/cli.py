@@ -112,6 +112,10 @@ def _run_scan(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
         raise ConfigError("experiment.evolve", "site outside the graph")
     if len(probe.support) != 1:
         raise ConfigError("experiment.probe", "probe must be a single-site monomial")
+    grid = exp["cone_fractions"] is None    # the r x t_values grid, else cone times
+    unread = "extra_times" if grid else "t_values"
+    if cfg.raw["experiment"].get(unread) is not None:
+        raise ConfigError(f"experiment.{unread}", f"ignored with{'out' * grid} cone_fractions")
     reachable = probe_sites(cfg.model.graph, op.support)
     for r in r_values:
         if r not in reachable:
@@ -119,16 +123,16 @@ def _run_scan(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
                               f"no vertex at distance {r} from the evolved operator")
     basis = FockBasis(cfg.model.graph.num_vertices, per_site_cap=cfg.per_site_cap,
                       total_cap=cfg.total_cap)
-    cells = None
     with _constants_of("ensemble.mu", "ensemble.per_site_cap", "model.graph", "model.range",
                        "experiment.probe"):
-        if exp["cone_fractions"] is not None:
+        if grid:
+            cells = [(r, t) for r in r_values for t in exp["t_values"]]
+        else:
             v = bounds_mod.velocity_bound(cfg.mu, cfg.model.graph.max_degree,
                                           cfg.model.interaction_range, probe.beta)
             cells = [(r, alpha * r / v) for r in r_values for alpha in exp["cone_fractions"]]
             cells.extend((r, t) for t in exp["extra_times"] for r in r_values)
-        result = lightcone_scan(cfg.model, op, probe, cfg.mu, r_values, exp["t_values"],
-                                cells=cells, basis=basis,
+        result = lightcone_scan(cfg.model, op, probe, cfg.mu, cells, basis,
                                 eps=cfg.constants["epsilon"], c1=cfg.constants["C1"])
     provenance = {"r": "config:experiment.r_values", "t": "config:experiment grid",
                   "exact": "measured:weighted commutator norm on the truncated basis",

@@ -11,9 +11,10 @@ Light-cone scan cells come from the nested-commutator series of
 ``commutator_series``, exact to a stated remainder in the cone; the
 Heisenberg engine evolves A for the large times.  One Gram kernel,
 ``_add_commutator_grams``, computes every cell, a dense cell being the series
-of one order.  Both routes apply ad_H by one step, ``_ad``, to H's sector
-blocks, built once per schedule piece by ``_split_hamiltonian``, and their
-transposes, CSC views of the same arrays.  No step allocates: products go
+of one order.  Both routes read one engine: A's sector entries, split once,
+and H's sector blocks, built once per schedule piece by
+``_split_hamiltonian``, with their transposes, CSC views of the same arrays.
+Both apply ad_H to them by one step, ``_ad``.  No step allocates: products go
 into buffers each expansion owns, by scipy's own routine for ``h @ x``.
 
 Operators enter as monomials or scipy sparse matrices, and evolved ones
@@ -272,47 +273,51 @@ class HeisenbergScanEngine:
     mu-weight, so there ad_H is self-adjoint in the Frobenius inner product,
     with its spectrum in [lo_row - hi_col, hi_row - lo_col] (Gershgorin ends
     per sector): each span takes one Chebyshev expansion, as a state does.
-    H is built once per schedule piece, when a time first needs it.
 
-    ``op`` is a monomial or a scipy sparse matrix over ``basis``.  It is
-    kept as its stored entries by sector pair (``sector_entries``), and each
-    dense block is scattered only when its expansion starts, so at most one
-    dense block of the operator at t = 0 exists beside the evolved ones.
+    ``op`` is a monomial or a scipy sparse matrix over ``basis``, kept as
+    its ``entries`` by sector pair (``sector_entries``); H's sector blocks
+    (``hamiltonian``) are built once per schedule piece, when a time first
+    needs them.  Both scan routes read the two from here.  A dense block is
+    scattered only when its expansion starts, so at most one dense block of
+    the operator at t = 0 exists beside the evolved ones.
     """
 
     def __init__(self, model: ModelSpec, basis: FockBasis, op: MonomialOp | sp.spmatrix):
         self.model = model
         self.basis = basis
         mat = op.to_matrix(basis) if isinstance(op, MonomialOp) else op
-        self._entries = sector_entries(mat, basis)
+        self.entries = sector_entries(mat, basis)
         self._breaks = model.breakpoints()
         self._h: dict[int, tuple] = {}    # schedule piece -> _split_hamiltonian
 
-    def evolved_blocks(self, t: float) -> dict[tuple[int, int], np.ndarray]:
-        """Sector blocks {(n_row, n_col): dense block} of O(t).
+    def hamiltonian(self, t: float) -> tuple:
+        """``_split_hamiltonian`` of H on the schedule piece holding t."""
+        piece = bisect_right(self._breaks, t)     # as in .at(t)
+        if piece not in self._h:
+            self._h[piece] = _split_hamiltonian(build_hamiltonian(self.model, self.basis, t),
+                                                self.basis)
+        return self._h[piece]
+
+    def evolved_block(self, pair: tuple[int, int], t: float) -> np.ndarray:
+        """The dense block of O(t) on one sector pair (n_row, n_col).
 
         With U(t) = U_k ... U_1 over the spans of ``_segments``, O(t) =
-        U_1^dag ... U_k^dag O U_k ... U_1: the last span acts first.  Each
-        block runs through every span before the next block is made.
+        U_1^dag ... U_k^dag O U_k ... U_1: the last span acts first.  H of
+        every span is at hand before the block is scattered.
         """
-        spans = []
-        for a, b in reversed(_segments(self.model, t)):
-            mid = (a + b) / 2.0
-            piece = bisect_right(self._breaks, mid)   # the piece holding mid, as in .at(mid)
-            if piece not in self._h:
-                self._h[piece] = _split_hamiltonian(
-                    build_hamiltonian(self.model, self.basis, mid), self.basis)
-            spans.append((self._h[piece], a - b))
-        initial = ((pair, scatter_block(self.basis, pair, entries))
-                   for pair, entries in self._entries.items())
-        blocks = {}
-        for (n_row, n_col), block in initial:   # t = 0: exact zeros stay zero
-            for (h, lo, hi, h_t), dt in spans:
-                block = _chebyshev_expv(
-                    h[n_row], block, dt, interval=(lo[n_row] - hi[n_col], hi[n_row] - lo[n_col]),
-                    h_col_t=h_t[n_col])[0]
-            blocks[(n_row, n_col)] = block
-        return blocks
+        spans = [(self.hamiltonian((a + b) / 2.0), a - b)
+                 for a, b in reversed(_segments(self.model, t))]
+        n_row, n_col = pair
+        block = scatter_block(self.basis, pair, self.entries[pair])   # t = 0: zeros stay zero
+        for (h, lo, hi, h_t), dt in spans:
+            block = _chebyshev_expv(
+                h[n_row], block, dt, interval=(lo[n_row] - hi[n_col], hi[n_row] - lo[n_col]),
+                h_col_t=h_t[n_col])[0]
+        return block
+
+    def evolved_blocks(self, t: float) -> dict[tuple[int, int], np.ndarray]:
+        """Sector blocks {(n_row, n_col): dense block} of O(t), one after another."""
+        return {pair: self.evolved_block(pair, t) for pair in self.entries}
 
     def evolved_operator(self, t: float) -> BlockOp:
         return BlockOp(self.basis, self.evolved_blocks(t))
@@ -428,23 +433,28 @@ def _add_target_gram(gram: np.ndarray, skip: int, weight: float, shape: tuple[in
 
 
 def _add_commutator_grams(grams: dict[int, np.ndarray], skips: dict[int, int], maps: dict,
-                          columns, sequence, gamma_a: int, gamma_b: int, w: MuWeights) -> None:
+                          pairs, sequence, gamma_b: int, w: MuWeights) -> None:
     """Add (D_k | D_l)_w of D_k = [M_k, B_r] to ``grams[r]`` for every r in ``maps``.
 
-    M and B_r change the number by gamma_a and gamma_b.  ``sequence(n_col)``
-    gives M_k, k stacked, on the pair (n_col + gamma_a, n_col), for each n_col
-    in ``columns``; grams[r] skips its first ``skips[r]`` orders.  The target
-    block with column j takes M_k on column j + gamma_b (then B) and on column
-    j (after B), through the probe's index maps.  Sequences are made in
-    increasing column order and dropped once no later target needs them, so
-    at most |gamma_b| + 1 are live.
+    ``sequence(pair)`` gives M_k, k stacked, on each sector pair (n_row,
+    n_col) of ``pairs``; every pair must change the number by one gamma_a
+    (ValueError otherwise), and B_r changes it by gamma_b.  grams[r] skips
+    its first ``skips[r]`` orders.  The target block with column j takes M_k
+    on column j + gamma_b (then B) and on column j (after B), through the
+    probe's index maps.  Sequences are made in increasing column order and
+    dropped once no later target needs them, so at most |gamma_b| + 1 are live.
     """
+    gammas = {n_row - n_col for n_row, n_col in pairs}
+    if len(gammas) > 1:
+        raise ValueError("scan needs an operator of definite number change")
+    gamma_a = next(iter(gammas), 0)
+    columns = {n_col for _, n_col in pairs}
     sizes = [ix.size for ix in w.basis.sectors]
     live: dict[int, np.ndarray] = {}
 
     def get(n_col: int) -> np.ndarray | None:
         if n_col in columns and n_col not in live:
-            live[n_col] = sequence(n_col)
+            live[n_col] = sequence((n_col + gamma_a, n_col))
         return live.get(n_col)
 
     for j in sorted({n - gamma_b for n in columns} | set(columns)):
@@ -516,54 +526,44 @@ class CommutatorSeries:
         return None
 
 
-def commutator_series(model: ModelSpec, basis: FockBasis, a0: dict, maps: dict[int, dict],
-                      first: dict[int, int], mu: float) -> CommutatorSeries:
-    """Stream the nested commutators of A through every probe's Gram matrix.
+def commutator_series(engine: HeisenbergScanEngine, maps: dict[int, dict],
+                      first: dict[int, int], w: MuWeights) -> CommutatorSeries:
+    """Stream the nested commutators of the engine's A through every probe's Gram matrix.
 
-    ``a0`` and ``maps[r]`` are ``sector_entries`` of A and of the probe B_r
-    at separation r.  Orders run up to SERIES_MAX_ORDER: enough for every
-    in-cone cell of the 6- and 7-site cap-3 chains (the deepest, r = 6 at
-    t = 0.01, needs 14).  A column sector's M_k = ad_H^k(A) is made, from H's
-    sparse sector blocks, when ``_add_commutator_grams`` first needs it; A's
+    H's sector blocks and A's entries come from ``engine``, ``maps[r]`` is
+    ``sector_entries`` of the probe B_r at separation r.  Orders run up to
+    SERIES_MAX_ORDER: enough for every in-cone cell of the 6- and 7-site
+    cap-3 chains (the deepest, r = 6 at t = 0.01, needs 14).  A pair's M_k =
+    ad_H^k(A) is made when ``_add_commutator_grams`` first needs it; A's
     dense block on that pair is scattered then, into a slot of the sequence.
     """
     order = SERIES_MAX_ORDER
-    h = build_hamiltonian(model, basis)
-    h_blocks, lo, hi, h_t = _split_hamiltonian(h, basis)
-    pairs = {n_col: (n_row, entries) for (n_row, n_col), entries in a0.items()}
-    if len(pairs) != len(a0):
-        raise ValueError("series route needs an operator of definite number change")
-    if not pairs:   # A = 0 on this basis: every commutator vanishes
-        return CommutatorSeries(order, {r: np.zeros((order + 1, order + 1)) for r in maps},
-                                first, np.zeros(order + 1), 0.0, 0.0)
+    h_blocks, lo, hi, h_t = engine.hamiltonian(0.0)
     # B's number change, read off its sector pairs (any value if B = 0 here)
     gamma_b = next((n_row - n_col for m in maps.values() for n_row, n_col in m), 0)
-    dtype = np.result_type(h.dtype, *(data.dtype for _, _, data in a0.values()))
-    w = MuWeights(mu, basis)
+    dtype = np.result_type(h_blocks[0].data, *(data for _, _, data in engine.entries.values()))
 
     # spectral spread between the sectors A connects; Gershgorin per sector
-    spread = max(max(hi[a] - lo[b], hi[b] - lo[a]) for b, (a, _) in pairs.items())
+    spread = max((max(hi[a] - lo[b], hi[b] - lo[a]) for a, b in engine.entries), default=0.0)
     # a one-site monomial repeats no row or column: its norm is max |amps|
     b_norm = max((float(np.max(np.abs(amps))) for m in maps.values()
                   for _, _, amps in m.values() if amps.size), default=0.0)
-    probe_factor = 2.0 * math.cosh(mu * gamma_b / 4.0) * b_norm
+    probe_factor = 2.0 * math.cosh(w.mu * gamma_b / 4.0) * b_norm
 
     grams = {r: np.zeros((order + 1, order + 1), dtype=dtype) for r in maps}
     m_norms_sq = np.zeros(order + 1)
     lowest = min(min(first.values()), order)
 
-    def sequence(n_col: int) -> np.ndarray:
-        n_row, entries = pairs[n_col]
+    def sequence(pair: tuple[int, int]) -> np.ndarray:
         seq, norms_sq = _nested_commutators(
-            h_blocks[n_row], h_t[n_col], partial(scatter_block, basis, (n_row, n_col), entries),
-            dtype, lowest, order)
-        m_norms_sq[:] += w.pair_weight(n_row, n_col) * norms_sq
+            h_blocks[pair[0]], h_t[pair[1]],
+            partial(scatter_block, engine.basis, pair, engine.entries[pair]), dtype, lowest, order)
+        m_norms_sq[:] += w.pair_weight(*pair) * norms_sq
         return seq
 
-    n_row, n_col = next(iter(a0))
     _add_commutator_grams(grams, {r: first[r] - lowest for r in maps},
                           {r: m for r, m in maps.items() if first[r] <= order},
-                          pairs, sequence, n_row - n_col, gamma_b, w)
+                          engine.entries, sequence, gamma_b, w)
     return CommutatorSeries(order=order, grams=grams, first=first,
                             m_norms=np.sqrt(m_norms_sq), spread=spread,
                             probe_factor=probe_factor)
@@ -635,28 +635,25 @@ def probe_sites(graph: Graph, support) -> dict[int, int]:
 
 
 def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: float,
-                   r_list, t_list, cells: list[tuple[int, float]] | None = None,
-                   basis: FockBasis | None = None,
+                   cells: list[tuple[int, float]], basis: FockBasis,
                    eps: float = 0.1, c1: float = 1.0) -> ScanResult:
     """Exact weighted commutator norms against the analytic cone bounds.
 
     ``op`` is evolved; ``probe`` is a single-site monomial template placed,
-    for each requested separation r, on the smallest-id vertex at distance r
-    from the support of ``op``.  ``cells`` overrides the rectangular
-    r x t grid when given.  ``eps`` and ``c1`` enter the worst-case
-    matrix-element bound.
+    for each separation r of the (r, t) ``cells``, on the smallest-id vertex
+    at distance r from the support of ``op``.  ``eps`` and ``c1`` enter the
+    worst-case matrix-element bound.
 
-    Each cell comes from the nested-commutator series (``commutator_series``)
+    One ``HeisenbergScanEngine`` gives both routes A's sector entries and
+    H's sector blocks; A's blocks at t = 0 give the seeds and the norm.  A
+    cell comes from the nested-commutator series (``commutator_series``)
     when some order up to SERIES_MAX_ORDER meets its remainder tolerance.
-    The others (large t) take the dense route: ``HeisenbergScanEngine``
-    (which builds H only when such a cell exists) evolves A to t, and the
-    series' Gram kernel takes A(t) as a one-order sequence, so the cell is
-    its single Gram entry.
+    The others (large t) take the dense route: the Gram kernel reads A(t) as
+    one-order sequences, the engine evolving each block when the kernel
+    first needs it, so the cell is its single Gram entry.
     """
     if not model.is_time_independent:
         raise ValueError("scan expects a time-independent model")
-    if basis is None:
-        basis = FockBasis(model.graph.num_vertices, per_site_cap=3)
     w = MuWeights(mu, basis)
     graph = model.graph
     support = sorted(op.support)
@@ -669,8 +666,8 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
     k = graph.max_degree
     ell = model.interaction_range
     velocity = bounds_mod.velocity_bound(mu, k, ell, beta)
-    a0 = op.to_matrix(basis)
-    dense = BlockOp.from_matrix(basis, a0)      # only for the seeds and the norm
+    engine = HeisenbergScanEngine(model, basis, op)    # builds H on first need
+    dense = BlockOp(basis, engine.evolved_blocks(0.0))   # A's blocks: the seeds, the norm
     seeds = {x: f_beta_expectation(dense, x, beta, w, projected=False) for x in support}
     norm_sq = weighted_norm_sq(dense, w)
     del dense
@@ -681,8 +678,6 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
         norm_sq=norm_sq)
     tail = w.tail_estimate()
 
-    if cells is None:
-        cells = [(int(r), float(t)) for r in r_list for t in t_list]
     probe_anchor = next(iter(probe.support))
     sites = probe_sites(graph, support)
     missing = sorted({r for r, _ in cells} - set(sites))
@@ -707,8 +702,7 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
 
     out_cells: dict[tuple[int, float], ScanCell] = {}
     orders, worst = [], 0.0
-    series = (commutator_series(model, basis, sector_entries(a0, basis), maps, first, mu)
-              if maps else None)
+    series = commutator_series(engine, maps, first, w) if maps else None
     for r, t in sorted(set(cells)):
         got = series.cell(r, t)
         if got is None:
@@ -723,13 +717,12 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
     by_time: dict[float, list[int]] = {}
     for r, t in sorted(set(cells) - set(out_cells)):
         by_time.setdefault(t, []).append(r)
-    engine = HeisenbergScanEngine(model, basis, a0)   # builds H on first need
     times = sorted(by_time)
     for t in times:
-        seqs = {n_col: block[None] for (_, n_col), block in engine.evolved_blocks(t).items()}
         grams = {r: np.zeros((1, 1), np.complex128) for r in by_time[t]}
         _add_commutator_grams(grams, dict.fromkeys(grams, 0), {r: maps[r] for r in grams},
-                              seqs, seqs.__getitem__, op.gamma, gamma, w)
+                              engine.entries, lambda pair: engine.evolved_block(pair, t)[None],
+                              gamma, w)
         for r in by_time[t]:
             out_cells[(r, t)] = make_cell(r, t, float(grams[r][0, 0].real))
     ordered = [out_cells[(r, t)] for (r, t) in sorted(out_cells)]

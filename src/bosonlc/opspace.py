@@ -92,6 +92,8 @@ def sector_entries(mat: sp.spmatrix, basis: FockBasis) -> dict[tuple[int, int], 
     Only sector pairs holding a stored entry appear.  One sort groups every
     entry; no matrix is built per pair.
     """
+    if mat.shape != (basis.dim, basis.dim):
+        raise ValueError(f"operator shape {mat.shape} is not over the {basis.dim}-state basis")
     coo = mat.tocoo()
     sectors = basis.sectors
     local = np.empty(basis.dim, dtype=np.int64)

@@ -5,6 +5,7 @@ by the light-cone soundness and envelope dominance criteria; everything else
 runs in seconds.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import json
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from bosonlc.fock import (FockBasis, bose_hubbard, build_hamiltonian,
 from bosonlc.lattice import build_cubic, build_path, build_regular_tree, distance
 from bosonlc.opspace import (MonomialOp, MuWeights, apply_liouvillian, f_beta_expectation,
                              weighted_inner, weighted_norm_sq)
+from test_golden import GOLDEN, assert_scan_matches
 
 RNG = np.random.default_rng(874261)
 
@@ -69,11 +71,19 @@ def big_scan():
     v = B.velocity_bound(MU, 2, 0, 1)
     cells = [(r, alpha * r / v) for r in SCAN_R for alpha in CONE_FRACTIONS]
     cells += [(r, 0.01) for r in SCAN_R]
-    result = lightcone_scan(model, op, probe, MU, [], [], cells=cells, basis=basis)
+    result = lightcone_scan(model, op, probe, MU, cells, basis)
     # criterion 6 evolves op itself; the engine solves sectors on first need
     engine = HeisenbergScanEngine(model, basis, op)
     return {"model": model, "basis": basis, "engine": engine, "result": result,
             "velocity": v, "op": op}
+
+
+def test_big_scan_matches_golden_scan_chain7(big_scan):
+    # the fixture's cells and metadata are those of configs/scan_chain7.yaml
+    got = json.loads(json.dumps(big_scan["result"].to_dict()))
+    ref = json.loads((GOLDEN / "scan_chain7.json").read_text())
+    assert len(ref["cells"]) == 25
+    assert_scan_matches(got, ref)
 
 
 def test_criterion_2_lightcone_soundness(big_scan):

@@ -450,8 +450,8 @@ SCAN_CONSTANT_KEYS = ("ensemble.mu, ensemble.per_site_cap, model.graph, model.ra
     ("scan", ["ensemble.mu=1500"], SCAN_CONSTANT_KEYS),
     ("scan", ["ensemble.mu=1e300"], SCAN_CONSTANT_KEYS),
     ("scan", ["experiment.probe={eta: {0: 400}}"], SCAN_CONSTANT_KEYS),
-    ("scan", ["experiment.probe={eta: {0: 400}}", "experiment.cone_fractions=null"],
-     SCAN_CONSTANT_KEYS),
+    ("scan", ["experiment.probe={eta: {0: 400}}", "experiment.cone_fractions=null",
+              "experiment.extra_times=null"], SCAN_CONSTANT_KEYS),
     ("certify", ["experiment.assumption={mu: 1, theta: 1e300, K0: 1}"],
      "experiment.time, experiment.state, experiment.assumption, experiment.window_radius, "
      "model.range, constants.epsilon"),
@@ -466,6 +466,16 @@ def test_overflowing_constants_are_config_error(config_file, capsys, command, ov
         argv += ["--set", override]
     assert main(argv) == 2
     assert f"config error: {keys}: constants overflow a float: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override,error", [
+    ("experiment.t_values=[0.1]", "experiment.t_values: ignored with cone_fractions"),
+    ("experiment.cone_fractions=null", "experiment.extra_times: ignored without cone_fractions"),
+], ids=["t_values_with_cone_fractions", "extra_times_without_cone_fractions"])
+def test_scan_refuses_a_time_key_it_would_ignore(config_file, capsys, override, error):
+    # cone_fractions read extra_times and not t_values; the grid the reverse
+    assert main(["scan", str(config_file()), "--set", override]) == 2
+    assert f"config error: {error}\n" in capsys.readouterr().err
 
 
 def test_json_written_config_runs(config_file, tmp_path):

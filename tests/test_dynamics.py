@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ import scipy.sparse.linalg as sparse_linalg
 from scipy.linalg import expm
 from scipy.special import jv
 
-from bosonlc import dynamics
+from bosonlc import dynamics, opspace
 from bosonlc.bounds import velocity_bound
+from bosonlc.cli import main
 from bosonlc.dynamics import (HeisenbergScanEngine, connected_correlation, evolve_state,
                               ground_state, lightcone_scan, single_particle_propagator)
 from bosonlc.fock import (FockBasis, Interaction, ModelSpec, PiecewiseConstant, bose_hubbard,
@@ -589,6 +592,58 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("shape", [(5, 5), (40, 40), (27, 26)])
+def test_operator_not_over_the_basis_is_refused(shape):
+    # on the 27-state basis a 5 x 5 matrix gave a wrong evolved operator and a
+    # 40 x 40 one an IndexError; every sector split now refuses both
+    model = bose_hubbard(build_path(3), 1.0, 1.0)
+    basis = FockBasis(3, 2)
+    op = sp.eye(*shape, format="csr")
+    for split in (lambda: sector_entries(op, basis), lambda: BlockOp.from_matrix(basis, op),
+                  lambda: HeisenbergScanEngine(model, basis, op)):
+        with pytest.raises(ValueError, match="is not over the 27-state basis"):
+            split()
+
+
+def test_series_refuses_an_operator_of_no_definite_number_change():
+    # b + b+ maps each column sector to two row sectors: no gamma_A to scan by
+    model = bose_hubbard(build_path(3), 1.0, 1.0)
+    basis = FockBasis(3, 2)
+    b = MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis)
+    engine = HeisenbergScanEngine(model, basis, (b + b.T).tocsr())
+    maps = {2: sector_entries(MonomialOp.from_dicts(eta={2: 1}).to_matrix(basis), basis)}
+    with pytest.raises(ValueError, match="definite number change"):
+        dynamics.commutator_series(engine, maps, {2: 2}, MuWeights(1.0, basis))
+
+
+def test_scan_builds_h_and_splits_each_operator_once(monkeypatch, tmp_path):
+    # the golden 5-site scan, its dense t = 0.5 cells included: one H, one
+    # split of H and one split of A serve both routes, the seeds and the norm
+    a = MonomialOp.from_dicts(zeta={0: 1}).to_matrix(FockBasis(5, 3))
+    calls = dict.fromkeys(("build_hamiltonian", "_split_hamiltonian", "A"), 0)
+
+    def counted(name):
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        original = getattr(dynamics, name)
+        return call
+
+    def entries(mat, basis):
+        calls["A"] += mat.shape == a.shape and (mat != a).nnz == 0
+        return sector_entries(mat, basis)
+
+    for name in ("build_hamiltonian", "_split_hamiltonian"):
+        monkeypatch.setattr(dynamics, name, counted(name))
+    for module in (dynamics, opspace):
+        monkeypatch.setattr(module, "sector_entries", entries)
+    config = Path(__file__).parent / "golden" / "scan_5site.yaml"
+    assert main(["scan", str(config), "--out", str(tmp_path)]) == 0
+    series = json.loads((tmp_path / "scan.json").read_text())["metadata"]["series"]
+    assert series["dense_cells"] == [[r, 0.5] for r in (1, 2, 3, 4)]
+    assert calls == {"build_hamiltonian": 1, "_split_hamiltonian": 1, "A": 1}
+
+
 def test_engine_peak_memory_holds_one_initial_block():
     # b_0 on the 6-site cap-3 chain at t = 4.75/880: beside the complex
     # result, the engine holds H, one expansion's buffers and one dense block
@@ -616,7 +671,7 @@ def test_lightcone_scan_peak_memory_holds_no_dense_operator():
     cells += [(r, 0.01) for r in (2, 3, 4, 5)]
     res, peak = _traced_peak(lambda: lightcone_scan(
         model, MonomialOp.from_dicts(zeta={0: 1}), MonomialOp.from_dicts(eta={0: 1}), 1.0,
-        [], [], cells=cells, basis=basis))
+        cells, basis))
     assert len(res.cells) == 20 and res.metadata["series"]["dense_cells"] == []
     assert peak <= 31 * 8 * 546 * 580
 
@@ -706,7 +761,7 @@ def test_lightcone_scan_zero_time_column():
     basis = FockBasis(5, 2)
     op = MonomialOp.from_dicts(zeta={0: 1})
     probe = MonomialOp.from_dicts(eta={0: 1})
-    res = lightcone_scan(model, op, probe, 1.0, [2, 3, 4], [0.0], basis=basis)
+    res = lightcone_scan(model, op, probe, 1.0, [(r, 0.0) for r in (2, 3, 4)], basis)
     for cell in res.cells:
         assert cell.exact == 0.0
 
@@ -738,14 +793,11 @@ def test_lightcone_scan_free_bessel_column():
 def _dense_cell(engine, basis, w, r, t):
     """The dense route's value of one cell: evolve, then the series' Gram
     kernel on the evolved blocks as a one-order sequence."""
-    blocks = engine.evolved_blocks(t)
-    seqs = {n_col: block[None] for (_, n_col), block in blocks.items()}
+    seqs = {pair: block[None] for pair, block in engine.evolved_blocks(t).items()}
     gram = {r: np.zeros((1, 1), complex)}
     probe = MonomialOp.from_dicts(eta={r: 1})
-    n_row, n_col = next(iter(blocks))
     maps = {r: sector_entries(probe.to_matrix(basis), basis)}
-    dynamics._add_commutator_grams(gram, {r: 0}, maps, seqs, seqs.__getitem__,
-                                   n_row - n_col, probe.gamma, w)
+    dynamics._add_commutator_grams(gram, {r: 0}, maps, seqs, seqs.__getitem__, probe.gamma, w)
     return float(gram[r][0, 0].real)
 
 
@@ -757,7 +809,7 @@ def test_series_cells_match_dense_route():
     probe = MonomialOp.from_dicts(eta={0: 1})
     cells = [(r, f * r / 880.0) for r in (1, 2, 3, 4) for f in (0.4, 0.95)]
     cells += [(r, t) for r in (1, 2, 3, 4) for t in (0.01, 0.02, 0.03, 0.05, 0.1)]
-    res = lightcone_scan(model, op, probe, 1.0, [], [], cells=cells, basis=basis)
+    res = lightcone_scan(model, op, probe, 1.0, cells, basis)
     series = res.metadata["series"]
     assert 0.0 < series["max_remainder_ratio"] <= 1e-10
     dense_routed = {tuple(cell) for cell in series["dense_cells"]}
@@ -782,8 +834,7 @@ def test_series_deepest_cell_leading_order_closed_form():
     r = length - 1
     t = 0.4 * r / 880.0
     res = lightcone_scan(model, MonomialOp.from_dicts(zeta={0: 1}),
-                         MonomialOp.from_dicts(eta={0: 1}), mu, [], [], cells=[(r, t)],
-                         basis=basis)
+                         MonomialOp.from_dicts(eta={0: 1}), mu, [(r, t)], basis)
     q = math.exp(-mu)
     g = (1 - q) * (sum(q ** n for n in range(cap)) + cap ** 2 * q ** cap)
     s = 1 - q ** (cap + 1)
@@ -798,8 +849,7 @@ def test_series_zero_time_cells_are_exact_zeros():
     basis = FockBasis(5, 3)
     cells = [(r, 0.0) for r in (1, 2, 3, 4)]
     res = lightcone_scan(model, MonomialOp.from_dicts(zeta={0: 1}),
-                         MonomialOp.from_dicts(eta={0: 1}), 1.0, [], [], cells=cells,
-                         basis=basis)
+                         MonomialOp.from_dicts(eta={0: 1}), 1.0, cells, basis)
     assert res.metadata["series"]["dense_cells"] == []
     for cell in res.cells:
         assert cell.exact == 0.0 and math.copysign(1.0, cell.exact) == 1.0
@@ -810,8 +860,8 @@ def test_scan_truncation_weight_closed_form(length, cap, mu):
     """On a product basis the kept weight is (1 - q^(cap+1))^L."""
     model = bose_hubbard(build_path(length), 1.0, 1.0)
     res = lightcone_scan(model, MonomialOp.from_dicts(zeta={0: 1}),
-                         MonomialOp.from_dicts(eta={0: 1}), mu, [], [], cells=[(1, 0.0)],
-                         basis=FockBasis(length, cap))
+                         MonomialOp.from_dicts(eta={0: 1}), mu, [(1, 0.0)],
+                         FockBasis(length, cap))
     q = math.exp(-mu)
     want = 1.0 - (1.0 - q ** (cap + 1)) ** length
     assert res.metadata["truncation_weight"] == pytest.approx(want, rel=1e-12)
@@ -822,8 +872,8 @@ def test_large_time_cell_takes_dense_route_bit_for_bit():
     basis = FockBasis(5, 3)
     w = MuWeights(1.0, basis)
     op = MonomialOp.from_dicts(zeta={0: 1})
-    res = lightcone_scan(model, op, MonomialOp.from_dicts(eta={0: 1}), 1.0, [], [],
-                         cells=[(2, 0.5), (2, 0.001)], basis=basis)
+    res = lightcone_scan(model, op, MonomialOp.from_dicts(eta={0: 1}), 1.0,
+                         [(2, 0.5), (2, 0.001)], basis)
     assert res.metadata["series"]["dense_cells"] == [[2, 0.5]]
     dense = _dense_cell(HeisenbergScanEngine(model, basis, op), basis, w, 2, 0.5)
     got = {cell.t: cell.exact for cell in res.cells}
@@ -910,7 +960,7 @@ def test_scan_result_violations_and_csv():
     op = MonomialOp.from_dicts(zeta={0: 1})
     probe = MonomialOp.from_dicts(eta={0: 1})
     cells = [(r, f * r / 880.0) for r in (2, 3, 4) for f in (0.5, 0.9)]
-    res = lightcone_scan(model, op, probe, 1.0, [], [], cells=cells, basis=basis)
+    res = lightcone_scan(model, op, probe, 1.0, cells, basis)
     assert res.violations() == []
     csv = res.to_csv()
     assert csv.splitlines()[0] == \

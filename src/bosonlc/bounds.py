@@ -290,30 +290,16 @@ def finite_density_commutator_bound(r: int, t: float, mu: float, theta: float,
     return c1 * K0 * (cone / r) ** (r / (2 * ell + 1))
 
 
-@dataclass(frozen=True)
-class MatrixElementBound:
-    value: float
-    v_star: float
-    mu: float
-    theta: float
-    K0: float
-
-
 def matrix_element_bound(r: int, t: float, m: int, ell: int, eps: float = 0.1,
-                         c1: float = 1.0) -> MatrixElementBound:
+                         c1: float = 1.0) -> float:
     """Bound on commutator matrix elements between states with <= m bosons/site.
 
     Parameter map: mu = 1/m, theta = e (1 + m), K0 = 4, then the worst-case
-    bound above.  v_star is the resulting cone velocity, reported alongside.
+    bound above, whose cone velocity v* grows with m.
     """
     if m < 1:
         raise ValueError("per-site occupancy bound m must be >= 1")
-    mu = 1.0 / m
-    theta = math.e * (1.0 + m)
-    k0 = 4.0
-    v_star = worst_case_velocities(mu, theta, ell, eps)[1]
-    value = finite_density_commutator_bound(r, t, mu, theta, k0, ell, eps, c1)
-    return MatrixElementBound(value=value, v_star=v_star, mu=mu, theta=theta, K0=k0)
+    return finite_density_commutator_bound(r, t, 1.0 / m, math.e * (1.0 + m), 4.0, ell, eps, c1)
 
 
 # ---------------------------------------------------------------------------

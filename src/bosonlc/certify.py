@@ -218,8 +218,7 @@ def windowed_model(model: ModelSpec, radius: int) -> tuple[ModelSpec, int]:
             shifted_support = tuple(s - lo for s in term.support)
             shifted_monos = tuple(
                 (c, tuple((s - lo, p) for s, p in powers)) for c, powers in term.monomials)
-            interactions.append(type(term)(support=shifted_support, monomials=shifted_monos,
-                                           schedule=term.schedule))
+            interactions.append(type(term)(support=shifted_support, monomials=shifted_monos))
     return (ModelSpec(graph=sub, hopping=hopping, interactions=tuple(interactions),
                       interaction_range=ell), lo)
 
@@ -253,31 +252,29 @@ def certified_expectation(model: ModelSpec, occupations, observable: MonomialOp,
         raise ValueError("refusing to certify a window of radius < 1")
 
     def window(r: int):
-        """Sub-model, offset, caps and sector size of the radius-r window."""
+        """Offset, width, caps and sector size of the radius-r window, which
+        is symmetric about the center and stops at the chain ends."""
         n0 = total_cap if total_cap is not None else boson_cutoff(
             r, ell, assumption.mu, assumption.theta)
         cap = per_site_cap if per_site_cap is not None else min(n0, 255)
-        sub, lo = windowed_model(model, r)
-        n_win = sum(occ[lo:lo + sub.graph.num_vertices])
-        return sub, lo, n0, cap, count_states(sub.graph.num_vertices, cap, n0, n_win)
+        lo = max(0, center - r - ell)
+        width = len(occ) - 2 * lo
+        return lo, width, n0, cap, count_states(width, cap, n0, sum(occ[lo:lo + width]))
 
     formula_cap = boson_cutoff(r_used, ell, assumption.mu, assumption.theta)
-    sub_model, lo, n0_used, cap_used, requested = window(r_used)
-    width = sub_model.graph.num_vertices
+    lo, width, n0_used, cap_used, requested = window(r_used)
     sites = (lo - center, lo + width - 1 - center)
     outside = sorted(x for x in observable.support if not sites[0] <= x <= sites[1])
     if outside:
         raise WindowError(f"observable site {outside[0]} (relative to the chain center) "
                           f"outside the window {sites[0]}..{sites[1]}")
     if requested > state_budget:
-        # report the largest time whose window sector would fit the budget;
-        # windows stop growing at the chain ends, so the walk starts there
-        fit_r = min(r_used, center)
-        while fit_r > 1:
-            fit_r -= 1
-            if window(fit_r)[-1] <= state_budget:
-                break
-        t_fit = fit_r / truncation_radius(1.0, assumption.theta, ell, vprime)
+        # report the largest time whose window sector would fit the budget:
+        # the radius below the first window over it, counting up from 1
+        fit_r = 0
+        while fit_r + 1 < min(r_used, center) and window(fit_r + 1)[-1] <= state_budget:
+            fit_r += 1
+        t_fit = max(fit_r, 1) / truncation_radius(1.0, assumption.theta, ell, vprime)
         raise CapacityError(requested, state_budget,
                             hint=f"largest certifiable time under this budget ~ {t_fit:.3e}")
 
@@ -302,7 +299,8 @@ def certified_expectation(model: ModelSpec, occupations, observable: MonomialOp,
                           state_budget=state_budget, number=n_tot)
         psi = np.zeros(basis.dim, dtype=np.complex128)
         psi[basis.index(window_occ)] = 1.0
-        psi, terms, evolution_bound = evolve_state(psi, sub_model, basis, t)
+        psi, terms, evolution_bound = evolve_state(psi, windowed_model(model, r_used)[0],
+                                                   basis, t)
         obs_mat = observable.translate(center - lo).to_matrix(basis)
         value = complex(np.vdot(psi, obs_mat @ psi))
 

@@ -98,9 +98,8 @@ def clustering_experiment(model: ModelSpec, r_list, *, per_site_cap: int,
     basis = FockBasis(length, per_site_cap=per_site_cap, number=n_target)
     if basis.dim == 0:
         raise ValueError("filling sector is empty under these caps")
-    gs = ground_state(build_hamiltonian(model, basis, 0.0),
-                      degeneracy_threshold=gap_threshold)
-    if gs.degenerate:
+    gs = ground_state(build_hamiltonian(model, basis, 0.0))
+    if gs.gap < gap_threshold:
         raise GaplessError(
             f"in-sector gap {gs.gap:.3e} below threshold {gap_threshold:.1e}")
 

@@ -12,10 +12,10 @@ Light-cone scan cells come from the nested-commutator series of
 Heisenberg engine evolves A for the large times.  One Gram kernel,
 ``_add_commutator_grams``, computes every cell, a dense cell being the series
 of one order.  Both routes read one engine: A's sector entries, split once,
-and H's sector blocks, built once per schedule piece by
-``_split_hamiltonian``, with their transposes, CSC views of the same arrays.
-Both apply ad_H to them by one step, ``_ad``.  No step allocates: products go
-into buffers each expansion owns, by scipy's own routine for ``h @ x``.
+and H's sector blocks, built once by ``_split_hamiltonian``, with their
+transposes, CSC views of the same arrays.  Both apply ad_H to them by one
+step, ``_ad``.  No step allocates: products go into buffers each expansion
+owns, by scipy's own routine for ``h @ x``.
 
 Operators enter as monomials or scipy sparse matrices, and evolved ones
 are :class:`~bosonlc.opspace.BlockOp` values: one dense block per sector
@@ -23,14 +23,15 @@ pair, never a global sparse matrix unless a caller reads ``.mat``.
 ``build_hamiltonian`` returns a real H when every hopping amplitude is real;
 on a real state or block the recursion then runs in float64.
 
-Piecewise-constant schedules are handled by composing per-segment
-propagators, so no expansion ever straddles a schedule discontinuity.
+A state evolves under piecewise-constant hopping schedules by one expansion
+per constant segment, so no expansion straddles a schedule discontinuity.
+The Heisenberg engine, and with it the scan, takes time-independent models
+only.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 
@@ -39,7 +40,7 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from . import bounds as bounds_mod
-from .fock import CapacityError, FockBasis, ModelSpec, build_hamiltonian
+from .fock import DEFAULT_STATE_BUDGET, CapacityError, FockBasis, ModelSpec, build_hamiltonian
 from .lattice import Graph, fatten, set_distance
 from .opspace import (BlockOp, MonomialOp, MuWeights, f_beta_expectation, scatter_block,
                       sector_entries, weighted_norm_sq)
@@ -265,55 +266,57 @@ def single_particle_propagator(model: ModelSpec, t: float) -> np.ndarray:
 
 
 class HeisenbergScanEngine:
-    """Heisenberg evolution O(t) = U(t)^dag O U(t) of one operator, block by block.
+    """Heisenberg evolution O(t) = e^{iHt} O e^{-iHt} of one operator under a
+    time-independent H, block by block.
 
     Number conservation makes H block diagonal over total-occupation sectors,
-    so each sector-pair block B of O evolves alone: B <- e^{iH_row dt} B
-    e^{-iH_col dt} = e^{i dt ad_H} B.  All entries of a block carry the same
+    so each sector-pair block B of O evolves alone: B <- e^{iH_row t} B
+    e^{-iH_col t} = e^{it ad_H} B.  All entries of a block carry the same
     mu-weight, so there ad_H is self-adjoint in the Frobenius inner product,
     with its spectrum in [lo_row - hi_col, hi_row - lo_col] (Gershgorin ends
-    per sector): each span takes one Chebyshev expansion, as a state does.
+    per sector): a block takes one Chebyshev expansion, as a state does.
 
     ``op`` is a monomial or a scipy sparse matrix over ``basis``, kept as
     its ``entries`` by sector pair (``sector_entries``); H's sector blocks
-    (``hamiltonian``) are built once per schedule piece, when a time first
-    needs them.  Both scan routes read the two from here.  A dense block is
-    scattered only when its expansion starts, so at most one dense block of
-    the operator at t = 0 exists beside the evolved ones.
+    (``hamiltonian``) are built once, when a nonzero time first needs them.
+    Both scan routes read the two from here.  A dense block is scattered
+    only when its expansion starts, so at most one dense block of the
+    operator at t = 0 exists beside the evolved ones.  A model with schedule
+    breakpoints is refused (ValueError), and so is an operator with a dense
+    block of more entries than the default state budget (CapacityError).
     """
 
     def __init__(self, model: ModelSpec, basis: FockBasis, op: MonomialOp | sp.spmatrix):
+        if not model.is_time_independent:
+            raise ValueError("the Heisenberg engine expects a time-independent model")
         self.model = model
         self.basis = basis
         mat = op.to_matrix(basis) if isinstance(op, MonomialOp) else op
         self.entries = sector_entries(mat, basis)
-        self._breaks = model.breakpoints()
-        self._h: dict[int, tuple] = {}    # schedule piece -> _split_hamiltonian
+        sizes = [ix.size for ix in basis.sectors]
+        block = max((sizes[a] * sizes[b] for a, b in self.entries), default=0)
+        if block > DEFAULT_STATE_BUDGET:
+            raise CapacityError(block, DEFAULT_STATE_BUDGET, hint=f"{basis.dim}-state basis",
+                                needs="a dense sector block of the operator would hold {} entries")
+        self._h: tuple | None = None
 
-    def hamiltonian(self, t: float) -> tuple:
-        """``_split_hamiltonian`` of H on the schedule piece holding t."""
-        piece = bisect_right(self._breaks, t)     # as in .at(t)
-        if piece not in self._h:
-            self._h[piece] = _split_hamiltonian(build_hamiltonian(self.model, self.basis, t),
-                                                self.basis)
-        return self._h[piece]
+    def hamiltonian(self) -> tuple:
+        """``_split_hamiltonian`` of H, built on first call."""
+        if self._h is None:
+            self._h = _split_hamiltonian(build_hamiltonian(self.model, self.basis), self.basis)
+        return self._h
 
     def evolved_block(self, pair: tuple[int, int], t: float) -> np.ndarray:
-        """The dense block of O(t) on one sector pair (n_row, n_col).
-
-        With U(t) = U_k ... U_1 over the spans of ``_segments``, O(t) =
-        U_1^dag ... U_k^dag O U_k ... U_1: the last span acts first.  H of
-        every span is at hand before the block is scattered.
-        """
-        spans = [(self.hamiltonian((a + b) / 2.0), a - b)
-                 for a, b in reversed(_segments(self.model, t))]
+        """The dense block of O(t) on one sector pair (n_row, n_col): e^{it
+        ad_H} of O's block by one expansion, none at t = 0.  H is at hand
+        before the block is scattered."""
+        if t == 0.0:
+            return scatter_block(self.basis, pair, self.entries[pair])
+        h, lo, hi, h_t = self.hamiltonian()
         n_row, n_col = pair
-        block = scatter_block(self.basis, pair, self.entries[pair])   # t = 0: zeros stay zero
-        for (h, lo, hi, h_t), dt in spans:
-            block = _chebyshev_expv(
-                h[n_row], block, dt, interval=(lo[n_row] - hi[n_col], hi[n_row] - lo[n_col]),
-                h_col_t=h_t[n_col])[0]
-        return block
+        return _chebyshev_expv(
+            h[n_row], scatter_block(self.basis, pair, self.entries[pair]), -t,
+            interval=(lo[n_row] - hi[n_col], hi[n_row] - lo[n_col]), h_col_t=h_t[n_col])[0]
 
     def evolved_blocks(self, t: float) -> dict[tuple[int, int], np.ndarray]:
         """Sector blocks {(n_row, n_col): dense block} of O(t), one after another."""
@@ -538,7 +541,7 @@ def commutator_series(engine: HeisenbergScanEngine, maps: dict[int, dict],
     dense block on that pair is scattered then, into a slot of the sequence.
     """
     order = SERIES_MAX_ORDER
-    h_blocks, lo, hi, h_t = engine.hamiltonian(0.0)
+    h_blocks, lo, hi, h_t = engine.hamiltonian()
     # B's number change, read off its sector pairs (any value if B = 0 here)
     gamma_b = next((n_row - n_col for m in maps.values() for n_row, n_col in m), 0)
     dtype = np.result_type(h_blocks[0].data, *(data for _, _, data in engine.entries.values()))
@@ -652,8 +655,6 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
     one-order sequences, the engine evolving each block when the kernel
     first needs it, so the cell is its single Gram entry.
     """
-    if not model.is_time_independent:
-        raise ValueError("scan expects a time-independent model")
     w = MuWeights(mu, basis)
     graph = model.graph
     support = sorted(op.support)
@@ -695,7 +696,7 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
     def make_cell(r: int, t: float, exact: float) -> ScanCell:
         bound = bounds_mod.ensemble_commutator_bound(r, t, params)
         bound_me = bounds_mod.matrix_element_bound(
-            r, t, m=basis.per_site_cap, ell=ell, eps=eps, c1=c1).value
+            r, t, m=basis.per_site_cap, ell=ell, eps=eps, c1=c1)
         ratio = exact / bound if math.isfinite(bound) and bound > 0 else 0.0
         return ScanCell(r=r, t=t, exact=exact, bound_ensemble=bound,
                         bound_matrix_element=bound_me, ratio=ratio, tail_estimate=tail)
@@ -748,10 +749,9 @@ class GroundState:
     energy: float
     vector: np.ndarray
     gap: float
-    degenerate: bool
 
 
-def ground_state(h: sp.spmatrix, degeneracy_threshold: float = 1e-6) -> GroundState:
+def ground_state(h: sp.spmatrix) -> GroundState:
     """Two lowest eigenpairs of a Hermitian sparse matrix; gap = E1 - E0.
 
     A real matrix (``build_hamiltonian`` with every hopping amplitude real)
@@ -790,8 +790,7 @@ def ground_state(h: sp.spmatrix, degeneracy_threshold: float = 1e-6) -> GroundSt
     residual = np.linalg.norm(h @ vec - e0 * vec)
     if residual > 1e-8 * max(1.0, abs(e0)):
         raise EvolutionError(f"eigensolver residual {residual:.2e} too large")
-    return GroundState(energy=e0, vector=vec.astype(np.complex128), gap=gap,
-                       degenerate=gap < degeneracy_threshold)
+    return GroundState(energy=e0, vector=vec.astype(np.complex128), gap=gap)
 
 
 def connected_correlation(psi0: np.ndarray, a: sp.spmatrix, b: sp.spmatrix) -> complex:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -123,13 +123,16 @@ class FockBasis:
         # table entry does not pass the rank still left (entries grow with it)
         width = per_site_cap + 1
         digits = np.zeros((num_sites, size), dtype=np.uint8)
-        self.totals = np.zeros(size, dtype=np.int64)      # bosons placed so far
+        placed = np.zeros(size, dtype=np.int64)      # bosons placed so far
         left = np.arange(size, dtype=np.int64)
         for digit, table in zip(digits, self._rank_table):
             for n in range(1, width):
-                digit += np.take(table[:, n], self.totals) <= left
-            left -= np.take(table.ravel(), self.totals * width + digit)
-            self.totals += digit
+                digit += np.take(table[:, n], placed) <= left
+            left -= np.take(table.ravel(), placed * width + digit)
+            placed += digit
+        del left    # first, so the narrow copy below adds nothing to the peak
+        # the smallest unsigned type that holds the budget: uint8 up to 255
+        self.totals = placed.astype(np.min_scalar_type(self._budget))
         self.states = np.ascontiguousarray(digits.T)
         self.states.setflags(write=False)
 
@@ -242,7 +245,7 @@ class PiecewiseConstant:
 
 @dataclass(frozen=True)
 class Interaction:
-    """Density polynomial on a support set, optionally rescaled in time.
+    """Density polynomial on a support set, constant in time.
 
     ``monomials`` is a tuple of (coefficient, powers) with powers a tuple of
     (site, exponent) pairs; the polynomial is sum_i c_i * prod_v n_v**p_v.
@@ -251,7 +254,6 @@ class Interaction:
 
     support: tuple[int, ...]
     monomials: tuple[tuple[float, tuple[tuple[int, int], ...]], ...]
-    schedule: PiecewiseConstant = field(default_factory=lambda: PiecewiseConstant.constant(1.0))
 
     def __post_init__(self):
         for coeff, powers in self.monomials:
@@ -310,12 +312,8 @@ class ModelSpec:
     # -- time structure ---------------------------------------------------
 
     def breakpoints(self) -> tuple[float, ...]:
-        pts: set[float] = set()
-        for sched in self.hopping.values():
-            pts.update(sched.breakpoints)
-        for term in self.interactions:
-            pts.update(term.schedule.breakpoints)
-        return tuple(sorted(pts))
+        """Every breakpoint of the hopping schedules: H(t) changes nowhere else."""
+        return tuple(sorted({b for sched in self.hopping.values() for b in sched.breakpoints}))
 
     @property
     def is_time_independent(self) -> bool:
@@ -414,7 +412,8 @@ def total_number_op(basis: FockBasis) -> sp.csr_matrix:
 
 
 def build_hamiltonian(model: ModelSpec, basis: FockBasis, t: float = 0.0) -> sp.csr_matrix:
-    """Assemble H(t) = sum_edges J_xy(t) b+_x b_y + h.c. + sum_S U_S(n, t).
+    """Assemble H(t) = sum_edges J_xy(t) b+_x b_y + h.c. + sum_S U_S(n): t
+    enters through the hopping alone.
 
     The forward and reverse hopping entries are emitted from the same float
     amplitude, so the matrix is Hermitian to the bit.  It is float64 when
@@ -429,9 +428,7 @@ def build_hamiltonian(model: ModelSpec, basis: FockBasis, t: float = 0.0) -> sp.
     diag = np.zeros(dim, dtype=np.float64)
     occ_cols = {v: basis.states[:, v] for v in model.graph.vertices()}
     for term in model.interactions:
-        scale = float(complex(term.schedule.at(t)).real)
-        if scale != 0.0:
-            diag += scale * term.evaluate(occ_cols)
+        diag += term.evaluate(occ_cols)
     has_diag = bool(np.any(diag != 0.0))
 
     hops = {edge: complex(sched.at(t)) for edge, sched in model.hopping.items()}

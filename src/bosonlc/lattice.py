@@ -22,9 +22,8 @@ class GraphError(ValueError):
 class Graph:
     """Immutable undirected simple graph on vertices ``0..num_vertices-1``.
 
-    No self-loops, no duplicate edges, finite maximum degree.  BFS frontiers
-    are memoized per source vertex; the cache is append-only so concurrent
-    readers are safe.
+    No self-loops, no duplicate edges, finite maximum degree.  BFS distances
+    are memoized per source vertex on its first query.
     """
 
     __slots__ = ("num_vertices", "edges", "adjacency", "_dist_cache")

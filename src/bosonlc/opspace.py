@@ -99,7 +99,8 @@ def sector_entries(mat: sp.spmatrix, basis: FockBasis) -> dict[tuple[int, int], 
     local = np.empty(basis.dim, dtype=np.int64)
     for ix in sectors:
         local[ix] = np.arange(ix.size)
-    keys = basis.totals[coo.row] * len(sectors) + basis.totals[coo.col]
+    # in int64: a product of the narrow totals would wrap
+    keys = basis.totals[coo.row].astype(np.int64) * len(sectors) + basis.totals[coo.col]
     order = np.argsort(keys, kind="stable")
     uniq, starts = np.unique(keys[order], return_index=True)
     return {divmod(int(key), len(sectors)): (local[coo.row[sel]], local[coo.col[sel]],

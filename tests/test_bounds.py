@@ -9,7 +9,7 @@ from bosonlc.bounds import (BoundParams, MMatrixBound, check_scalar_inequality,
                             finite_density_commutator_bound, initial_envelope,
                             integrate_envelope, m_matrix_bound,
                             matrix_element_bound, velocity_bound,
-                            velocity_from_coupling)
+                            velocity_from_coupling, worst_case_velocities)
 from bosonlc.lattice import Graph, build_path
 
 
@@ -243,16 +243,15 @@ def test_finite_density_bound_uses_half_mu():
 
 
 def test_matrix_element_bound_parameter_map():
-    me = matrix_element_bound(5, 1e-9, m=1, ell=0)
-    assert me.mu == 1.0
-    assert me.theta == pytest.approx(2 * math.e)
-    assert me.K0 == 4.0
-    # v_star grows with the occupancy bound m
-    v1 = matrix_element_bound(5, 1e-9, m=1, ell=0).v_star
-    v3 = matrix_element_bound(5, 1e-9, m=3, ell=0).v_star
-    assert v3 > v1
+    # mu = 1/m, theta = e (1 + m), K0 = 4 in the worst-case bound
+    for r, t, m, ell in ((5, 1e-9, 1, 0), (5, 1e-9, 3, 0), (7, 1e-24, 2, 1)):
+        assert matrix_element_bound(r, t, m, ell) == finite_density_commutator_bound(
+            r, t, 1 / m, math.e * (1 + m), 4, ell)
+    # the cone velocity v* grows with the occupancy bound m
+    assert (worst_case_velocities(1 / 3, 4 * math.e, 0, 0.1)[1]
+            > worst_case_velocities(1.0, 2 * math.e, 0, 0.1)[1])
     # below the cone edge: sentinel
-    assert matrix_element_bound(2, 1.0, m=2, ell=0).value == math.inf
+    assert matrix_element_bound(2, 1.0, m=2, ell=0) == math.inf
 
 
 # -- scalar inequality ----------------------------------------------------------

@@ -263,6 +263,19 @@ def test_certified_capacity_walk_is_bounded_by_chain(chain_model):
     assert err.value.requested == math.comb(17, 8)  # 9 bosons on 9 sites, cap 255
 
 
+def test_certified_capacity_walk_stops_at_the_first_window_over_budget():
+    # 601 sites: the walk down from the chain's center counted every window
+    # (about 20 s on 2 cores); the walk up stops at the first window over budget
+    occ = [1] * 601
+    start = time.perf_counter()
+    with pytest.raises(CapacityError) as err:
+        certified_expectation(bose_hubbard(build_path(601), 1.0, 1.0), occ, DENSITY, 0.5,
+                              fock_state_assumption(occ), per_site_cap=3)
+    assert time.perf_counter() - start < 5.0
+    assert str(err.value).endswith(
+        "(largest certifiable time under this budget ~ 2.146e-05)")
+
+
 def full_basis_value(model, occ, observable, t, radius, cap):
     """The expectation on the whole capped window basis, no sector."""
     sub, lo = windowed_model(model, radius)

@@ -12,8 +12,9 @@ definitions allowed are the reference implementations kept for the tests in
 
 Every defaulted parameter of a top-level function or method (the oracles
 aside) is set by some call in the same caller files, by keyword or by
-position; a ``Class(...)`` call sets ``__init__``'s.  A value no caller
-sets is a constant, not a parameter.  A function passed as a value, as
+position; a ``Class(...)`` call sets ``__init__``'s, and those of a
+dataclass's defaulted fields, in field order.  A value no caller sets is a
+constant, not a parameter.  A function passed as a value, as
 ``scatter_block`` is to ``partial``, counts as setting all of its
 parameters.  The only defaults left to the tests are ``TEST_HOOKS``.  The
 check matches calls by name alone, so two cases pass it unseen: a function
@@ -102,9 +103,19 @@ def _defaults(fn: ast.FunctionDef, bound: int) -> dict[str, int | None]:
     return out
 
 
+def _field_defaults(cls: ast.ClassDef) -> dict[str, int]:
+    """Each defaulted field of a dataclass: its index among the positional
+    arguments of ``Class(...)``."""
+    if not any("dataclass" in _names(d) for d in cls.decorator_list):
+        return {}
+    fields = [part for part in cls.body if isinstance(part, ast.AnnAssign)]
+    return {f.target.id: i for i, f in enumerate(fields) if f.value is not None}
+
+
 def unset_defaults() -> set[str]:
-    """``function.parameter`` or ``Class.method.parameter`` of each defaulted
-    parameter of a top-level function or method that no call sets."""
+    """``function.parameter``, ``Class.method.parameter`` or ``Class.field``
+    of each defaulted parameter of a top-level function or method, or field
+    of a dataclass, that no call sets."""
     defined: dict[str, list[tuple[str, dict]]] = {}    # name called -> definitions
     classes = set()
     for path, stmt in _statements():
@@ -114,6 +125,7 @@ def unset_defaults() -> set[str]:
             defined.setdefault(stmt.name, []).append((stmt.name, _defaults(stmt, 0)))
         elif isinstance(stmt, ast.ClassDef):
             classes.add(stmt.name)
+            defined.setdefault(stmt.name, []).append((stmt.name, _field_defaults(stmt)))
             for part in stmt.body:
                 if isinstance(part, ast.FunctionDef):
                     static = any(getattr(d, "id", None) == "staticmethod"

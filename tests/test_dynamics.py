@@ -15,8 +15,8 @@ from bosonlc.bounds import velocity_bound
 from bosonlc.cli import main
 from bosonlc.dynamics import (HeisenbergScanEngine, connected_correlation, evolve_state,
                               ground_state, lightcone_scan, single_particle_propagator)
-from bosonlc.fock import (FockBasis, Interaction, ModelSpec, PiecewiseConstant, bose_hubbard,
-                          build_hamiltonian, total_number_op)
+from bosonlc.fock import (CapacityError, FockBasis, Interaction, ModelSpec, PiecewiseConstant,
+                          bose_hubbard, build_hamiltonian, total_number_op)
 from bosonlc.lattice import build_cubic, build_path
 from bosonlc.opspace import (BlockOp, MonomialOp, MuWeights, commutator_weighted_norm, f_beta_expectation, sector_entries,
                              weighted_norm_sq)
@@ -257,43 +257,42 @@ def test_engine_evolves_an_operator_matrix(small_system):
     assert np.max(np.abs(bt.mat.toarray() - direct)) < 1e-13
 
 
-def test_piecewise_evolution_matches_dense_expm():
-    """Three schedule pieces, one of them a complex hopping phase; forward
-    and backward times, and a time inside the first piece after it."""
-    graph = build_path(4)
-    sched = PiecewiseConstant((0.2, 0.55), (1.0, 0.4 - 0.6j, -0.8))
-    model = ModelSpec(graph=graph, hopping={e: sched for e in graph.edges},
-                      interactions=bose_hubbard(graph, 1.0, 1.0).interactions,
-                      interaction_range=0)
-    basis = FockBasis(4, 2)
-    rng = np.random.default_rng(11)
-    for op in (MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis),
-               random_operator(rng, basis)):
-        engine = HeisenbergScanEngine(model, basis, op)
-        for t in (0.7, -0.4, 0.1):
-            got = engine.evolved_operator(t).mat.toarray()
-            assert np.max(np.abs(got - _dense_heisenberg(model, basis, op, t))) < 1e-12
-
-
-def test_hamiltonian_built_once_per_schedule_piece(monkeypatch):
+def test_engine_refuses_a_time_dependent_model():
+    """A schedule with breakpoints, complex or real, is refused before any
+    operator is split or any H is built."""
     graph = build_path(4)
     basis = FockBasis(4, 2)
-    op = MonomialOp.from_dicts(zeta={0: 1})
-    constant = bose_hubbard(graph, 1.0, 1.0)
-    sched = PiecewiseConstant((0.2,), (1.0, 0.5))
-    two_piece = ModelSpec(graph=graph, hopping={e: sched for e in graph.edges},
-                          interactions=constant.interactions, interaction_range=0)
+    for sched in (PiecewiseConstant((0.2, 0.55), (1.0, 0.4 - 0.6j, -0.8)),
+                  PiecewiseConstant((0.2,), (1.0, 0.5))):
+        model = ModelSpec(graph=graph, hopping={e: sched for e in graph.edges},
+                          interactions=bose_hubbard(graph, 1.0, 1.0).interactions,
+                          interaction_range=0)
+        with pytest.raises(ValueError, match="time-independent"):
+            HeisenbergScanEngine(model, basis, MonomialOp.from_dicts(zeta={0: 1}))
+
+
+def test_engine_refuses_a_dense_block_over_the_state_budget():
+    # 8 sites at cap 3 (65,536 states): b_0's largest sector pair joins 7,728
+    # and 8,092 states, 62,534,976 dense entries; a scan holds 15 such blocks
+    basis = FockBasis(8, 3)
+    with pytest.raises(CapacityError, match="62534976 entries, budget is 5000000"):
+        HeisenbergScanEngine(bose_hubbard(build_path(8), 1.0, 1.0), basis,
+                             MonomialOp.from_dicts(zeta={0: 1}))
+
+
+def test_hamiltonian_built_once_per_engine(monkeypatch):
+    basis = FockBasis(4, 2)
     built = []
     real_build = dynamics.build_hamiltonian
     monkeypatch.setattr(dynamics, "build_hamiltonian",
-                        lambda *a: built.append(a[-1]) or real_build(*a))
-    for model, pieces in ((constant, 1), (two_piece, 2)):
-        built.clear()
-        engine = HeisenbergScanEngine(model, basis, op)
-        assert built == []
-        for t in (0.3, 0.5, 0.7):
-            engine.evolved_blocks(t)
-        assert len(built) == pieces
+                        lambda *a: built.append(a) or real_build(*a))
+    engine = HeisenbergScanEngine(bose_hubbard(build_path(4), 1.0, 1.0), basis,
+                                  MonomialOp.from_dicts(zeta={0: 1}))
+    engine.evolved_blocks(0.0)
+    assert built == []
+    for t in (0.3, 0.5, 0.7):
+        engine.evolved_blocks(t)
+    assert len(built) == 1
 
 
 def test_commutator_oracle_free_model():

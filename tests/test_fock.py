@@ -66,6 +66,12 @@ def test_fixed_number_basis_is_sector_of_capped_basis():
                 assert sector.index(sector.states[i]) == i
 
 
+def test_totals_take_one_byte_per_state():
+    basis = FockBasis(6, 3, number=9)
+    assert basis.totals.nbytes == basis.dim
+    assert np.array_equal(basis.totals, basis.states.sum(axis=1))
+
+
 def test_count_states_number_matches_brute_force():
     for sites, cap, total in [(3, 2, None), (4, 3, 5), (2, 5, 3), (5, 1, None)]:
         sums = [sum(v) for v in itertools.product(range(cap + 1), repeat=sites)
@@ -250,9 +256,7 @@ def _coo_hamiltonian(model, basis, t):
     diag = np.zeros(basis.dim)
     occ_cols = {v: basis.states[:, v] for v in model.graph.vertices()}
     for term in model.interactions:
-        scale = float(complex(term.schedule.at(t)).real)
-        if scale != 0.0:
-            diag += scale * term.evaluate(occ_cols)
+        diag += term.evaluate(occ_cols)
     idx = np.arange(basis.dim)
     rows, cols, vals = ([idx], [idx], [diag]) if np.any(diag != 0.0) else ([], [], [])
     hops = {edge: complex(sched.at(t)) for edge, sched in model.hopping.items()}

@@ -412,6 +412,16 @@ def test_scatter_block_matches_add_at_bit_for_bit(rng, dtype):
         assert scatter_block(basis, key, entries).tobytes() == want.tobytes()
 
 
+def test_sector_keys_hold_totals_past_255():
+    # 300 bosons: the totals are narrow, a key N_row * sectors + N_col is not
+    basis = FockBasis(2, 255, number=300)
+    assert basis.totals.max() == 300
+    mat = sp.identity(basis.dim, format="csr")
+    [(pair, (rows, cols, data))] = sector_entries(mat, basis).items()
+    assert pair == (300, 300)
+    assert np.array_equal(rows, np.arange(basis.dim)) and np.array_equal(rows, cols)
+
+
 def test_f_beta_projected_leq_plus_identity_part(rng):
     # projected functional of a random operator stays finite and nonnegative
     basis = FockBasis(2, 6)

@@ -52,6 +52,15 @@ class DensityAssumption:
             raise ValueError("form must be 'inner' or 'partial-trace'")
 
 
+def _window_counts(occ: list, center: int):
+    """Bosons on sites center - x..center + x for x = 0, 1, ... while the
+    window fits the chain: a running sum, one site pair per step."""
+    n_window = 0
+    for x in range(min(center, len(occ) - 1 - center) + 1):
+        n_window += occ[center - x] + (occ[center + x] if x else 0)
+        yield n_window
+
+
 def fock_state_assumption(occupations) -> DensityAssumption:
     """Assumption parameters for a number eigenstate on a symmetric chain.
 
@@ -64,15 +73,14 @@ def fock_state_assumption(occupations) -> DensityAssumption:
         raise ValueError("chain must have odd length for the symmetric labeling")
     center = len(occ) // 2
     best_mu = math.inf
-    for x in range(center + 1):
-        n_window = sum(occ[center - x:center + x + 1])
+    for x, n_window in enumerate(_window_counts(occ, center)):
         if n_window > 0:
             best_mu = min(best_mu, (2 * x + 1) / n_window)
     if not math.isfinite(best_mu):
         best_mu = 1.0  # empty state: any positive density parameter works
     if best_mu < MU_FLOOR:
         raise ValueError(f"the state's density gives mu = {best_mu:.3g}, below {MU_FLOOR:g}")
-    theta = math.e / (1.0 - math.exp(-best_mu))
+    theta = math.e / -math.expm1(-best_mu)
     return DensityAssumption(mu=best_mu, theta=theta, K0=theta, form="inner")
 
 
@@ -86,10 +94,8 @@ def validate_fock_assumption(occupations, assumption: DensityAssumption) -> bool
     powers leave the float range from x of a few hundred on.
     """
     occ = list(occupations)
-    center = len(occ) // 2
     q = math.exp(-assumption.mu)
-    for x in range(0, min(center, len(occ) - 1 - center) + 1):
-        n_window = sum(occ[center - x:center + x + 1])
+    for x, n_window in enumerate(_window_counts(occ, len(occ) // 2)):
         lhs = -(2 * x + 1) * math.log1p(-q) + assumption.mu * n_window
         rhs = math.log(assumption.K0) + 2 * x * math.log(assumption.theta)
         if lhs > rhs + 1e-12 * max(1.0, abs(rhs)):

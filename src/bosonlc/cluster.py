@@ -106,7 +106,7 @@ def clustering_experiment(model: ModelSpec, r_list, *, per_site_cap: int,
     # the finite-density assumption, mu = (2 floor(L/2) + 1) / N and theta
     # = K0 = e / (1 - e^-mu), serves the bound and the observables' weights
     mu = (2 * (length // 2) + 1) / n_target if n_target else 1.0
-    theta = math.e / (1.0 - math.exp(-mu))
+    theta = math.e / -math.expm1(-mu)
     ell = model.interaction_range
     velocity = worst_case_velocities(mu, theta, ell, eps)[1]
 

@@ -85,26 +85,58 @@ def _gershgorin(h: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     return diag - radius, diag + radius
 
 
-def _chebyshev_terms(x: float, tol: float) -> tuple[int, float]:
-    """Smallest order K >= 1 with 2 sum_{k>K} (x/2)^k / k! <= tol, and that bound.
+def _chebyshev_terms(x: float, tol: float) -> tuple[np.ndarray, float]:
+    """Bessel values J_0(x)..J_K(x) for the smallest order K >= 1 whose
+    truncation bound 2 (sum_{K<k<=N} |J_k(x)| + sum_{k>N} (x/2)^k / k!),
+    raised by _BESSEL_RTOL for the rounding of the computed J_k, is at most
+    tol, and that bound.
 
-    (x/2)^k / k! bounds |J_k(x)|.  For K >= x/2 - 1 the terms past K shrink by
-    at least the ratio x / (2K + 4): their sum is at most the first / (1 - ratio).
-    As K starts there, an x with x/2 - 1 >= CHEBYSHEV_MAX_TERMS is refused
-    before any term is counted (CapacityError).
+    (x/2)^k / k! bounds |J_k(x)| (DLMF 10.14.4).  N is the first order past
+    x - 2, where the majorant's ratio x / (2k + 4) is at most 1/2, at which
+    its tail, summed geometrically, is below tol * 2^-52; so K stops on the
+    actual Bessel tail.  The values come from Miller's backward recurrence
+    J_{k-1} = (2k/x) J_k - J_{k+1} (Gautschi, SIAM Rev. 9, 24, 1967), run
+    from _MILLER_MARGIN orders past N, where J is negligible beside J_N, and
+    normalised by J_0 + 2 sum_k J_2k = 1 (DLMF 10.12.4; §3.6).  Whenever a
+    value passes ``big`` the last two are scaled down by a power of two,
+    exactly, and the higher ones at the end: no product leaves the float
+    range even at x = 1e-300, where 2k/x is near its edge.  As K >= x/2 - 1,
+    an x with x/2 - 1 >= CHEBYSHEV_MAX_TERMS is refused before any array is
+    made (CapacityError).
     """
     if not x / 2.0 - 1.0 < CHEBYSHEV_MAX_TERMS:     # an infinite x too
         raise CapacityError(x / 2.0 - 1.0, CHEBYSHEV_MAX_TERMS,
                             hint=f"time times spectral half-width a|t| = {x:.3g}; "
                                  "evolve to a shorter time",
                             needs="a Chebyshev expansion would sum at least {:.3g} terms")
-    order = max(1, math.floor(x / 2.0) - 1)
-    while True:
-        log_bound = (math.log(2.0 / (1.0 - x / (2.0 * order + 4.0)))
-                     + (order + 1) * math.log(x / 2.0) - math.lgamma(order + 2))
-        if log_bound <= math.log(tol):
-            return order, math.exp(log_bound)
-        order += 1
+    log_half_x = math.log(x) - math.log(2.0)
+    n = max(1, math.ceil(x) - 2)
+    log_next = (n + 1) * log_half_x - math.lgamma(n + 2)    # log of the majorant at n + 1
+    while log_next + math.log(2.0) > math.log(tol) - 52.0 * math.log(2.0):
+        n += 1
+        log_next += log_half_x - math.log(n + 1)
+    majorant = math.exp(log_next) / (1.0 - x / (2.0 * n + 4.0))    # its tail past n
+    start = n + _MILLER_MARGIN
+    big = min(2.0 ** 500, x * 2.0 ** 1000 / (2 * start + 2))   # 2k/x * big stays finite
+    big_exp = math.frexp(big)[1] - 1
+    f = [0.0] * (start + 2)
+    f[start] = min(1.0, big)
+    shifts = [0] * (start + 2)      # f[k] owes a factor 2^-(shifts[0] + .. + shifts[k])
+    for k in range(start, 0, -1):
+        value = 2 * k * f[k] / x - f[k + 1]
+        if abs(value) > big:
+            s = math.frexp(value)[1] - big_exp
+            value, f[k] = math.ldexp(value, -s), math.ldexp(f[k], -s)
+            shifts[k + 1] += s
+        f[k - 1] = value
+    f = np.ldexp(f[:n + 1], -np.cumsum(shifts[:n + 1]))     # past n: negligible
+    j = f / (f[0] + 2.0 * f[2::2].sum())
+    # bound[K - 1] for K = 1..n, the sums taken from the smallest term up
+    # and raised by the relative rounding allowed the computed J_k
+    bound = 2.0 * (1.0 + _BESSEL_RTOL) * (np.append(np.cumsum(np.abs(j[:1:-1]))[::-1], 0.0)
+                                          + majorant)
+    order = 1 + int(np.argmax(bound <= tol))
+    return j[:order + 1], float(bound[order - 1])
 
 
 def _split_hamiltonian(h: sp.csr_matrix, basis: FockBasis):
@@ -157,7 +189,10 @@ def _chebyshev_expv(h: sp.csr_matrix, v: np.ndarray, t: float, tol: float = 1e-1
     With X = (L - c) / a and x = a|t|, e^{-iLt} = e^{-ict} (J_0(x) + 2 sum_k
     (-i sgn t)^k J_k(x) T_k(X)) (Tal-Ezer & Kosloff 1984).  As ||T_k(X)|| <= 1,
     the orders past K add at most 2 sum_{k>K} |J_k(x)| ||v||, which
-    ``_chebyshev_terms`` bounds by tol ||v||.  With L and v real, every
+    ``_chebyshev_terms`` bounds by tol ||v||; it also gives the J_k(x), by
+    Miller's recurrence in numpy.  The error bound returned is that
+    truncation bound alone: the rounding of the coefficients and of the
+    recursion is not in it.  With L and v real, every
     T_k(X) v is real: the recursion runs in float64, the even orders summed
     into the result's real part, the odd ones (with imaginary coefficients)
     into its imaginary part.  No step allocates.
@@ -168,8 +203,6 @@ def _chebyshev_expv(h: sp.csr_matrix, v: np.ndarray, t: float, tol: float = 1e-1
     v: the recursion starts in v itself when v is writable, C-contiguous and
     of the recursion's dtype, as the engine's freshly scattered blocks are.
     """
-    from scipy.special import jv   # not at module top: it adds ~55 ms to every import
-
     if h_col_t is not None and interval is None:
         raise ValueError("ad_H needs the sector pair's interval")
     mats = [h] if h_col_t is None else [h, h_col_t]
@@ -187,8 +220,9 @@ def _chebyshev_expv(h: sp.csr_matrix, v: np.ndarray, t: float, tol: float = 1e-1
         del lower, upper
     lo, hi = interval
     c, a = (hi + lo) / 2.0, (hi - lo) / 2.0 or 1.0    # any a > 0 encloses L = c
-    order, tail = _chebyshev_terms(a * abs(t), tol)
-    coef = 2.0 * jv(np.arange(order + 1), a * abs(t))
+    bessel, tail = _chebyshev_terms(a * abs(t), tol)
+    order = bessel.size - 1
+    coef = 2.0 * bessel
     coef[0] /= 2.0
     coef[2::4] *= -1.0      # (-i)^k = (-1)^(k/2) on even k, -i (-1)^((k-1)/2) on odd k
     coef[3::4] *= -1.0
@@ -333,6 +367,8 @@ class HeisenbergScanEngine:
 SERIES_RTOL = 1e-10
 SERIES_MAX_ORDER = 14
 CHEBYSHEV_MAX_TERMS = 100_000     # far above any expansion of a shipped config
+_MILLER_MARGIN = 64     # past N, J_{k+1} / J_k < 0.45 (x up to 2e5): J_start / J_N < 1e-22
+_BESSEL_RTOL = 2.0 ** -40   # the J_k of _chebyshev_terms measure within 3e-15 relative to x = 3000
 _CHUNK_BYTES = 512 << 10
 _GERSHGORIN_ROWS = 1 << 12
 

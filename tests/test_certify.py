@@ -2,6 +2,7 @@ import math
 import time
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -111,6 +112,25 @@ def test_fock_assumption_validation_on_long_chains():
     assert validate_fock_assumption(occ, a)
     # denser ends break only the outermost cut, x = 500
     assert not validate_fock_assumption([50] + [1] * 999 + [50], a)
+
+
+def test_fock_assumption_time_is_linear_in_the_chain_length():
+    # each cut adds two sites to a running sum: both functions on 50,001
+    # sites take well under a second (re-summing every window took 13 s)
+    occ = [1] * 50_001
+    start = time.perf_counter()
+    assert validate_fock_assumption(occ, fock_state_assumption(occ))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_fock_assumption_theta_at_the_mu_floor():
+    # theta = e / (1 - e^-mu) with 1 - e^-mu from expm1: at mu = 1e-15 the
+    # subtraction was 8e-4 off
+    a = fock_state_assumption([1, 10**15, 1])
+    assert a.mu == 1e-15
+    with mpmath.workdps(50):
+        want = mpmath.e / -mpmath.expm1(-mpmath.mpf(a.mu))
+        assert abs(a.theta - want) <= 1e-14 * want
 
 
 def test_density_assumption_validation():

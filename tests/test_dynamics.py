@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -125,15 +129,72 @@ def test_chebyshev_zero_vector_stays_zero():
     assert not np.any(out) and (terms, bound) == (0, 0.0)
 
 
+def _bessel_tails(x, order):
+    """2 sum_{k>order} |J_k(x)| and 2 sum_{k>=order} |J_k(x)| at 50 digits;
+    past order + 150 the terms are below 1e-25 of the sum for every x here."""
+    with mpmath.workdps(50):
+        tail = 2 * mpmath.fsum(abs(mpmath.besselj(k, x)) for k in range(order + 1, order + 151))
+        return float(tail), float(tail + 2 * abs(mpmath.besselj(order, x)))
+
+
+def _factorial_order(x, tol):
+    """Smallest K >= 1 with 2 sum_{k>K} (x/2)^k / k! <= tol, the majorant
+    summed geometrically from K >= x/2 - 1: the order rule before the
+    Bessel values were read."""
+    order = max(1, math.floor(x / 2.0) - 1)
+    while (math.log(2.0 / (1.0 - x / (2.0 * order + 4.0))) + (order + 1) * math.log(x / 2.0)
+           - math.lgamma(order + 2)) > math.log(tol):
+        order += 1
+    return order
+
+
 def test_chebyshev_order_from_factorial_bound():
-    # 2 sum_{k>K} (x/2)^k / k! <= tol at x = 32
-    assert dynamics._chebyshev_terms(32.0, 1e-14)[0] == 67
-    assert dynamics._chebyshev_terms(32.0, 1e-10)[0] == 61
-    for x, tol in ((32.0, 1e-14), (3.0, 1e-6), (500.0, 1e-12)):
-        order, bound = dynamics._chebyshev_terms(x, tol)
-        tail = 2.0 * sum(math.exp(k * math.log(x / 2) - math.lgamma(k + 1))
-                         for k in range(order + 1, order + 400))
-        assert tail <= bound <= tol
+    # the order stops on the actual Bessel tail, where the factorial majorant
+    # 2 sum_{k>K} (x/2)^k / k! alone asks 67 / 163 / 1387
+    for x, order in ((32.0, 65), (100.0, 147), (1000.0, 1100)):
+        assert dynamics._chebyshev_terms(x, 1e-14)[0].size - 1 == order
+    # for x <= 1 (the growth blocks have x <= 0.4) the two rules agree
+    for tol in (1e-14, 1e-10, 1e-6, 1e-3):
+        for x in np.geomspace(1e-300, 1.0, 301):
+            assert dynamics._chebyshev_terms(x, tol)[0].size - 1 == _factorial_order(x, tol)
+    # the bound covers the exact tail and meets tol, at the smallest order that can
+    for x, tol in ((0.4, 1e-14), (3.0, 1e-6), (32.0, 1e-14), (32.0, 1e-10), (500.0, 1e-12),
+                   (1000.0, 1e-14)):
+        values, bound = dynamics._chebyshev_terms(x, tol)
+        tail, tail_before = _bessel_tails(x, values.size - 1)
+        assert tail <= bound <= tol < tail_before
+
+
+@pytest.mark.parametrize("x", [1e-300, 1e-8, 1e-3, 0.05, 0.4, 1.0, 5.0, 32.0, 100.0, 1000.0])
+def test_bessel_values_match_mpmath(x):
+    # Miller's recurrence against 50-digit J_k(x) through order K + 10: the
+    # expansion's own values, then a tighter tolerance's for the orders past K
+    values = dynamics._chebyshev_terms(x, 1e-14)[0]
+    longer = dynamics._chebyshev_terms(x, 1e-300)[0][:values.size + 10]
+    with mpmath.workdps(50):
+        want = np.array([float(mpmath.besselj(k, x)) for k in range(values.size + 10)])
+    assert np.max(np.abs(values - want[:values.size])) <= 1e-15
+    assert np.max(np.abs(np.pad(longer, (0, want.size - longer.size)) - want)) <= 1e-15
+
+
+def test_expansions_do_not_load_scipy_special():
+    # the coefficients come from numpy alone: a fresh process evolves a state
+    # and an operator without importing scipy.special
+    script = (
+        "import sys, numpy as np\n"
+        "from bosonlc.dynamics import HeisenbergScanEngine, evolve_state\n"
+        "from bosonlc.fock import FockBasis, bose_hubbard\n"
+        "from bosonlc.lattice import build_path\n"
+        "from bosonlc.opspace import MonomialOp\n"
+        "model, basis = bose_hubbard(build_path(3), 1.0, 1.0), FockBasis(3, 2)\n"
+        "psi = np.zeros(basis.dim, complex); psi[0] = 1.0\n"
+        "assert evolve_state(psi, model, basis, 0.3)[1] > 1\n"
+        "HeisenbergScanEngine(model, basis, MonomialOp.from_dicts(zeta={0: 1})).evolved_operator(0.3)\n"
+        "assert 'scipy.special' not in sys.modules\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_evolve_state_piecewise_schedule_and_subdivision():
@@ -416,8 +477,8 @@ def _allocating_expv(h, v, t, interval=None, h_col_t=None):
         interval = float(lower.min()), float(upper.max())
     lo, hi = interval
     c, a = (hi + lo) / 2.0, (hi - lo) / 2.0 or 1.0
-    order, _ = dynamics._chebyshev_terms(a * abs(t), 1e-14)
-    coef = 2.0 * jv(np.arange(order + 1), a * abs(t))
+    coef = 2.0 * dynamics._chebyshev_terms(a * abs(t), 1e-14)[0]
+    order = coef.size - 1
     coef[0] /= 2.0
     coef[2::4] *= -1.0
     coef[3::4] *= -1.0

@@ -3,10 +3,13 @@
 The reference JSON under ``tests/golden`` was written by the CLI before the
 fixed-N sector bases landed.  Closed-form fields must match exactly.  The
 certificate and the selftest report are compared whole: their measured
-values came out byte-identical.  The certificate was rewritten once, when
-state propagation moved from Lanczos steps to one Chebyshev expansion: its
-value moved by 6.8e-15, to the dense-expm value, and the evolution fields
-and status replaced the old tolerance budget.  The cluster report is measured by ARPACK
+values came out byte-identical.  The certificate was rewritten twice.
+When state propagation moved from Lanczos steps to one Chebyshev expansion,
+its value moved by 6.8e-15, to the dense-expm value, and the evolution
+fields and status replaced the old tolerance budget.  When the expansion's
+Bessel coefficients moved to Miller's recurrence and its order to the
+actual Bessel tail, the value moved by 1.1e-16 (to 6.9e-18 of the dense-expm
+value) and the evolution terms and bound moved with the order.  The cluster report is measured by ARPACK
 at tolerance 1e-12, so its gap and energy must agree to 1e-12 relative, its
 correlations to 1e-12 absolute and 1e-6 relative, and the quantities
 derived from them to the same relative tolerance.  ``scan_chain7.json`` is

@@ -120,7 +120,7 @@ def initial_envelope(seeds: dict[int, float], region, ell: int, mu: float, beta:
     missing = [x for x in region if x not in seeds]
     if missing:
         raise ValueError(f"missing seed values for region vertices {missing}")
-    eps = beta ** beta * (1.0 - math.exp(-mu)) ** (-beta) * norm_sq
+    eps = beta ** beta * (-math.expm1(-mu)) ** (-beta) * norm_sq
     c0 = np.zeros(graph.num_vertices)
     for x in graph.vertices():
         d = set_distance(graph, x, region)
@@ -333,8 +333,7 @@ def derivation_trace(mu: float, K: int, ell: int, beta: int) -> list[dict]:
     """Human-auditable trace: each constant with its formula and substitution."""
     coupling = m_matrix_bound(mu, beta, ell, K)
     v = velocity_bound(mu, K, ell, beta)
-    q = math.exp(-mu)
-    nbar = q / (1.0 - q)
+    nbar = 1.0 / math.expm1(mu)
     if ell == 0 and beta == 1:
         off_formula = "62 + 48/mu"
         v_formula = "8*K*(31 + 24/mu)"

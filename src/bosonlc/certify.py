@@ -117,7 +117,7 @@ def truncation_radius(t: float, theta: float, ell: int, vprime: float) -> float:
 def boson_cutoff_branches(r: float, ell: int, mu: float, theta: float) -> dict:
     q = math.exp(-mu)
     branch_flat = 4.0
-    branch_density = 1.0 / (math.exp(mu / 3.0) - 1.0)
+    branch_density = 1.0 / math.expm1(mu / 3.0)
     branch_entropy = (2.0 / mu) * (1.0 + 8.0 * math.log(2.0)
                                    + math.log(theta * (1.0 - q) / mu ** 4))
     factor = max(branch_flat, branch_density, branch_entropy)

@@ -14,8 +14,10 @@ Heisenberg engine evolves A for the large times.  One Gram kernel,
 of one order.  Both routes read one engine: A's sector entries, split once,
 and H's sector blocks, built once by ``_split_hamiltonian``, with their
 transposes, CSC views of the same arrays.  Both apply ad_H to them by one
-step, ``_ad``.  No step allocates: products go into buffers each expansion
-owns, by scipy's own routine for ``h @ x``.
+step, ``_ad``, which forms M H_col a panel of M's rows at a time in one
+_CHUNK_BYTES buffer: no block-sized transposed copy is made.  No step
+allocates: products go into buffers each expansion owns, by scipy's own
+routine for ``h @ x``.
 
 Operators enter as monomials or scipy sparse matrices, and evolved ones
 are :class:`~bosonlc.opspace.BlockOp` values: one dense block per sector
@@ -42,8 +44,8 @@ from scipy.sparse import _sparsetools
 from . import bounds as bounds_mod
 from .fock import DEFAULT_STATE_BUDGET, CapacityError, FockBasis, ModelSpec, build_hamiltonian
 from .lattice import Graph, fatten, set_distance
-from .opspace import (BlockOp, MonomialOp, MuWeights, f_beta_expectation, scatter_block,
-                      sector_entries, weighted_norm_sq)
+from .opspace import (_CHUNK_BYTES, BlockOp, MonomialOp, MuWeights, f_beta_expectation,
+                      scatter_block, sector_entries, weighted_norm_sq)
 
 
 class EvolutionError(RuntimeError):
@@ -163,17 +165,37 @@ def _matmul_into(h: sp.csr_matrix | sp.csc_matrix, x: np.ndarray,
     return out
 
 
+def _ad_panel(shape: tuple[int, int], dtype) -> np.ndarray:
+    """The flat scratch buffer of ``_ad`` for blocks of ``shape``: _CHUNK_BYTES,
+    but room for one row in each half and no more than the whole block."""
+    n_rows, n_cols = shape
+    size = max(_CHUNK_BYTES // np.dtype(dtype).itemsize // 2, n_cols)
+    return np.empty(2 * min(size, n_rows * n_cols), dtype)
+
+
 def _ad(h_row: sp.csr_matrix, h_col_t: sp.csc_matrix, m: np.ndarray, out: np.ndarray,
-        mt: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        panel: np.ndarray) -> np.ndarray:
     """ad_H(M) = H_row M - M H_col on one sector pair, written into ``out``.
 
     ``h_col_t`` is the transpose of the column sector's block of H (a CSC
     view of the block's arrays, or CSR), so M H = (H^T M^T)^T runs as a
-    sparse-times-dense product.  M^T and H^T M^T go to the caller's buffers
-    ``mt`` and ``tmp``, so a step allocates nothing.
+    sparse-times-dense product, a panel of M's rows at a time: M[lo:hi]^T
+    goes to one half of the flat buffer ``panel`` (``_ad_panel``), H^T times
+    it to the other, and its transpose is subtracted from out[lo:hi].  Each
+    entry of M H is summed over the same stored entries of H_col, in the
+    same order, at every panel height; a step allocates nothing.
     """
-    np.copyto(mt, m.T)
-    return np.subtract(_matmul_into(h_row, m, out), _matmul_into(h_col_t, mt, tmp).T, out=out)
+    _matmul_into(h_row, m, out)
+    n_rows, n_cols = m.shape
+    half = panel.size // 2
+    height = half // n_cols
+    for lo in range(0, n_rows, height):
+        rows = min(height, n_rows - lo)
+        mt = panel[:n_cols * rows].reshape(n_cols, rows)
+        np.copyto(mt, m[lo:lo + rows].T)
+        tmp = _matmul_into(h_col_t, mt, panel[half:half + n_cols * rows].reshape(n_cols, rows))
+        np.subtract(out[lo:lo + rows], tmp.T, out=out[lo:lo + rows])
+    return out
 
 
 def _chebyshev_expv(h: sp.csr_matrix, v: np.ndarray, t: float, tol: float = 1e-14,
@@ -242,8 +264,7 @@ def _chebyshev_expv(h: sp.csr_matrix, v: np.ndarray, t: float, tol: float = 1e-1
             return out
     else:   # ad_{H - s} = ad_H - s: the shift sits on the row block's diagonal
         row = h2[0] - shift * sp.identity(h2[0].shape[0], format="csr")
-        mt, tmp = np.empty((2,) + prev.shape[::-1], prev.dtype)
-        two_x = partial(_ad, row, h2[1], mt=mt, tmp=tmp)
+        two_x = partial(_ad, row, h2[1], panel=_ad_panel(prev.shape, prev.dtype))
     np.multiply(0.5, two_x(prev, cur), out=cur)     # T_0 v and T_1 v = X v
     out = np.empty(prev.shape, np.complex128)
     acc = [out.real, out.imag] if real else [out, np.empty(prev.shape, np.complex128)]
@@ -369,7 +390,6 @@ SERIES_MAX_ORDER = 14
 CHEBYSHEV_MAX_TERMS = 100_000     # far above any expansion of a shipped config
 _MILLER_MARGIN = 64     # past N, J_{k+1} / J_k < 0.45 (x up to 2e5): J_start / J_N < 1e-22
 _BESSEL_RTOL = 2.0 ** -40   # the J_k of _chebyshev_terms measure within 3e-15 relative to x = 3000
-_CHUNK_BYTES = 512 << 10
 _GERSHGORIN_ROWS = 1 << 12
 
 
@@ -389,13 +409,13 @@ def _nested_commutators(h_row: sp.csr_matrix, h_col_t: sp.csc_matrix, scatter, d
     seq = np.empty((order + 1 - lowest,) + shape, dtype=dtype)
     norms_sq = np.empty(order + 1)
     below = [np.empty(shape, dtype) for _ in range(min(lowest - 1, 2))]
-    mt, tmp = np.empty((2,) + shape[::-1], dtype)
+    panel = _ad_panel(shape, dtype)
     m = scatter(seq[0] if lowest == 0 else seq[-1] if order > 1 else np.empty(shape, dtype))
     for k in range(order + 1):
         norms_sq[k] = np.vdot(m, m).real
         if k < order:
             out = seq[k + 1 - lowest] if k + 1 >= lowest else below[k % 2]
-            m = _ad(h_row, h_col_t, m, out, mt, tmp)
+            m = _ad(h_row, h_col_t, m, out, panel)
     return seq, norms_sq
 
 

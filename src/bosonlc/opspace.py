@@ -35,6 +35,7 @@ import scipy.sparse as sp
 from .fock import FockBasis, counts_by_total
 
 MU_FLOOR = 1e-15  # below about 1.1e-16, e^-mu rounds to 1 and 1/(1 - e^-mu) fails
+_CHUNK_BYTES = 512 << 10    # scratch of one chunked step over a dense block
 
 
 class MuWeights:
@@ -353,10 +354,14 @@ def f_beta_expectation(a: sp.spmatrix | BlockOp, site: int, beta: int, w: MuWeig
     matrix is split into dense blocks over ``w.basis`` first.  The raw term contracts
     the occupancy-resolved block sums R^T |D|^2 C (R, C one-hot in the site
     occupancy of the row and column states) with the (max(k, k') + beta)^beta
-    table.  The identity component averages, over k, the sub-blocks whose
-    rows and columns hold k bosons at the site; such a sub-block of sector
-    pair (n_r, n_c) maps row for row onto the site-empty states of
+    table; |D|^2 takes one block-sized array, imag^2 added _CHUNK_BYTES of
+    rows at a time.  The identity component averages, over k, the sub-blocks
+    whose rows and columns hold k bosons at the site; such a sub-block of
+    sector pair (n_r, n_c) maps row for row onto the site-empty states of
     (n_r - k, n_c - k), so the average lives on those site-empty pairs.
+    Each site-empty pair's sums are finished, and dropped, once the last
+    block that feeds them is read; their terms are summed in the order the
+    pairs were first fed.
     """
     if beta < 1:
         raise ValueError("beta must be a positive integer")
@@ -373,34 +378,54 @@ def f_beta_expectation(a: sp.spmatrix | BlockOp, site: int, beta: int, w: MuWeig
     one_hot = [(o[:, None] == levels).astype(np.float64) for o in occ]
     at_level = [[np.flatnonzero(o == k) for k in levels] for o in occ]
     geom = (1.0 - q) / w.site_partition * q ** levels
+    # the levels k at which each block feeds site-empty pair (n_row - k, n_col - k),
+    # and the last block feeding each such pair, the pairs in first-fed order
+    feeds = {(n_row, n_col): [k for k in range(min(n_row, n_col, basis.per_site_cap) + 1)
+                              if at_level[n_row][k].size and at_level[n_col][k].size]
+             for n_row, n_col in a.blocks} if projected else {}
+    last = {(n_row - k, n_col - k): (n_row, n_col) for (n_row, n_col), ks in feeds.items()
+            for k in ks}
+    # cross term (A|F|avg) and (avg|F|avg) per site-empty pair; the site sum
+    # of the latter is geometric with the F weights
+    terms: dict[tuple[int, int], tuple[float, float]] = {}
+    s_f = float(np.sum(q ** levels * f))
     raw = 0.0
     avg: dict[tuple[int, int], np.ndarray] = {}      # identity component
     f_sum: dict[tuple[int, int], np.ndarray] = {}    # sum_k q^k f_k sub-block
     for (n_row, n_col), block in a.blocks.items():
-        sq = block.real ** 2 + block.imag ** 2 if np.iscomplexobj(block) else block ** 2
+        if np.iscomplexobj(block):
+            sq = np.square(block.real)
+            step = max(1, _CHUNK_BYTES // max(1, sq[:1].nbytes))
+            for lo in range(0, sq.shape[0], step):
+                sq[lo:lo + step] += np.square(block.imag[lo:lo + step])
+        else:
+            sq = np.square(block)
         counts = one_hot[n_row].T @ sq @ one_hot[n_col]
+        del sq
         raw += w.pair_weight(n_row, n_col) * float(np.sum(counts * table))
-        if not projected:
-            continue
-        for k in range(min(n_row, n_col, basis.per_site_cap) + 1):
-            rows, cols = at_level[n_row][k], at_level[n_col][k]
-            if rows.size == 0 or cols.size == 0:
-                continue
-            sub = block[np.ix_(rows, cols)]
+        for k in feeds.get((n_row, n_col), ()):
+            sub = block[np.ix_(at_level[n_row][k], at_level[n_col][k])]
             key = (n_row - k, n_col - k)
-            avg[key] = avg.get(key, 0.0) + geom[k] * sub
-            f_sum[key] = f_sum.get(key, 0.0) + q ** k * f[k] * sub
-    if not projected:
-        return raw
-    # cross term (A|F|avg) and (avg|F|avg); the site sum of the latter is
-    # geometric with the F weights
-    s_f = float(np.sum(q ** levels * f))
+            _accumulate(avg, key, geom[k] * sub)
+            _accumulate(f_sum, key, np.multiply(q ** k * f[k], sub, out=sub))
+            if last[key] == (n_row, n_col):
+                t_block, weight = avg.pop(key), w.pair_weight(*key)
+                terms[key] = (weight * float(np.vdot(f_sum.pop(key).ravel(),
+                                                     t_block.ravel()).real),
+                              weight * s_f * _sq_sum(t_block))
     cross = avg_sq = 0.0
-    for key, t_block in avg.items():
-        weight = w.pair_weight(*key)
-        cross += weight * float(np.vdot(f_sum[key].ravel(), t_block.ravel()).real)
-        avg_sq += weight * s_f * _sq_sum(t_block)
+    for key in last:    # none unless projected
+        cross += terms[key][0]
+        avg_sq += terms[key][1]
     return max(raw - 2.0 * cross + avg_sq, 0.0)
+
+
+def _accumulate(sums: dict, key: tuple[int, int], term: np.ndarray) -> None:
+    """sums[key] += term, in place unless term's dtype is wider; a new key
+    takes term's own array."""
+    old = sums.get(key)
+    sums[key] = term if old is None else np.add(
+        old, term, out=old if old.dtype == np.result_type(old, term) else None)
 
 
 def identity_f_beta(mu: float, beta: int, cap: int) -> float:

@@ -114,7 +114,7 @@ def _single_site_projections(rng, samples):
         for beta in (1, 2, 3):
             cap_i = max(cap, int(8 / mu_i))
             val = identity_f_beta(mu_i, beta, cap_i)
-            if val > beta ** beta * (1 - math.exp(-mu_i)) ** (-beta) * (1 + 1e-12):
+            if val > beta ** beta * (-math.expm1(-mu_i)) ** (-beta) * (1 + 1e-12):
                 bad += 1
     return _check("single-site projection/growth bounds", samples, bad == 0,
                   f"{bad} violations")

@@ -78,6 +78,14 @@ def test_initial_envelope_cases():
     assert c0[0] == 0.0 and c0[8] == 0.0
 
 
+def test_initial_envelope_at_the_mu_floor():
+    # eps = beta^beta (1 - e^-mu)^-beta with 1 - e^-mu from expm1: at
+    # mu = 1e-15 the subtraction was 8.0e-4 off
+    c0 = initial_envelope({1: 0.0}, [1], 1, 1e-15, 1, build_path(3))
+    want = 4.0 / -math.expm1(-1e-15)
+    assert abs(c0[0] - want) <= 1e-15 * want
+
+
 def test_initial_envelope_missing_seed():
     g = build_path(3)
     with pytest.raises(ValueError):

@@ -41,6 +41,12 @@ def test_boson_cutoff_branches_mu_one():
         assert boson_cutoff(r, 0, 1.0, 2 * math.e) == math.ceil((2 * r + 1) * b["factor"])
 
 
+def test_boson_cutoff_density_branch_at_the_mu_floor():
+    # 1/(e^(mu/3) - 1) from expm1: at mu/3 = 1e-15 the subtraction was 8.0e-4 off
+    density = boson_cutoff_branches(1, 0, 3e-15, 2 * math.e)["density"]
+    assert abs(density - 1.0 / math.expm1(1e-15)) <= 1e-15 / math.expm1(1e-15)
+
+
 def test_boson_cutoff_large_mu_flat_branch():
     # at large mu only the flat branch survives: N0 = 4 (2r + 2 ell + 1)
     assert boson_cutoff(5, 0, 50.0, 2.0) == 4 * 11

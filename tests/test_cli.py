@@ -108,6 +108,17 @@ def test_bounds_subcommand(config_file, tmp_path):
     assert "resolved_config" in report
 
 
+def test_bounds_mean_occupancy_at_the_mu_floor(tmp_path):
+    # nbar = 1/(e^mu - 1) from expm1: at mu = 1e-15, q / (1 - q) was 8.0e-4 off
+    argv = ["bounds", str(ROOT / "configs/scan_chain7.yaml"), "--out", str(tmp_path),
+            "--set", "ensemble.mu=1e-15"]
+    assert main(argv) == 0
+    trace = json.loads((tmp_path / "bounds.json").read_text())["trace"]
+    nbar = {e["name"]: e["value"] for e in trace}["mean_site_occupancy"]
+    want = 1.0 / math.expm1(1e-15)
+    assert abs(nbar - want) <= 1e-15 * want
+
+
 def test_scan_subcommand_and_outputs(config_file, tmp_path):
     rc = main(["scan", str(config_file())])
     assert rc == 0

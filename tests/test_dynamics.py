@@ -165,14 +165,32 @@ def test_chebyshev_order_from_factorial_bound():
         assert tail <= bound <= tol < tail_before
 
 
+def _bessel_oracle(x, count):
+    """J_0(x)..J_{count-1}(x) as floats.  Below x = 100 from mpmath's besselj
+    at 50 digits; from x = 100 on (1,100 orders take besselj 6 s at x = 1000)
+    by the forward recurrence J_{k+1} = (2k/x) J_k - J_{k-1} at 200 digits
+    from besselj's J_0 and J_1.  Forward, the recurrence loses digits past
+    order x; besselj at ten orders, the last among them, bounds the loss."""
+    if x < 100.0:
+        with mpmath.workdps(50):
+            return np.array([float(mpmath.besselj(k, x)) for k in range(count)])
+    with mpmath.workdps(200):
+        j = [mpmath.besselj(0, x), mpmath.besselj(1, x)]
+        for k in range(1, count - 1):
+            j.append(2 * k / mpmath.mpf(x) * j[k] - j[k - 1])
+        for k in {*np.linspace(0, count - 1, 10).astype(int).tolist(), count - 1}:
+            assert abs(j[k] - mpmath.besselj(k, x)) <= 1e-60 * abs(j[k])
+        return np.array([float(v) for v in j[:count]])
+
+
 @pytest.mark.parametrize("x", [1e-300, 1e-8, 1e-3, 0.05, 0.4, 1.0, 5.0, 32.0, 100.0, 1000.0])
 def test_bessel_values_match_mpmath(x):
-    # Miller's recurrence against 50-digit J_k(x) through order K + 10: the
-    # expansion's own values, then a tighter tolerance's for the orders past K
+    # Miller's recurrence against J_k(x) to 50 digits or more through order
+    # K + 10: the expansion's own values, then a tighter tolerance's for the
+    # orders past K
     values = dynamics._chebyshev_terms(x, 1e-14)[0]
     longer = dynamics._chebyshev_terms(x, 1e-300)[0][:values.size + 10]
-    with mpmath.workdps(50):
-        want = np.array([float(mpmath.besselj(k, x)) for k in range(values.size + 10)])
+    want = _bessel_oracle(x, values.size + 10)
     assert np.max(np.abs(values - want[:values.size])) <= 1e-15
     assert np.max(np.abs(np.pad(longer, (0, want.size - longer.size)) - want)) <= 1e-15
 
@@ -572,21 +590,44 @@ def test_ad_writes_into_a_sequence_slot(rng, hopping):
         for m in (rng.normal(size=shape), rng.normal(size=shape) + 1j * rng.normal(size=shape)):
             dtype = np.result_type(h.dtype, m.dtype)
             seq = np.zeros((3,) + shape, dtype)
-            mt, tmp = np.empty(shape[::-1], dtype), np.empty(shape[::-1], dtype)
-            got = dynamics._ad(blocks[n_row], h_t[n_col], m.astype(dtype), seq[1], mt, tmp)
+            panel = dynamics._ad_panel(shape, dtype)
+            got = dynamics._ad(blocks[n_row], h_t[n_col], m.astype(dtype), seq[1], panel)
             assert np.shares_memory(got, seq[1])
             assert np.all(seq[1] == blocks[n_row] @ m - (h_t[n_col] @ m.T).T)
             assert not np.any(seq[0]) and not np.any(seq[2])
             with pytest.raises(ValueError, match="C-contiguous"):   # a write would be lost
                 dynamics._ad(blocks[n_row], h_t[n_col], m.astype(dtype),
-                             np.empty((shape[0], 2 * shape[1]), dtype)[:, ::2], mt, tmp)
+                             np.empty((shape[0], 2 * shape[1]), dtype)[:, ::2], panel)
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize("hopping", [0.9, 0.9 * np.exp(0.7j)])
+def test_ad_panels_give_the_full_block_bits(rng, hopping, rows):
+    # M H_col taken a panel of 1 row, 3 rows or the whole block at a time,
+    # against the full-block formula (M^T whole in one buffer, H_col^T times
+    # it in another, its transpose subtracted): the same bits, real and
+    # complex, on square, non-square and single-column pairs
+    h, basis = _chain4(hopping)
+    blocks, _, _, h_t = dynamics._split_hamiltonian(h, basis)
+    for n_row, n_col in ((5, 5), (5, 6), (6, 5), (1, 0), (0, 1)):
+        shape = (basis.sectors[n_row].size, basis.sectors[n_col].size)
+        for m in (rng.normal(size=shape), rng.normal(size=shape) + 1j * rng.normal(size=shape)):
+            dtype = np.result_type(h.dtype, m.dtype)
+            m = m.astype(dtype)
+            want = dynamics._matmul_into(blocks[n_row], m, np.empty(shape, dtype))
+            mt = np.array(m.T, order="C")
+            want -= dynamics._matmul_into(h_t[n_col], mt, np.empty(shape[::-1], dtype)).T
+            panel = np.empty(2 * shape[1] * (rows or shape[0]), dtype)
+            got = dynamics._ad(blocks[n_row], h_t[n_col], m, np.empty(shape, dtype), panel)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_ad_expansion_peak_memory():
     # b_0's largest block on the 6-site cap-3 chain, 546 x 580 float64: one
     # expansion (138 terms) starts its recursion in the given block and holds
-    # two more recursion buffers, two transposed ones and the complex result,
-    # 6 blocks, and allocates nothing per step (a copy of the block made 7)
+    # two more recursion buffers, one _CHUNK_BYTES panel and the complex
+    # result, 4.3 blocks, and allocates nothing per step (two transposed
+    # buffers made it 6.1, a copy of the block 7)
     basis = FockBasis(6, 3)
     h, lo, hi, h_t = dynamics._split_hamiltonian(
         build_hamiltonian(bose_hubbard(build_path(6), 1.0, 1.0), basis), basis)
@@ -600,7 +641,7 @@ def test_ad_expansion_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6.5 * block.nbytes
+    assert peak <= 4.5 * block.nbytes
 
 
 @pytest.mark.parametrize("hopping", [1.0, np.exp(0.7j)])
@@ -707,7 +748,8 @@ def test_scan_builds_h_and_splits_each_operator_once(monkeypatch, tmp_path):
 def test_engine_peak_memory_holds_one_initial_block():
     # b_0 on the 6-site cap-3 chain at t = 4.75/880: beside the complex
     # result, the engine holds H, one expansion's buffers and one dense block
-    # of b_0 at a time, not all of them (then it was 8.5 real blocks over)
+    # of b_0 at a time, 1.3 real blocks over (all of b_0's blocks made it
+    # 8.5, and two transposed buffers of the largest block 2.6)
     model = bose_hubbard(build_path(6), 1.0, 1.0)
     basis = FockBasis(6, 3)
     blocks, peak = _traced_peak(lambda: HeisenbergScanEngine(
@@ -715,15 +757,16 @@ def test_engine_peak_memory_holds_one_initial_block():
     result = sum(block.nbytes for block in blocks.values())
     largest_real = 8 * max(block.size for block in blocks.values())
     assert largest_real == 8 * 546 * 580
-    assert peak <= result + 6 * largest_real
+    assert peak <= result + 2 * largest_real
 
 
 def test_lightcone_scan_peak_memory_holds_no_dense_operator():
     # the benchmark's scan (6-site cap-3 chain, 20 cells, all from the
     # series): two live sequences of 13 stored orders, one spare order and
-    # two transposed buffers, 29 blocks of 546 x 580 doubles, with 2 to
-    # spare (29.6 in all).  A dense copy of b_0 kept through the series
-    # made it 34.7, and a block of b_0 scattered beside the sequence 30.6
+    # a _CHUNK_BYTES panel, 27 blocks of 546 x 580 doubles, with 1 to spare
+    # (27.6 in all).  Two transposed buffers in place of the panel made it
+    # 29.4, a dense copy of b_0 kept through the series 34.7, and a block of
+    # b_0 scattered beside the sequence 30.6
     model = bose_hubbard(build_path(6), 1.0, 1.0)
     basis = FockBasis(6, 3)
     v = velocity_bound(1.0, 2, 0, 1)
@@ -733,7 +776,24 @@ def test_lightcone_scan_peak_memory_holds_no_dense_operator():
         model, MonomialOp.from_dicts(zeta={0: 1}), MonomialOp.from_dicts(eta={0: 1}), 1.0,
         cells, basis))
     assert len(res.cells) == 20 and res.metadata["series"]["dense_cells"] == []
-    assert peak <= 31 * 8 * 546 * 580
+    assert peak <= 28.5 * 8 * 546 * 580
+
+
+def test_f_beta_peak_memory_holds_no_block_sized_sums():
+    # six projected f_beta calls, one per site, on b_0(4.75/880) of the
+    # 6-site cap-3 chain (complex blocks, the largest 546 x 580): |D|^2 in
+    # one real block-sized array and each site-empty sum dropped once its
+    # last block is read, 2.3 real blocks of 546 x 580 at most (every sum
+    # held to the end, and |D|^2 formed out of place, made it 4.3)
+    model = bose_hubbard(build_path(6), 1.0, 1.0)
+    basis = FockBasis(6, 3)
+    w = MuWeights(1.0, basis)
+    a_t = HeisenbergScanEngine(model, basis, MonomialOp.from_dicts(zeta={0: 1})).evolved_operator(
+        4.75 / 880)
+    assert max(block.size for block in a_t.blocks.values()) == 546 * 580
+    values, peak = _traced_peak(lambda: [f_beta_expectation(a_t, x, 1, w) for x in range(6)])
+    assert all(v >= 0.0 for v in values)
+    assert peak <= 2.5 * 8 * 546 * 580
 
 
 SPLIT_BASES = {"product": (4, 3, None, None), "total_cap": (5, 3, 6, None),

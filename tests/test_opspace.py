@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonlc.config import load_config
+from bosonlc.dynamics import HeisenbergScanEngine
 from bosonlc.fock import (FockBasis, build_hamiltonian, bose_hubbard, ladder_op,
                           random_model_spec, total_number_op)
 from bosonlc.lattice import build_path
@@ -303,6 +304,75 @@ def test_f_beta_blockwise_raw_and_conserving_dense_oracle(rng):
                 for op in (a, blocks):
                     got = f_beta_expectation(op, site, 2, w, projected=projected)
                     assert got == pytest.approx(want, rel=1e-10)
+
+
+def _f_beta_held(a, site, beta, w, projected=True):
+    """f_beta_expectation as formed before the site-empty sums were streamed:
+    every sum held to the end, |D|^2 and the sums formed out of place."""
+    basis, q = w.basis, w.q
+    levels = np.arange(basis.per_site_cap + 1)
+    f = (levels + float(beta)) ** beta
+    table = np.maximum.outer(f, f)
+    occ = [basis.states[ix, site] for ix in basis.sectors]
+    one_hot = [(o[:, None] == levels).astype(np.float64) for o in occ]
+    at_level = [[np.flatnonzero(o == k) for k in levels] for o in occ]
+    geom = (1.0 - q) / w.site_partition * q ** levels
+    raw = 0.0
+    avg, f_sum = {}, {}
+    for (n_row, n_col), block in a.blocks.items():
+        sq = block.real ** 2 + block.imag ** 2 if np.iscomplexobj(block) else block ** 2
+        counts = one_hot[n_row].T @ sq @ one_hot[n_col]
+        raw += w.pair_weight(n_row, n_col) * float(np.sum(counts * table))
+        if not projected:
+            continue
+        for k in range(min(n_row, n_col, basis.per_site_cap) + 1):
+            rows, cols = at_level[n_row][k], at_level[n_col][k]
+            if rows.size == 0 or cols.size == 0:
+                continue
+            sub = block[np.ix_(rows, cols)]
+            key = (n_row - k, n_col - k)
+            avg[key] = avg.get(key, 0.0) + geom[k] * sub
+            f_sum[key] = f_sum.get(key, 0.0) + q ** k * f[k] * sub
+    if not projected:
+        return raw
+    s_f = float(np.sum(q ** levels * f))
+    cross = avg_sq = 0.0
+    for key, t_block in avg.items():
+        weight = w.pair_weight(*key)
+        cross += weight * float(np.vdot(f_sum[key].ravel(), t_block.ravel()).real)
+        flat = t_block.ravel()
+        avg_sq += weight * s_f * float(np.vdot(flat, flat).real)
+    return max(raw - 2.0 * cross + avg_sq, 0.0)
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_f_beta_streamed_sums_give_the_held_bits(rng, shuffled):
+    # site-empty sums finished as soon as their last block is read, against
+    # the formula that held them all to the end: the same bits, for real,
+    # complex and mixed blocks with signed zeros among them (0.0 + -0.0 was
+    # the held sum's first entry), in sector order and in a shuffled order
+    # (a key's feeding blocks then come in any order)
+    basis = FockBasis(4, 3)
+    w = MuWeights(0.8, basis)
+    b = BlockOp.from_matrix(basis, MonomialOp.from_dicts(zeta={1: 1}).to_matrix(basis))
+    evolved = HeisenbergScanEngine(bose_hubbard(build_path(4), 1.0, 1.0), basis,
+                                   MonomialOp.from_dicts(zeta={1: 1})).evolved_operator(0.3)
+    mixed = BlockOp.from_matrix(basis, random_operator(rng, basis))
+    for pair, block in mixed.blocks.items():
+        block[rng.random(block.shape) < 0.2] = -0.0
+        if sum(pair) % 3 == 0:
+            mixed.blocks[pair] = block.real.copy()
+    for op in (b, evolved, mixed):
+        pairs = list(op.blocks)
+        if shuffled:
+            pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+        op = BlockOp(basis, {pair: op.blocks[pair] for pair in pairs})
+        for site in (0, 1, 3):
+            for beta in (1, 2):
+                for projected in (False, True):
+                    got = f_beta_expectation(op, site, beta, w, projected=projected)
+                    want = _f_beta_held(op, site, beta, w, projected=projected)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_block_op_real_blocks_and_assembly(rng):

@@ -226,6 +226,13 @@ def closed_form_envelope(r: int, t: float, B: float, K: int, ell: int, g0: float
 # commutator bounds
 
 
+def probe_prefactor(mu: float, beta: int, gamma: int) -> float:
+    """8 beta^beta cosh(mu gamma / 2) (1 + beta (beta / (1 - e^-mu))^beta), the factor
+    of the monomial-probe commutator inequality; the ensemble bound takes twice it."""
+    return (8.0 * beta ** beta * math.cosh(mu * gamma / 2.0)
+            * (1.0 + beta * (beta / -math.expm1(-mu)) ** beta))
+
+
 @dataclass(frozen=True)
 class BoundParams:
     """Everything the ensemble commutator bound needs.
@@ -248,13 +255,10 @@ class BoundParams:
         _validate(self.mu, self.beta, self.ell, self.K)
 
     def prefactor(self) -> float:
-        q = math.exp(-self.mu)
-        return (16.0 * self.beta ** self.beta * math.cosh(self.mu * self.gamma / 2.0)
-                * (1.0 + self.beta * (self.beta / (1.0 - q)) ** self.beta))
+        return 2.0 * probe_prefactor(self.mu, self.beta, self.gamma)
 
     def amplitude(self) -> float:
-        q = math.exp(-self.mu)
-        ident = (self.beta / (1.0 - q)) ** self.beta
+        ident = (self.beta / -math.expm1(-self.mu)) ** self.beta
         return self.prefactor() * (
             sum(self.seeds) + ident * (self.size_R + self.size_R_ell) * self.norm_sq)
 

@@ -94,9 +94,9 @@ def validate_fock_assumption(occupations, assumption: DensityAssumption) -> bool
     powers leave the float range from x of a few hundred on.
     """
     occ = list(occupations)
-    q = math.exp(-assumption.mu)
+    log_1mq = math.log(-math.expm1(-assumption.mu))
     for x, n_window in enumerate(_window_counts(occ, len(occ) // 2)):
-        lhs = -(2 * x + 1) * math.log1p(-q) + assumption.mu * n_window
+        lhs = -(2 * x + 1) * log_1mq + assumption.mu * n_window
         rhs = math.log(assumption.K0) + 2 * x * math.log(assumption.theta)
         if lhs > rhs + 1e-12 * max(1.0, abs(rhs)):
             return False
@@ -115,11 +115,10 @@ def truncation_radius(t: float, theta: float, ell: int, vprime: float) -> float:
 
 
 def boson_cutoff_branches(r: float, ell: int, mu: float, theta: float) -> dict:
-    q = math.exp(-mu)
     branch_flat = 4.0
     branch_density = 1.0 / math.expm1(mu / 3.0)
     branch_entropy = (2.0 / mu) * (1.0 + 8.0 * math.log(2.0)
-                                   + math.log(theta * (1.0 - q) / mu ** 4))
+                                   + math.log(theta * -math.expm1(-mu) / mu ** 4))
     factor = max(branch_flat, branch_density, branch_entropy)
     return {"flat": branch_flat, "density": branch_density,
             "entropy": branch_entropy, "factor": factor,
@@ -185,9 +184,8 @@ class CertifiedValue:
         return "informative" if finite and self.radius >= self.formula_radius else "vacuous"
 
     def to_dict(self) -> dict:
-        out = asdict(self)   # the assumption becomes a dict too
-        out.update(value={"re": self.value.real, "im": self.value.imag}, status=self.status,
-                   window_sites=list(self.window_sites), notes=list(self.notes))
+        out = asdict(self)   # the assumption becomes a dict too; JSON writes tuples as arrays
+        out.update(value={"re": self.value.real, "im": self.value.imag}, status=self.status)
         return out
 
 

@@ -7,7 +7,9 @@ Exit codes: 0 success, 2 config error (``config error: <path>: ...``; bound
 constants that overflow a float name every key they are made from), 3
 capacity error, 4 property violation.  Outputs are byte-deterministic for a
 fixed config and seed: no timestamps, sorted JSON keys, shortest-roundtrip
-float formatting, and the resolved config embedded in every file.
+float formatting, and the resolved config embedded in every file.  Results and
+config hold JSON types only (``load_config`` refuses others), so ``json.dumps``
+writes them as they are.
 
 ``--threads`` is accepted and ignored: the library runs single-threaded
 above BLAS, whose own thread count it leaves alone.
@@ -20,8 +22,6 @@ import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-
-import numpy as np
 
 from . import bounds as bounds_mod
 from . import certify as certify_mod
@@ -39,19 +39,7 @@ EXIT_VIOLATION = 4
 
 
 def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer, np.floating)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, frozenset):
-        return sorted(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _write(path: Path, text: str, verbose: bool) -> None:

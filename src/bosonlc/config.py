@@ -13,6 +13,7 @@ Checks that need the built graph stay with the subcommands in ``cli``.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -292,9 +293,25 @@ def _parse(text: str, path: str):
         raise ConfigError(path, f"invalid YAML{where}: {problem}") from exc
 
 
+def _require_json(node, path: str = "<root>") -> None:
+    """ConfigError unless ``json.dumps`` with sorted keys, as every output embeds
+    the config, takes ``node``: a YAML date, set or binary value is refused."""
+    if isinstance(node, (list, tuple)):
+        for i, value in enumerate(node):
+            _require_json(value, f"{path}[{i}]")
+        return
+    try:
+        json.dumps(dict.fromkeys(node) if isinstance(node, dict) else node, sort_keys=True)
+    except TypeError as exc:
+        raise ConfigError(path, f"not JSON with sorted keys: {exc}") from None
+    for key, value in node.items() if isinstance(node, dict) else ():
+        _require_json(value, str(key) if path == "<root>" else f"{path}.{key}")
+
+
 def load_config(path_or_text, is_text: bool = False) -> ExperimentConfig:
     text = path_or_text if is_text else Path(path_or_text).read_text()
     raw = check(MAPPING, _parse(text, "<root>"), "<root>")
+    _require_json(raw)
     values: dict = {}
     _check_rows(raw, KEYS[None], values)
     _check_rows(raw, GRAPH_KEYS[values["model.graph.kind"]][1], values)

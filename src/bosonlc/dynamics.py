@@ -34,7 +34,7 @@ only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -669,12 +669,9 @@ class ScanResult:
         return bad
 
     def to_csv(self) -> str:
-        lines = ["r,t,exact,bound_ensemble,bound_matrix_element,ratio,tail_estimate"]
-        for c in self.cells:
-            lines.append(",".join([
-                str(c.r), repr(c.t), repr(c.exact), repr(c.bound_ensemble),
-                repr(c.bound_matrix_element), repr(c.ratio), repr(c.tail_estimate)]))
-        return "\n".join(lines) + "\n"
+        names = [f.name for f in fields(ScanCell)]
+        rows = [names] + [[str(getattr(c, name)) for name in names] for c in self.cells]
+        return "".join(",".join(row) + "\n" for row in rows)
 
     def to_dict(self) -> dict:
         return {

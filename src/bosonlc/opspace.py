@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .bounds import probe_prefactor
 from .fock import FockBasis, counts_by_total
 
 MU_FLOOR = 1e-15  # below about 1.1e-16, e^-mu rounds to 1 and 1/(1 - e^-mu) fails
@@ -47,11 +48,11 @@ class MuWeights:
         self.mu = float(mu)
         self.basis = basis
         self.q = math.exp(-mu)
-        self.prefactor = (1.0 - self.q) ** basis.num_sites
+        self.prefactor = (-math.expm1(-mu)) ** basis.num_sites
         self.w = self.prefactor * self.q ** basis.totals.astype(np.float64)
         self.sqrt_w = np.sqrt(self.w)
         # per-site partition of a capped site; 1 - q^(cap+1)
-        self.site_partition = 1.0 - self.q ** (basis.per_site_cap + 1)
+        self.site_partition = -math.expm1(-mu * (basis.per_site_cap + 1))
 
     def total_weight(self) -> float:
         """Sum of state weights; 1 minus the truncation tail."""
@@ -59,7 +60,7 @@ class MuWeights:
 
     def tail_estimate(self) -> float:
         """Documented heuristic for weight lost to the caps: L (1-q) q^cap."""
-        return self.basis.num_sites * (1.0 - self.q) * self.q ** self.basis.per_site_cap
+        return self.basis.num_sites * -math.expm1(-self.mu) * self.q ** self.basis.per_site_cap
 
     def pair_weight(self, n_row: int, n_col: int) -> float:
         """sqrt(w_m w_n), shared by every state pair of sectors (n_row, n_col)."""
@@ -149,13 +150,6 @@ class BlockOp:
         self.basis = basis
         self.blocks = blocks
         self._mat: sp.csr_matrix | None = None
-
-    @classmethod
-    def from_matrix(cls, basis: FockBasis, matrix: sp.spmatrix) -> "BlockOp":
-        """Dense sector blocks of a sparse matrix's stored entries over ``basis``
-        (duplicates summed, a stored zero still makes its block)."""
-        return cls(basis, {pair: scatter_block(basis, pair, entries)
-                           for pair, entries in sector_entries(matrix, basis).items()})
 
     @property
     def mat(self) -> sp.csr_matrix:
@@ -285,7 +279,7 @@ def site_monomial_norm_sq(op: MonomialOp, mu: float, num_sites: int, per_site_ca
         for j in range(e):
             amp_sq *= k - z + j + 1
         total += amp_sq * q ** ((k + k_new) / 2.0) * rest[min(room, most)]
-    return (1.0 - q) ** num_sites * total
+    return (-math.expm1(-mu)) ** num_sites * total
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +345,17 @@ def f_beta_expectation(a: sp.spmatrix | BlockOp, site: int, beta: int, w: MuWeig
     returned (the seed values entering the envelope initial conditions).
 
     Runs block by block over sector pairs, each with one weight; a sparse
-    matrix is split into dense blocks over ``w.basis`` first.  The raw term contracts
-    the occupancy-resolved block sums R^T |D|^2 C (R, C one-hot in the site
-    occupancy of the row and column states) with the (max(k, k') + beta)^beta
-    table; |D|^2 takes one block-sized array, imag^2 added _CHUNK_BYTES of
-    rows at a time.  The identity component averages, over k, the sub-blocks
-    whose rows and columns hold k bosons at the site; such a sub-block of
-    sector pair (n_r, n_c) maps row for row onto the site-empty states of
-    (n_r - k, n_c - k), so the average lives on those site-empty pairs.
-    Each site-empty pair's sums are finished, and dropped, once the last
-    block that feeds them is read; their terms are summed in the order the
-    pairs were first fed.
+    matrix's blocks are scattered from its ``sector_entries`` one at a time.
+    The raw term contracts the occupancy-resolved block sums R^T |D|^2 C (R, C
+    one-hot in the site occupancy of the row and column states) with the
+    (max(k, k') + beta)^beta table; |D|^2 takes one block-sized array, imag^2
+    added _CHUNK_BYTES of rows at a time.  The identity component averages,
+    over k, the sub-blocks whose rows and columns hold k bosons at the site;
+    such a sub-block of sector pair (n_r, n_c) maps row for row onto the
+    site-empty states of (n_r - k, n_c - k), so the average lives on those
+    site-empty pairs.  Each site-empty pair's sums are finished, and dropped,
+    once the last block that feeds them is read; their terms are summed in the
+    order the pairs were first fed.
     """
     if beta < 1:
         raise ValueError("beta must be a positive integer")
@@ -369,20 +363,21 @@ def f_beta_expectation(a: sp.spmatrix | BlockOp, site: int, beta: int, w: MuWeig
         w.require_product_basis()
     basis, q = w.basis, w.q
     w.require_over_basis(a)
-    if not isinstance(a, BlockOp):
-        a = BlockOp.from_matrix(basis, a)
+    pairs = a.blocks if isinstance(a, BlockOp) else sector_entries(a, basis)
+    blocks = (a.blocks.items() if isinstance(a, BlockOp) else
+              ((pair, scatter_block(basis, pair, entries)) for pair, entries in pairs.items()))
     levels = np.arange(basis.per_site_cap + 1)
     f = (levels + float(beta)) ** beta
     table = np.maximum.outer(f, f)
     occ = [basis.states[ix, site] for ix in basis.sectors]
     one_hot = [(o[:, None] == levels).astype(np.float64) for o in occ]
     at_level = [[np.flatnonzero(o == k) for k in levels] for o in occ]
-    geom = (1.0 - q) / w.site_partition * q ** levels
+    geom = -math.expm1(-w.mu) / w.site_partition * q ** levels
     # the levels k at which each block feeds site-empty pair (n_row - k, n_col - k),
     # and the last block feeding each such pair, the pairs in first-fed order
     feeds = {(n_row, n_col): [k for k in range(min(n_row, n_col, basis.per_site_cap) + 1)
                               if at_level[n_row][k].size and at_level[n_col][k].size]
-             for n_row, n_col in a.blocks} if projected else {}
+             for n_row, n_col in pairs} if projected else {}
     last = {(n_row - k, n_col - k): (n_row, n_col) for (n_row, n_col), ks in feeds.items()
             for k in ks}
     # cross term (A|F|avg) and (avg|F|avg) per site-empty pair; the site sum
@@ -392,7 +387,7 @@ def f_beta_expectation(a: sp.spmatrix | BlockOp, site: int, beta: int, w: MuWeig
     raw = 0.0
     avg: dict[tuple[int, int], np.ndarray] = {}      # identity component
     f_sum: dict[tuple[int, int], np.ndarray] = {}    # sum_k q^k f_k sub-block
-    for (n_row, n_col), block in a.blocks.items():
+    for (n_row, n_col), block in blocks:
         if np.iscomplexobj(block):
             sq = np.square(block.real)
             step = max(1, _CHUNK_BYTES // max(1, sq[:1].nbytes))
@@ -432,8 +427,8 @@ def identity_f_beta(mu: float, beta: int, cap: int) -> float:
     """(I|F^beta|I) for a single site truncated at ``cap`` bosons."""
     q = math.exp(-mu)
     js = np.arange(cap + 1, dtype=np.float64)
-    z = 1.0 - q ** (cap + 1)
-    return float(np.sum((1.0 - q) * q ** js * (js + beta) ** beta) / z)
+    z = -math.expm1(-mu * (cap + 1))
+    return float(np.sum(-math.expm1(-mu) * q ** js * (js + beta) ** beta) / z)
 
 
 def commutator_weighted_norm(a: sp.spmatrix, b: sp.spmatrix, w: MuWeights) -> float:
@@ -460,8 +455,5 @@ def monomial_commutator_bound(o: sp.spmatrix, probe: MonomialOp,
     """
     beta, gamma = probe.beta, probe.gamma
     lhs = commutator_weighted_norm(o, probe.to_matrix(w.basis), w)
-    q = w.q
-    prefactor = (8.0 * beta ** beta * math.cosh(w.mu * gamma / 2.0)
-                 * (1.0 + beta * (beta / (1.0 - q)) ** beta))
     seed_sum = sum(f_beta_expectation(o, x, beta, w, projected=True) for x in probe.support)
-    return lhs, prefactor * seed_sum
+    return lhs, probe_prefactor(w.mu, beta, gamma) * seed_sum

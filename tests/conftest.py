@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from bosonlc.opspace import BlockOp, scatter_block, sector_entries
+
 
 def bfs_distances(adjacency, source):
     """Dict-based BFS; independent of the library's implementation."""
@@ -61,6 +63,13 @@ def series_b_f(mu, nmax=400):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260808)
+
+
+def sector_blocks(basis, mat):
+    """A sparse matrix as a BlockOp: each sector pair holding a stored entry,
+    scattered from its ``sector_entries``."""
+    return BlockOp(basis, {pair: scatter_block(basis, pair, entries)
+                           for pair, entries in sector_entries(mat, basis).items()})
 
 
 def random_operator(rng, basis, max_occ=None):

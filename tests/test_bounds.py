@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -173,6 +174,20 @@ def test_ensemble_bound_cosh_is_one_at_gamma_zero():
     assert ensemble_commutator_bound(r, t, p0) < ensemble_commutator_bound(r, t, p1)
     assert p0.prefactor() == pytest.approx(
         16 * (1 + 1 / (1 - math.exp(-1))), rel=1e-12)
+
+
+def test_bound_params_at_the_mu_floor():
+    # (beta / (1 - e^-mu))^beta with 1 - e^-mu from expm1, in the prefactor
+    # and the identity term of the amplitude: at mu = 1e-15 the subtraction
+    # was 8.0e-4 off
+    p = make_params(mu=1e-15, beta=2, gamma=2, seeds=(0.5, 0.25), size_R=2, size_R_ell=4)
+    with mpmath.workdps(50):
+        mu = mpmath.mpf(p.mu)
+        ident = (2 / -mpmath.expm1(-mu)) ** 2
+        prefactor = 16 * 2 ** 2 * mpmath.cosh(mu) * (1 + 2 * ident)
+        amplitude = prefactor * (mpmath.mpf(0.75) + ident * 6 * mpmath.mpf(p.norm_sq))
+        assert abs(p.prefactor() - prefactor) <= 1e-14 * prefactor
+        assert abs(p.amplitude() - amplitude) <= 1e-14 * amplitude
 
 
 def test_ensemble_bound_doubling_r_squares_base():

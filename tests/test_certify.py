@@ -47,6 +47,17 @@ def test_boson_cutoff_density_branch_at_the_mu_floor():
     assert abs(density - 1.0 / math.expm1(1e-15)) <= 1e-15 / math.expm1(1e-15)
 
 
+def test_boson_cutoff_entropy_branch_at_the_mu_floor():
+    # log(theta (1 - e^-mu) / mu^4) with 1 - e^-mu from expm1: at mu = 1e-15
+    # the subtraction was 8.0e-4 off
+    entropy = boson_cutoff_branches(1, 0, 1e-15, 2 * math.e)["entropy"]
+    with mpmath.workdps(50):
+        mu = mpmath.mpf(1e-15)
+        want = 2 / mu * (1 + 8 * mpmath.log(2)
+                         + mpmath.log(2 * mpmath.e * -mpmath.expm1(-mu) / mu ** 4))
+        assert abs(entropy - want) <= 1e-14 * want
+
+
 def test_boson_cutoff_large_mu_flat_branch():
     # at large mu only the flat branch survives: N0 = 4 (2r + 2 ell + 1)
     assert boson_cutoff(5, 0, 50.0, 2.0) == 4 * 11
@@ -127,6 +138,23 @@ def test_fock_assumption_time_is_linear_in_the_chain_length():
     start = time.perf_counter()
     assert validate_fock_assumption(occ, fock_state_assumption(occ))
     assert time.perf_counter() - start < 1.0
+
+
+def test_fock_assumption_validation_at_the_mu_floor():
+    # the optimal assumption of a state meets its cut x = 0 with equality,
+    # log(1 - e^-mu) = log(-expm1(-mu)) on both sides (log1p(-q) read q's
+    # rounding, 8.0e-4 relative at mu = 1e-15, and refused the state); one
+    # more part in 1e9 at the cut is refused
+    occ = [1, 10**15, 1]
+    a = fock_state_assumption(occ)
+    assert a.mu == 1e-15
+    with mpmath.workdps(50):
+        mu = mpmath.mpf(a.mu)
+        log_k0 = mpmath.log(mpmath.mpf(a.K0))
+        margin = log_k0 - (-mpmath.log(-mpmath.expm1(-mu)) + mu * occ[1])
+        assert abs(margin) <= 1e-14 * log_k0
+    assert validate_fock_assumption(occ, a)
+    assert not validate_fock_assumption([1, 10**15 + 10**6, 1], a)
 
 
 def test_fock_assumption_theta_at_the_mu_floor():
@@ -234,7 +262,7 @@ def test_certified_value_reports_errors_and_caps(chain_model):
     assert cv.boson_cap == cv.formula_boson_cap
     d = cv.to_dict()
     assert d["assumption"]["mu"] == a.mu
-    assert d["window_sites"] == [-3, 3]
+    assert d["window_sites"] == (-3, 3)
 
 
 def test_certified_capacity_error_reports_feasible_time(chain_model):

@@ -8,13 +8,14 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bosonlc import selftest
-from bosonlc.cli import main
+from bosonlc.cli import _json_dump, main
 from bosonlc.config import GRAPH_KEYS, KEYS, ConfigError, apply_overrides, load_config
 
 BASE_CONFIG = """
@@ -78,6 +79,34 @@ def test_config_error_paths():
         load_config(BASE_CONFIG.replace("hopping: 1.0", "hopping: 1.7"), is_text=True)
     with pytest.raises(ConfigError, match="constants"):
         load_config(BASE_CONFIG + "\nconstants: {C9: 1.0}\n", is_text=True)
+
+
+@pytest.mark.parametrize("command, extra, overrides, path", [
+    ("scan", "written: 2024-01-01\n", [], "written"),
+    ("bounds", "", ["note=!!set {a, b}"], "note"),
+    ("scan", "extra: {0: a, b: c}\n", [], "extra"),
+], ids=["date", "set_override", "mixed_keys"])
+def test_config_that_is_not_json_is_config_error(tmp_path, capsys, command, extra,
+                                                  overrides, path):
+    # every output embeds the config as JSON with sorted keys: a YAML date, a
+    # set or keys of mixed kinds, read or not, under a key or from --set,
+    # ended the run in a TypeError once its work was done; now the load stops it
+    config = tmp_path / "config.yaml"
+    config.write_text(BASE_CONFIG.replace("OUTDIR", str(tmp_path / "out")) + extra)
+    argv = [command, str(config)] + [arg for o in overrides for arg in ("--set", o)]
+    assert main(argv) == 2
+    assert f"config error: {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_json_dump_takes_json_types_only():
+    # results hand the writer JSON types; a numpy scalar or a complex number
+    # is refused, not converted
+    assert _json_dump({"b": 1, "a": [0.5, None]}) == (
+        '{\n  "a": [\n    0.5,\n    null\n  ],\n  "b": 1\n}\n')
+    for value in (np.int64(1), 1 + 2j):
+        with pytest.raises(TypeError):
+            _json_dump({"value": value})
 
 
 def test_apply_overrides():

@@ -20,6 +20,9 @@ parameters.  The only defaults left to the tests are ``TEST_HOOKS``.  The
 check matches calls by name alone, so two cases pass it unseen: a function
 whose name is also a local variable (``violations`` in ``cli.py``), and a
 default that every caller overrides.
+
+Every name a module of the package imports at top level is read in that
+module; ``__init__`` imports only to export.
 """
 
 import ast
@@ -158,3 +161,23 @@ def unset_defaults() -> set[str]:
 
 def test_every_default_is_set_by_a_caller():
     assert unset_defaults() == TEST_HOOKS
+
+
+def unread_imports() -> set[str]:
+    """``module.name`` of each name a module imports at top level and never reads."""
+    unread = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {alias.asname or alias.name.split(".")[0]
+                 for stmt in tree.body if isinstance(stmt, (ast.Import, ast.ImportFrom))
+                 and getattr(stmt, "module", None) != "__future__" for alias in stmt.names}
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread |= {f"{path.stem}.{name}" for name in bound - read}
+    return unread
+
+
+def test_every_import_is_read():
+    assert unread_imports() == set()

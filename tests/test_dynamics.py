@@ -24,7 +24,7 @@ from bosonlc.fock import (CapacityError, FockBasis, Interaction, ModelSpec, Piec
 from bosonlc.lattice import build_cubic, build_path
 from bosonlc.opspace import (BlockOp, MonomialOp, MuWeights, commutator_weighted_norm, f_beta_expectation, sector_entries,
                              weighted_norm_sq)
-from conftest import dense_f_beta, random_operator
+from conftest import dense_f_beta, random_operator, sector_blocks
 
 
 # -- state evolution ------------------------------------------------------------
@@ -433,7 +433,7 @@ def _complex_eig_evolved_blocks(model, basis, op, t):
     for n, ix in enumerate(basis.sectors):
         eigs[n] = np.linalg.eigh(h[np.ix_(ix, ix)])
     out = {}
-    for (n_row, n_col), dense in BlockOp.from_matrix(basis, op.to_matrix(basis)).blocks.items():
+    for (n_row, n_col), dense in sector_blocks(basis, op.to_matrix(basis)).blocks.items():
         (e_r, v_r), (e_c, v_c) = eigs[n_row], eigs[n_col]
         tilde = v_r.conj().T @ dense @ v_c
         phased = np.exp(1j * e_r * t)[:, None] * tilde * np.exp(-1j * e_c * t)[None, :]
@@ -473,7 +473,7 @@ def test_long_span_matches_dense_expm_within_bound(rng):
     engine = HeisenbergScanEngine(model, basis, op)
     assert np.max(np.abs(engine.evolved_operator(t).mat.toarray() - dense)) < 1e-12
     h, lo, hi, h_t = dynamics._split_hamiltonian(build_hamiltonian(model, basis), basis)
-    for (n_row, n_col), block in BlockOp.from_matrix(basis, op).blocks.items():
+    for (n_row, n_col), block in sector_blocks(basis, op).blocks.items():
         want = dense[np.ix_(basis.sectors[n_row], basis.sectors[n_col])]
         for tol in (1e-3, 1e-6, 1e-14):
             out, terms, bound = dynamics._chebyshev_expv(
@@ -631,7 +631,7 @@ def test_ad_expansion_peak_memory():
     basis = FockBasis(6, 3)
     h, lo, hi, h_t = dynamics._split_hamiltonian(
         build_hamiltonian(bose_hubbard(build_path(6), 1.0, 1.0), basis), basis)
-    op = BlockOp.from_matrix(basis, MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis))
+    op = sector_blocks(basis, MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis))
     (n_row, n_col), block = max(op.blocks.items(), key=lambda kv: kv[1].size)
     assert block.shape == (546, 580)
     tracemalloc.start()
@@ -700,7 +700,8 @@ def test_operator_not_over_the_basis_is_refused(shape):
     model = bose_hubbard(build_path(3), 1.0, 1.0)
     basis = FockBasis(3, 2)
     op = sp.eye(*shape, format="csr")
-    for split in (lambda: sector_entries(op, basis), lambda: BlockOp.from_matrix(basis, op),
+    for split in (lambda: sector_entries(op, basis),
+                  lambda: f_beta_expectation(op, 0, 1, MuWeights(1.0, basis)),
                   lambda: HeisenbergScanEngine(model, basis, op)):
         with pytest.raises(ValueError, match="is not over the 27-state basis"):
             split()
@@ -794,6 +795,21 @@ def test_f_beta_peak_memory_holds_no_block_sized_sums():
     values, peak = _traced_peak(lambda: [f_beta_expectation(a_t, x, 1, w) for x in range(6)])
     assert all(v >= 0.0 for v in values)
     assert peak <= 2.5 * 8 * 546 * 580
+
+
+def test_f_beta_of_a_sparse_operator_holds_one_block():
+    # the raw seed of b_0 on the 6-site cap-3 chain, as the growth path forms
+    # it: the sparse matrix's blocks are scattered one at a time, 2.1 real
+    # blocks of 546 x 580 at most (scattering every block first made it 6.3),
+    # and the value is the blocks' value, bit for bit
+    basis = FockBasis(6, 3)
+    w = MuWeights(1.0, basis)
+    b_0 = MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis)
+    value, peak = _traced_peak(lambda: f_beta_expectation(b_0, 0, 1, w, projected=False))
+    assert peak <= 2.5 * 8 * 546 * 580
+    blocks = sector_blocks(basis, b_0)
+    assert max(block.size for block in blocks.blocks.values()) == 546 * 580
+    assert value == f_beta_expectation(blocks, 0, 1, w, projected=False)
 
 
 SPLIT_BASES = {"product": (4, 3, None, None), "total_cap": (5, 3, 6, None),

@@ -1,6 +1,7 @@
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -19,8 +20,8 @@ from bosonlc.opspace import (BlockOp, MonomialOp, MuWeights,
                              monomial_commutator_bound, scatter_block, sector_entries,
                              site_monomial_norm_sq, thermal_expectation, weighted_inner,
                              weighted_norm_sq)
-from conftest import (dense_f_beta, geometric_series_inner_bb, random_operator, series_b_f,
-                      series_identity_f)
+from conftest import (dense_f_beta, geometric_series_inner_bb, random_operator, sector_blocks,
+                      series_b_f, series_identity_f)
 
 
 def single_site(cap=50, mu=1.0):
@@ -45,7 +46,7 @@ def test_matrices_are_real_by_construction():
     assert total_number_op(basis).dtype == np.float64
     op = MonomialOp.from_dicts(eta={0: 2}, zeta={1: 1}).to_matrix(basis)
     assert op.dtype == np.float64
-    blocks = BlockOp.from_matrix(basis, op)
+    blocks = sector_blocks(basis, op)
     assert blocks.blocks and all(b.dtype == np.float64 for b in blocks.blocks.values())
     assert blocks.mat.dtype == np.float64
 
@@ -127,6 +128,34 @@ def test_site_monomial_norm_matches_enumeration(sites, cap, total, mu):
             assert closed == pytest.approx(enumerated, rel=1e-14)
 
 
+@pytest.mark.parametrize("total", [None, 4])
+def test_site_monomial_norm_at_the_mu_floor(total):
+    # (1 - e^-mu)^L from expm1: at mu = 1e-15 the subtraction was 8.0e-4 off
+    # per site; the oracle sums the monomial's entries with mpmath weights
+    mu, basis = 1e-15, FockBasis(3, 3, total)
+    op = MonomialOp.from_dicts(eta={1: 1}, zeta={1: 2})
+    coo = op.to_matrix(basis).tocoo()
+    with mpmath.workdps(50):
+        m = mpmath.mpf(mu)
+        pre = (-mpmath.expm1(-m)) ** 3
+        want = sum(mpmath.mpf(a) ** 2 * pre
+                   * mpmath.exp(-m * (int(basis.totals[r]) + int(basis.totals[c])) / 2)
+                   for r, c, a in zip(coo.row, coo.col, coo.data))
+        assert abs(site_monomial_norm_sq(op, mu, 3, 3, total) - want) <= 1e-14 * want
+
+
+def test_mu_weights_at_the_mu_floor():
+    # (1 - e^-mu)^L, L (1 - e^-mu) e^(-mu cap) and 1 - e^(-mu (cap + 1)) from
+    # expm1: at mu = 1e-15 the subtractions were 8.0e-4 off
+    w = MuWeights(1e-15, FockBasis(3, 3))
+    with mpmath.workdps(50):
+        mu = mpmath.mpf(w.mu)
+        for got, want in ((w.prefactor, (-mpmath.expm1(-mu)) ** 3),
+                          (w.tail_estimate(), 3 * -mpmath.expm1(-mu) * mpmath.exp(-3 * mu)),
+                          (w.site_partition, -mpmath.expm1(-4 * mu))):
+            assert abs(got - want) <= 1e-14 * want
+
+
 def test_site_monomial_norm_needs_one_site():
     with pytest.raises(ValueError):
         site_monomial_norm_sq(MonomialOp.from_dicts(eta={0: 1}, zeta={1: 1}), 1.0, 3, 2, None)
@@ -198,7 +227,7 @@ def test_weighted_forms_reject_blocks_over_another_basis():
     # a BlockOp over other caps has sectors of other sizes: it is refused,
     # neither weighted by the wrong sectors nor multiplied out of shape
     small, large = FockBasis(3, 2), FockBasis(3, 3)
-    a = BlockOp.from_matrix(small, MonomialOp.from_dicts(zeta={0: 1}).to_matrix(small))
+    a = sector_blocks(small, MonomialOp.from_dicts(zeta={0: 1}).to_matrix(small))
     w = MuWeights(1.0, large)
     for form in (weighted_norm_sq, lambda a, w: f_beta_expectation(a, 0, 1, w)):
         with pytest.raises(ValueError, match="not over the"):
@@ -261,6 +290,34 @@ def test_identity_f_beta_bound():
             assert val <= beta ** beta * (1 - q) ** (-beta) * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("beta", [1, 3])
+def test_identity_f_beta_at_the_mu_floor(beta):
+    # (1 - q) / (1 - q^(cap+1)) from expm1 at both ends; the subtraction form
+    # was also right here, as one rounded q made both errors and they cancel
+    mu, cap = 1e-15, 5
+    with mpmath.workdps(50):
+        m = mpmath.mpf(mu)
+        want = (-mpmath.expm1(-m) / -mpmath.expm1(-m * (cap + 1))
+                * sum(mpmath.exp(-m * j) * (j + beta) ** beta for j in range(cap + 1)))
+        assert abs(identity_f_beta(mu, beta, cap) - want) <= 1e-14 * want
+
+
+def test_monomial_commutator_bound_at_the_mu_floor():
+    # the right side is the ensemble prefactor's half times the projected
+    # seeds; (beta / (1 - e^-mu))^beta from expm1 was 8.0e-4 off at mu = 1e-15
+    basis = FockBasis(3, 2)
+    w = MuWeights(1e-15, basis)
+    o = MonomialOp.from_dicts(eta={0: 1}, zeta={1: 1}).to_matrix(basis)
+    probe = MonomialOp.from_dicts(eta={1: 2})
+    _, rhs = monomial_commutator_bound(o, probe, w)
+    seed = f_beta_expectation(o, 1, 2, w)
+    assert seed > 0
+    with mpmath.workdps(50):
+        mu = mpmath.mpf(w.mu)
+        prefactor = 8 * 2 ** 2 * mpmath.cosh(mu) * (1 + 2 * (2 / -mpmath.expm1(-mu)) ** 2)
+        assert abs(rhs - prefactor * seed) <= 1e-14 * prefactor * seed
+
+
 def test_b_f_beta_series_oracle():
     basis = FockBasis(1, 90)
     w = MuWeights(1.0, basis)
@@ -295,7 +352,7 @@ def test_f_beta_blockwise_raw_and_conserving_dense_oracle(rng):
         if conserving:
             mat[~same_sector] = 0
         a = sp.csr_matrix(mat)
-        blocks = BlockOp.from_matrix(basis, a)
+        blocks = sector_blocks(basis, a)
         if conserving:
             assert all(nr == nc for nr, nc in blocks.blocks)
         for site in (0, 2):
@@ -354,10 +411,10 @@ def test_f_beta_streamed_sums_give_the_held_bits(rng, shuffled):
     # (a key's feeding blocks then come in any order)
     basis = FockBasis(4, 3)
     w = MuWeights(0.8, basis)
-    b = BlockOp.from_matrix(basis, MonomialOp.from_dicts(zeta={1: 1}).to_matrix(basis))
+    b = sector_blocks(basis, MonomialOp.from_dicts(zeta={1: 1}).to_matrix(basis))
     evolved = HeisenbergScanEngine(bose_hubbard(build_path(4), 1.0, 1.0), basis,
                                    MonomialOp.from_dicts(zeta={1: 1})).evolved_operator(0.3)
-    mixed = BlockOp.from_matrix(basis, random_operator(rng, basis))
+    mixed = sector_blocks(basis, random_operator(rng, basis))
     for pair, block in mixed.blocks.items():
         block[rng.random(block.shape) < 0.2] = -0.0
         if sum(pair) % 3 == 0:
@@ -379,15 +436,15 @@ def test_block_op_real_blocks_and_assembly(rng):
     basis = FockBasis(3, 2)
     w = MuWeights(1.0, basis)
     b = MonomialOp.from_dicts(zeta={1: 1}).to_matrix(basis)
-    blocks = BlockOp.from_matrix(basis, b)
+    blocks = sector_blocks(basis, b)
     assert sorted(blocks.blocks) == [(n - 1, n) for n in range(1, 7)]
     assert all(block.dtype == np.float64 for block in blocks.blocks.values())
     assert blocks.mat is blocks.mat  # assembled once, then cached
     assert abs(blocks.mat - b).max() == 0
     assert weighted_norm_sq(blocks, w) == pytest.approx(weighted_norm_sq(b, w), rel=1e-14)
     a = random_operator(rng, basis)
-    assert weighted_norm_sq(BlockOp.from_matrix(basis, a).mat - a, w) == 0
-    assert weighted_norm_sq(BlockOp.from_matrix(basis, a), w) == pytest.approx(
+    assert weighted_norm_sq(sector_blocks(basis, a).mat - a, w) == 0
+    assert weighted_norm_sq(sector_blocks(basis, a), w) == pytest.approx(
         weighted_norm_sq(a, w), rel=1e-13)
 
 
@@ -398,8 +455,9 @@ SPLIT_BASES = {"product": (3, 2, None, None), "total_cap": (4, 2, 3, None),
 @pytest.mark.parametrize("kind", sorted(SPLIT_BASES))
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_block_op_from_matrix_matches_dense_slices(rng, kind, dtype):
-    # every block equals the dense slice of its sector pair, bit for bit; a
-    # pair appears exactly when it holds a stored entry (a stored zero too)
+    # every block that sector_entries and scatter_block make equals the dense
+    # slice of its sector pair, bit for bit; a pair appears exactly when it
+    # holds a stored entry (a stored zero too)
     sites, cap, total_cap, number = SPLIT_BASES[kind]
     basis = FockBasis(sites, cap, total_cap=total_cap, number=number)
     sectors, dim = basis.sectors, basis.dim
@@ -430,7 +488,7 @@ def test_block_op_from_matrix_matches_dense_slices(rng, kind, dtype):
                 for a in range(len(sectors)) for b in range(len(sectors))}
         want = {pair: block for pair, block in want.items()
                 if np.any(block) or pair in zero_pairs}
-        got = BlockOp.from_matrix(basis, mat).blocks
+        got = sector_blocks(basis, mat).blocks
         assert list(got) == sorted(want)
         for pair, block in got.items():
             assert block.dtype == dtype and np.array_equal(block, want[pair])

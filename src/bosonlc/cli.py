@@ -3,9 +3,12 @@
 Subcommands: ``bounds``, ``scan``, ``certify``, ``cluster``, ``selftest``.
 Each reads the typed values that ``config.load_config`` checked against the
 key table ``config.KEYS``; a runner checks only what needs the built graph.
-Exit codes: 0 success, 2 config error (``config error: <path>: ...``; bound
-constants that overflow a float name every key they are made from), 3
-capacity error, 4 property violation.  Outputs are byte-deterministic for a
+The output directory (``--out``, else ``output.dir``) is made before the
+subcommand runs.  Exit codes: 0 success, 2 config error (``config error:
+<path>: ...``; bound constants that overflow a float name every key they are
+made from, and an output directory that cannot be made or written names
+``--out`` or ``output.dir`` and the file), 3 capacity error, 4 property
+violation.  Outputs are byte-deterministic for a
 fixed config and seed: no timestamps, sorted JSON keys, shortest-roundtrip
 float formatting, and the resolved config embedded in every file.  Results and
 config hold JSON types only (``load_config`` refuses others), so ``json.dumps``
@@ -26,7 +29,7 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import certify as certify_mod
 from . import cluster as cluster_mod
-from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
+from .config import ConfigError, ExperimentConfig, load_config
 from .dynamics import lightcone_scan, probe_sites
 from .fock import CapacityError, FockBasis
 from .lattice import is_path
@@ -43,7 +46,6 @@ def _json_dump(obj) -> str:
 
 
 def _write(path: Path, text: str, verbose: bool) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     if verbose:
         print(f"wrote {path}")
@@ -225,8 +227,14 @@ def run(config_path: str, overrides: list[str] | None = None,
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        cfg = load_config(apply_overrides(text, overrides or []), is_text=True)
-        return RUNNERS[cfg.kind][0](cfg, Path(out_dir or cfg.output_dir), verbose)
+        cfg = load_config(text, is_text=True, overrides=overrides or [])
+        out = Path(out_dir or cfg.output_dir)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            return RUNNERS[cfg.kind][0](cfg, out, verbose)
+        except OSError as exc:      # making the output directory, or writing into it
+            raise ConfigError("--out" if out_dir else "output.dir",
+                              f"cannot write {exc.filename or out}: {exc.strerror or exc}") from exc
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -308,9 +308,12 @@ def _require_json(node, path: str = "<root>") -> None:
         _require_json(value, str(key) if path == "<root>" else f"{path}.{key}")
 
 
-def load_config(path_or_text, is_text: bool = False) -> ExperimentConfig:
+def load_config(path_or_text, is_text: bool = False,
+                overrides: list[str] | tuple[str, ...] = ()) -> ExperimentConfig:
+    """The checked config of a YAML file, or of YAML text with ``is_text``,
+    with the ``--set`` ``overrides`` applied to the parsed document."""
     text = path_or_text if is_text else Path(path_or_text).read_text()
-    raw = check(MAPPING, _parse(text, "<root>"), "<root>")
+    raw = apply_overrides(check(MAPPING, _parse(text, "<root>"), "<root>"), overrides)
     _require_json(raw)
     values: dict = {}
     _check_rows(raw, KEYS[None], values)
@@ -330,11 +333,10 @@ def load_config(path_or_text, is_text: bool = False) -> ExperimentConfig:
         seed=values["seed"])
 
 
-def apply_overrides(raw_text: str, overrides: list[str]) -> str:
-    """Apply --set key.path=value overrides to the YAML text."""
-    if not overrides:
-        return raw_text
-    data = check(MAPPING, _parse(raw_text, "<root>"), "<root>")
+def apply_overrides(data: dict, overrides: list[str] | tuple[str, ...]) -> dict:
+    """``data``, a parsed config, with the --set key.path=value overrides
+    applied in place: each value is read as YAML, and a missing or non-mapping
+    section on the key's path becomes a new mapping."""
     for item in overrides:
         if "=" not in item:
             raise ConfigError("--set", f"expected key=value, got {item!r}")
@@ -346,4 +348,4 @@ def apply_overrides(raw_text: str, overrides: list[str]) -> str:
                 node[part] = {}
             node = node[part]
         node[parts[-1]] = _parse(value, key)
-    return yaml.safe_dump(data)
+    return data

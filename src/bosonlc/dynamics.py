@@ -15,9 +15,10 @@ of one order.  Both routes read one engine: A's sector entries, split once,
 and H's sector blocks, built once by ``_split_hamiltonian``, with their
 transposes, CSC views of the same arrays.  Both apply ad_H to them by one
 step, ``_ad``, which forms M H_col a panel of M's rows at a time in one
-_CHUNK_BYTES buffer: no block-sized transposed copy is made.  No step
-allocates: products go into buffers each expansion owns, by scipy's own
-routine for ``h @ x``.
+_CHUNK_BYTES buffer, so no block-sized transposed copy is made, and adds
+H_row M onto it in place, so no block is zero-filled.  No step allocates:
+products go into buffers each expansion owns, by scipy's own routine for
+``h @ x``, and a recursion holds only the blocks its recurrence reads.
 
 Operators enter as monomials or scipy sparse matrices, and evolved ones
 are :class:`~bosonlc.opspace.BlockOp` values: one dense block per sector
@@ -152,17 +153,23 @@ def _split_hamiltonian(h: sp.csr_matrix, basis: FockBasis):
     return blocks, lo, hi, {n: blk.T for n, blk in blocks.items()}
 
 
-def _matmul_into(h: sp.csr_matrix | sp.csc_matrix, x: np.ndarray,
-                 out: np.ndarray) -> np.ndarray:
-    """h @ x into a C-contiguous ``out``, by the routine scipy's ``h @ x`` runs
-    for h's format (CSR or CSC)."""
+def _matmul_add(h: sp.csr_matrix | sp.csc_matrix, x: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """out += h @ x, in a C-contiguous ``out``, by the routine scipy's ``h @ x``
+    runs for h's format (CSR or CSC), which adds each product into its output."""
     if not out.flags.c_contiguous:      # out.ravel() would be a copy, the product lost
         raise ValueError("output buffer must be C-contiguous")
-    out.fill(0)     # scipy's result starts zeroed too
     vecs = () if x.ndim == 1 or x.shape[1] == 1 else (x.shape[1],)
     getattr(_sparsetools, f"{h.format}_matvec" + ("s" if vecs else ""))(
         *h.shape, *vecs, h.indptr, h.indices, h.data, x.ravel(), out.ravel())
     return out
+
+
+def _matmul_into(h: sp.csr_matrix | sp.csc_matrix, x: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """h @ x into a C-contiguous ``out``: scipy's product, which starts zeroed too."""
+    out.fill(0)
+    return _matmul_add(h, x, out)
 
 
 def _ad_panel(shape: tuple[int, int], dtype) -> np.ndarray:
@@ -174,18 +181,24 @@ def _ad_panel(shape: tuple[int, int], dtype) -> np.ndarray:
 
 
 def _ad(h_row: sp.csr_matrix, h_col_t: sp.csc_matrix, m: np.ndarray, out: np.ndarray,
-        panel: np.ndarray) -> np.ndarray:
-    """ad_H(M) = H_row M - M H_col on one sector pair, written into ``out``.
+        panel: np.ndarray, minus: np.ndarray | None = None) -> np.ndarray:
+    """ad_H(M) - C = H_row M - M H_col - C on one sector pair, C being
+    ``minus`` (zero if None), written into ``out``: C's buffer or another,
+    never M's.
 
     ``h_col_t`` is the transpose of the column sector's block of H (a CSC
     view of the block's arrays, or CSR), so M H = (H^T M^T)^T runs as a
     sparse-times-dense product, a panel of M's rows at a time: M[lo:hi]^T
     goes to one half of the flat buffer ``panel`` (``_ad_panel``), H^T times
-    it to the other, and its transpose is subtracted from out[lo:hi].  Each
-    entry of M H is summed over the same stored entries of H_col, in the
-    same order, at every panel height; a step allocates nothing.
+    it to the other, and -(M H)[lo:hi] - C[lo:hi] is written over
+    out[lo:hi].  Then scipy's CSR routine adds H_row M into ``out`` row by
+    row, each entry's terms in stored order.  So no entry of ``out`` is
+    zeroed or read twice, each entry of M H is summed over the same stored
+    entries of H_col in the same order at every panel height, and a step
+    allocates nothing.
     """
-    _matmul_into(h_row, m, out)
+    if not out.flags.c_contiguous:      # a write would be lost
+        raise ValueError("output buffer must be C-contiguous")
     n_rows, n_cols = m.shape
     half = panel.size // 2
     height = half // n_cols
@@ -194,8 +207,20 @@ def _ad(h_row: sp.csr_matrix, h_col_t: sp.csc_matrix, m: np.ndarray, out: np.nda
         mt = panel[:n_cols * rows].reshape(n_cols, rows)
         np.copyto(mt, m[lo:lo + rows].T)
         tmp = _matmul_into(h_col_t, mt, panel[half:half + n_cols * rows].reshape(n_cols, rows))
-        np.subtract(out[lo:lo + rows], tmp.T, out=out[lo:lo + rows])
-    return out
+        if minus is None:
+            np.negative(tmp.T, out=out[lo:lo + rows])
+        else:
+            np.subtract(np.negative(tmp, out=tmp).T, minus[lo:lo + rows], out=out[lo:lo + rows])
+    return _matmul_add(h_row, m, out)
+
+
+def _add_scaled(acc: np.ndarray, a: float, x: np.ndarray, scratch: np.ndarray) -> None:
+    """acc += a * x, the product formed in the flat ``scratch`` a run of x's
+    rows (of a vector: entries) at a time; each entry as in one full pass."""
+    height = scratch.size // (x.size // x.shape[0])
+    for lo in range(0, x.shape[0], height):
+        part = x[lo:lo + height]
+        acc[lo:lo + height] += np.multiply(a, part, out=scratch[:part.size].reshape(part.shape))
 
 
 def _chebyshev_expv(h: sp.csr_matrix, v: np.ndarray, t: float, tol: float = 1e-14,
@@ -218,6 +243,13 @@ def _chebyshev_expv(h: sp.csr_matrix, v: np.ndarray, t: float, tol: float = 1e-1
     T_k(X) v is real: the recursion runs in float64, the even orders summed
     into the result's real part, the odd ones (with imaginary coefficients)
     into its imaginary part.  No step allocates.
+
+    Each step writes T_{k+1} = 2X T_k - T_{k-1} over T_{k-1}, so the
+    recursion holds two vectors or blocks.  A block step is one ``_ad`` call
+    with T_{k-1} as both ``minus`` and ``out``, and c_k T_k is added to the
+    result through its _CHUNK_BYTES panel.  A state step forms 2X T_k in a
+    spare vector, then subtracts T_{k-1} into T_{k-1}'s buffer, so its bits
+    are those of the fresh-array products (H x - shift x) - T_{k-1}.
 
     The state path consumes H (its values are scaled by 2/a in place; the
     caller builds a fresh H for each expansion) and never writes v.  The
@@ -256,25 +288,26 @@ def _chebyshev_expv(h: sp.csr_matrix, v: np.ndarray, t: float, tol: float = 1e-1
         h2 = [_with_data(m, (m.data.real if real else m.data.astype(np.complex128, copy=False))
                          * (2.0 / a)) for m in mats]
     shift = 2.0 * c / a     # 2X = 2L / a - shift
-    cur, spare = np.empty((2,) + prev.shape, prev.dtype)     # T_k rotates through prev, cur, spare
     if h_col_t is None:
-        def two_x(x, out, scaled=np.empty(prev.shape, prev.dtype)):
-            _matmul_into(h2[0], x, out)
-            out -= np.multiply(shift, x, out=scaled)
-            return out
+        spare, scratch = np.empty((2,) + prev.shape, prev.dtype)
+
+        def two_x(x, out, minus=None):      # (2H/a x - shift x) - minus
+            prod = _matmul_into(h2[0], x, out if minus is None else spare)
+            prod -= np.multiply(shift, x, out=scratch)
+            return prod if minus is None else np.subtract(prod, minus, out=out)
     else:   # ad_{H - s} = ad_H - s: the shift sits on the row block's diagonal
         row = h2[0] - shift * sp.identity(h2[0].shape[0], format="csr")
-        two_x = partial(_ad, row, h2[1], panel=_ad_panel(prev.shape, prev.dtype))
-    np.multiply(0.5, two_x(prev, cur), out=cur)     # T_0 v and T_1 v = X v
+        scratch = _ad_panel(prev.shape, prev.dtype)
+        two_x = partial(_ad, row, h2[1], panel=scratch)
+    cur = two_x(prev, np.empty(prev.shape, prev.dtype))
+    cur *= 0.5      # T_1 v = X v
     out = np.empty(prev.shape, np.complex128)
     acc = [out.real, out.imag] if real else [out, np.empty(prev.shape, np.complex128)]
     np.multiply(coef[0], prev, out=acc[0])
     np.multiply(coef[1], cur, out=acc[1])
-    for k in range(2, order + 1):     # T_k = 2X T_{k-1} - T_{k-2}
-        nxt = two_x(cur, spare)
-        nxt -= prev
-        prev, cur, spare = cur, nxt, prev
-        acc[k % 2] += np.multiply(coef[k], cur, out=spare)
+    for k in range(2, order + 1):     # T_k = 2X T_{k-1} - T_{k-2}, over T_{k-2}
+        prev, cur = cur, two_x(cur, prev, minus=prev)
+        _add_scaled(acc[k % 2], coef[k], cur, scratch)
     if not real:
         np.add(out, np.multiply(acc[1], -1j if t > 0 else 1j, out=acc[1]), out=out)
     return np.multiply(np.exp(-1j * c * t), out, out=out), order + 1, tail * norm
@@ -374,8 +407,14 @@ class HeisenbergScanEngine:
             interval=(lo[n_row] - hi[n_col], hi[n_row] - lo[n_col]), h_col_t=h_t[n_col])[0]
 
     def evolved_blocks(self, t: float) -> dict[tuple[int, int], np.ndarray]:
-        """Sector blocks {(n_row, n_col): dense block} of O(t), one after another."""
-        return {pair: self.evolved_block(pair, t) for pair in self.entries}
+        """Sector blocks {(n_row, n_col): dense block} of O(t), in ``entries``
+        order.  The pairs are expanded one after another, the largest first:
+        its expansion's buffers, the largest of the run, are then held beside
+        no evolved block."""
+        sizes = [ix.size for ix in self.basis.sectors]
+        done = {pair: self.evolved_block(pair, t) for pair in
+                sorted(self.entries, key=lambda pair: -sizes[pair[0]] * sizes[pair[1]])}
+        return {pair: done[pair] for pair in self.entries}
 
     def evolved_operator(self, t: float) -> BlockOp:
         return BlockOp(self.basis, self.evolved_blocks(t))
@@ -399,22 +438,25 @@ def _nested_commutators(h_row: sp.csr_matrix, h_col_t: sp.csc_matrix, scatter, d
     ||M_k||_F^2 for k = 0..order.
 
     ``h_col_t`` is the transpose of the column sector's block of H.  M_k
-    goes into its slot, or below ``lowest`` into two spare buffers in turn.
-    ``scatter(out)`` writes A's block into ``out``: order 0's slot, or else
-    the last slot, which only the final step writes (for order >= 2; a
-    buffer of its own otherwise).  So A's block, read by step 0 alone,
-    takes no memory beside the sequence.
+    goes into its slot of the sequence, and the orders below ``lowest`` into
+    two buffers in turn; ``scatter(out)`` writes A's block, order 0, into
+    its place.  The two buffers are the sequence's last two slots when
+    it has at least three: each is first written at step order - 2 or later,
+    after step lowest - 1 read the last order below ``lowest``.  A shorter
+    sequence takes buffers of its own.  So A's block and the low orders take
+    no memory beside a sequence of three slots or more.
     """
     shape = (h_row.shape[0], h_col_t.shape[1])
     seq = np.empty((order + 1 - lowest,) + shape, dtype=dtype)
     norms_sq = np.empty(order + 1)
-    below = [np.empty(shape, dtype) for _ in range(min(lowest - 1, 2))]
+    below = ((seq[-1], seq[-2]) if len(seq) >= 3 else
+             [np.empty(shape, dtype) for _ in range(min(lowest, 2))])
     panel = _ad_panel(shape, dtype)
-    m = scatter(seq[0] if lowest == 0 else seq[-1] if order > 1 else np.empty(shape, dtype))
+    m = scatter(seq[0] if lowest == 0 else below[0])
     for k in range(order + 1):
         norms_sq[k] = np.vdot(m, m).real
         if k < order:
-            out = seq[k + 1 - lowest] if k + 1 >= lowest else below[k % 2]
+            out = seq[k + 1 - lowest] if k + 1 >= lowest else below[(k + 1) % 2]
             m = _ad(h_row, h_col_t, m, out, panel)
     return seq, norms_sq
 

@@ -345,12 +345,14 @@ def f_beta_expectation(a: sp.spmatrix | BlockOp, site: int, beta: int, w: MuWeig
     returned (the seed values entering the envelope initial conditions).
 
     Runs block by block over sector pairs, each with one weight; a sparse
-    matrix's blocks are scattered from its ``sector_entries`` one at a time.
+    matrix's blocks are scattered from its ``sector_entries`` one at a time,
+    each freed before the next is made.
     The raw term contracts the occupancy-resolved block sums R^T |D|^2 C (R, C
     one-hot in the site occupancy of the row and column states) with the
-    (max(k, k') + beta)^beta table; |D|^2 takes one block-sized array, imag^2
-    added _CHUNK_BYTES of rows at a time.  The identity component averages,
-    over k, the sub-blocks whose rows and columns hold k bosons at the site;
+    (max(k, k') + beta)^beta table; |D|^2 and its sums are formed one row
+    panel of the block at a time, in a _CHUNK_BYTES buffer
+    (``_occupancy_sums``).  The identity component averages, over k, the
+    sub-blocks whose rows and columns hold k bosons at the site;
     such a sub-block of sector pair (n_r, n_c) maps row for row onto the
     site-empty states of (n_r - k, n_c - k), so the average lives on those
     site-empty pairs.  Each site-empty pair's sums are finished, and dropped,
@@ -388,15 +390,7 @@ def f_beta_expectation(a: sp.spmatrix | BlockOp, site: int, beta: int, w: MuWeig
     avg: dict[tuple[int, int], np.ndarray] = {}      # identity component
     f_sum: dict[tuple[int, int], np.ndarray] = {}    # sum_k q^k f_k sub-block
     for (n_row, n_col), block in blocks:
-        if np.iscomplexobj(block):
-            sq = np.square(block.real)
-            step = max(1, _CHUNK_BYTES // max(1, sq[:1].nbytes))
-            for lo in range(0, sq.shape[0], step):
-                sq[lo:lo + step] += np.square(block.imag[lo:lo + step])
-        else:
-            sq = np.square(block)
-        counts = one_hot[n_row].T @ sq @ one_hot[n_col]
-        del sq
+        counts = _occupancy_sums(block, one_hot[n_row], one_hot[n_col])
         raw += w.pair_weight(n_row, n_col) * float(np.sum(counts * table))
         for k in feeds.get((n_row, n_col), ()):
             sub = block[np.ix_(at_level[n_row][k], at_level[n_col][k])]
@@ -408,11 +402,28 @@ def f_beta_expectation(a: sp.spmatrix | BlockOp, site: int, beta: int, w: MuWeig
                 terms[key] = (weight * float(np.vdot(f_sum.pop(key).ravel(),
                                                      t_block.ravel()).real),
                               weight * s_f * _sq_sum(t_block))
+        del block   # a scattered block is freed before the next is made
     cross = avg_sq = 0.0
     for key in last:    # none unless projected
         cross += terms[key][0]
         avg_sq += terms[key][1]
     return max(raw - 2.0 * cross + avg_sq, 0.0)
+
+
+def _occupancy_sums(block: np.ndarray, rows_hot: np.ndarray, cols_hot: np.ndarray) -> np.ndarray:
+    """R^T |D|^2 C of one block D, |D|^2 formed a row panel at a time in one
+    _CHUNK_BYTES buffer (or one row), its halves the squares of D's real and
+    imaginary parts."""
+    height = max(1, _CHUNK_BYTES // (16 * max(1, block.shape[1])))
+    panel = np.empty((1 + np.iscomplexobj(block), min(height, block.shape[0]), block.shape[1]))
+    sums = np.zeros((rows_hot.shape[1], cols_hot.shape[1]))
+    for lo in range(0, block.shape[0], height):
+        part = block[lo:lo + height]
+        sq = np.square(part.real, out=panel[0, :len(part)])
+        if np.iscomplexobj(part):
+            sq += np.square(part.imag, out=panel[1, :len(part)])
+        sums += rows_hot[lo:lo + height].T @ sq @ cols_hot
+    return sums
 
 
 def _accumulate(sums: dict, key: tuple[int, int], term: np.ndarray) -> None:

@@ -6,6 +6,7 @@ bug cannot cancel between implementation and check.
 """
 
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -58,6 +59,16 @@ def series_b_f(mu, nmax=400):
     """(b|F^1|b) = sum n (n+1) (1-q) q^((2n-1)/2)."""
     q = math.exp(-mu)
     return sum(n * (n + 1) * (1 - q) * q ** ((2 * n - 1) / 2.0) for n in range(1, nmax))
+
+
+def traced_peak(run):
+    """(result, peak bytes traced by tracemalloc while ``run()`` ran)."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,8 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bosonlc import selftest
+from bosonlc import cli, selftest
+from bosonlc import config as config_mod
 from bosonlc.cli import _json_dump, main
 from bosonlc.config import GRAPH_KEYS, KEYS, ConfigError, apply_overrides, load_config
 
@@ -110,10 +111,29 @@ def test_json_dump_takes_json_types_only():
 
 
 def test_apply_overrides():
-    text = apply_overrides(BASE_CONFIG, ["ensemble.mu=2.5", "experiment.kind=bounds"])
-    cfg = load_config(text, is_text=True)
+    cfg = load_config(BASE_CONFIG, is_text=True,
+                      overrides=["ensemble.mu=2.5", "experiment.kind=bounds"])
     assert cfg.mu == 2.5
     assert cfg.kind == "bounds"
+    # on the parsed mapping, in place: values read as YAML, missing or
+    # non-mapping sections on a key's path made anew
+    data = yaml.safe_load(BASE_CONFIG)
+    got = apply_overrides(data, ["ensemble.mu=2.5", "seed.kind=7", "new.key=[1, b]"])
+    assert got is data
+    assert data["ensemble"] == {"mu": 2.5, "per_site_cap": 2}
+    assert data["seed"] == {"kind": 7} and data["new"] == {"key": [1, "b"]}
+
+
+def test_cli_parses_the_config_once(config_file, monkeypatch):
+    # the --set overrides, experiment.kind among them, go into the parsed
+    # mapping: the document is parsed once per run, not parsed, dumped and
+    # parsed again
+    documents = []
+    real_parse = config_mod._parse
+    monkeypatch.setattr(config_mod, "_parse", lambda text, path: (
+        documents.append(path) if path == "<root>" else None) or real_parse(text, path))
+    assert main(["bounds", str(config_file()), "--set", "ensemble.mu=2.0"]) == 0
+    assert documents == ["<root>"]
 
 
 def test_schedule_config_segments():
@@ -201,6 +221,33 @@ def test_selftest_subcommand(config_file, tmp_path):
 def test_exit_code_config_error(config_file):
     path = config_file()
     assert main(["scan", str(path), "--set", "ensemble.mu=-2"]) == 2
+
+
+@pytest.mark.parametrize("via", ["--out", "output.dir"])
+def test_output_dir_that_cannot_be_made_exits_config(config_file, tmp_path, capsys,
+                                                      monkeypatch, via):
+    # an output directory under a regular file raised NotADirectoryError and
+    # exited 1 once the run's work was done; it is made before the runner runs
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    target = blocker / "sub"
+    calls = []
+    monkeypatch.setitem(cli.RUNNERS, "bounds", (lambda *args: calls.append(args) or 0, ""))
+    argv = ["bounds", str(config_file())] + (
+        ["--out", str(target)] if via == "--out" else ["--set", f"output.dir={target}"])
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {via}: cannot write {target}: Not a directory" in err
+    assert calls == [] and sorted(tmp_path.rglob("*")) == before
+
+
+def test_output_file_that_cannot_be_written_exits_config(config_file, tmp_path, capsys):
+    # an OSError while writing names the file: here a directory holds its name
+    (tmp_path / "out" / "bounds.json").mkdir(parents=True)
+    assert main(["bounds", str(config_file())]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: output.dir: cannot write {tmp_path / 'out' / 'bounds.json'}: " in err
 
 
 def test_exit_code_missing_file(tmp_path):

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -24,7 +23,7 @@ from bosonlc.fock import (CapacityError, FockBasis, Interaction, ModelSpec, Piec
 from bosonlc.lattice import build_cubic, build_path
 from bosonlc.opspace import (BlockOp, MonomialOp, MuWeights, commutator_weighted_norm, f_beta_expectation, sector_entries,
                              weighted_norm_sq)
-from conftest import dense_f_beta, random_operator, sector_blocks
+from conftest import dense_f_beta, random_operator, sector_blocks, traced_peak
 
 
 # -- state evolution ------------------------------------------------------------
@@ -336,6 +335,32 @@ def test_engine_evolves_an_operator_matrix(small_system):
     assert np.max(np.abs(bt.mat.toarray() - direct)) < 1e-13
 
 
+@pytest.mark.parametrize("hopping", [0.9, 0.9 * np.exp(0.7j)])
+def test_evolved_blocks_equal_one_expansion_per_pair(monkeypatch, hopping):
+    # b_1 + b_1^dag b_2 on the 5-site cap-2 chain, real and complex H: the
+    # pairs are expanded largest first, and the result holds one
+    # ``evolved_block`` call's block per pair, bit for bit, in entries order
+    g = build_path(5)
+    model = ModelSpec(graph=g, hopping={e: PiecewiseConstant.constant(hopping) for e in g.edges},
+                      interactions=bose_hubbard(g, 1.0, 1.3).interactions, interaction_range=0)
+    basis = FockBasis(5, 2)
+    op = (MonomialOp.from_dicts(zeta={1: 1}).to_matrix(basis)
+          + MonomialOp.from_dicts(eta={1: 1}, zeta={2: 1}).to_matrix(basis))
+    engine = HeisenbergScanEngine(model, basis, op)
+    order = []
+    real_block = engine.evolved_block
+    monkeypatch.setattr(engine, "evolved_block",
+                        lambda pair, t: order.append(pair) or real_block(pair, t))
+    got = engine.evolved_blocks(0.7)
+    sizes = [ix.size for ix in basis.sectors]
+    assert sorted(order) == sorted(engine.entries) and len(order) == len(engine.entries)
+    assert order[0] == max(engine.entries, key=lambda p: sizes[p[0]] * sizes[p[1]])
+    assert order != list(engine.entries)
+    assert list(got) == list(engine.entries)
+    for pair, block in got.items():
+        assert block.tobytes() == real_block(pair, 0.7).tobytes()
+
+
 def test_engine_refuses_a_time_dependent_model():
     """A schedule with breakpoints, complex or real, is refused before any
     operator is split or any H is built."""
@@ -483,6 +508,18 @@ def test_long_span_matches_dense_expm_within_bound(rng):
             assert bound <= tol * np.linalg.norm(block)
 
 
+def _ad_reference(h_row, h_col_t, m, minus=None):
+    """H_row M - M H_col - C from fresh arrays, in the order of ``_ad``:
+    -(M H_col) - C first, then the terms of H_row M added onto it row by row
+    in stored order.  That is the product of [I | H_row] with
+    [-(M H_col) - C; M], as each row's identity entry is stored first."""
+    start = -(h_col_t @ np.ascontiguousarray(m.T)).T
+    if minus is not None:
+        start = start - minus
+    eye = sp.identity(h_row.shape[0], dtype=h_row.dtype, format="csr")
+    return sp.hstack([eye, h_row], format="csr") @ np.vstack([start, m])
+
+
 def _allocating_expv(h, v, t, interval=None, h_col_t=None):
     """The Chebyshev recursion with fresh arrays at every step (reference): the
     products, sums and phase of ``_chebyshev_expv`` in the same order."""
@@ -504,17 +541,18 @@ def _allocating_expv(h, v, t, interval=None, h_col_t=None):
                          m.indices, m.indptr), shape=m.shape) for m in mats]
     shift = 2.0 * c / a
     if h_col_t is None:
-        def two_x(x):
-            return h2[0] @ x - shift * x
+        def two_x(x, minus=None):
+            out = h2[0] @ x - shift * x
+            return out if minus is None else out - minus
     else:
         row = h2[0] - shift * sp.identity(h2[0].shape[0], format="csr")
 
-        def two_x(x):
-            return row @ x - (h2[1] @ np.ascontiguousarray(x.T)).T
+        def two_x(x, minus=None):
+            return _ad_reference(row, h2[1], x, minus)
     prev, cur = cur, 0.5 * two_x(cur)
     acc = [coef[0] * prev, coef[1] * cur]
     for k in range(2, order + 1):
-        prev, cur = cur, two_x(cur) - prev
+        prev, cur = cur, two_x(cur, prev)
         acc[k % 2] = acc[k % 2] + coef[k] * cur
     return np.exp(-1j * c * t) * (acc[0] + acc[1] * (-1j if t > 0 else 1j))
 
@@ -579,9 +617,10 @@ def test_ad_expansion_needs_the_pair_interval():
 
 @pytest.mark.parametrize("hopping", [0.9, 0.9 * np.exp(0.7j)])
 def test_ad_writes_into_a_sequence_slot(rng, hopping):
-    # one slot of a larger array takes H_row M - M H_col, equal to scipy's
-    # products; the neighbouring slots stay untouched, and a strided output
-    # is refused.  (1, 0) and (0, 1) have a single column on one side, the
+    # one slot of a larger array takes H_row M - M H_col, or that less C
+    # written over C's own slot, equal to scipy's products in the kernel's
+    # order; the neighbouring slots stay untouched, and a strided output is
+    # refused.  (1, 0) and (0, 1) have a single column on one side, the
     # matrix-vector route
     h, basis = _chain4(hopping)
     blocks, _, _, h_t = dynamics._split_hamiltonian(h, basis)
@@ -589,12 +628,17 @@ def test_ad_writes_into_a_sequence_slot(rng, hopping):
         shape = (basis.sectors[n_row].size, basis.sectors[n_col].size)
         for m in (rng.normal(size=shape), rng.normal(size=shape) + 1j * rng.normal(size=shape)):
             dtype = np.result_type(h.dtype, m.dtype)
-            seq = np.zeros((3,) + shape, dtype)
+            c = rng.normal(size=shape).astype(dtype)
             panel = dynamics._ad_panel(shape, dtype)
-            got = dynamics._ad(blocks[n_row], h_t[n_col], m.astype(dtype), seq[1], panel)
-            assert np.shares_memory(got, seq[1])
-            assert np.all(seq[1] == blocks[n_row] @ m - (h_t[n_col] @ m.T).T)
-            assert not np.any(seq[0]) and not np.any(seq[2])
+            for minus in (None, c):
+                seq = np.zeros((3,) + shape, dtype)
+                if minus is not None:
+                    seq[1] = minus
+                got = dynamics._ad(blocks[n_row], h_t[n_col], m.astype(dtype), seq[1], panel,
+                                   minus=None if minus is None else seq[1])
+                assert np.shares_memory(got, seq[1])
+                assert np.all(seq[1] == _ad_reference(blocks[n_row], h_t[n_col], m, minus))
+                assert not np.any(seq[0]) and not np.any(seq[2])
             with pytest.raises(ValueError, match="C-contiguous"):   # a write would be lost
                 dynamics._ad(blocks[n_row], h_t[n_col], m.astype(dtype),
                              np.empty((shape[0], 2 * shape[1]), dtype)[:, ::2], panel)
@@ -604,9 +648,10 @@ def test_ad_writes_into_a_sequence_slot(rng, hopping):
 @pytest.mark.parametrize("hopping", [0.9, 0.9 * np.exp(0.7j)])
 def test_ad_panels_give_the_full_block_bits(rng, hopping, rows):
     # M H_col taken a panel of 1 row, 3 rows or the whole block at a time,
-    # against the full-block formula (M^T whole in one buffer, H_col^T times
-    # it in another, its transpose subtracted): the same bits, real and
-    # complex, on square, non-square and single-column pairs
+    # against the full-block formula (M^T whole, H_col^T times it, its
+    # negated transpose less C, then H_row M added on): the same bits, real
+    # and complex, with and without C, on square, non-square and
+    # single-column pairs
     h, basis = _chain4(hopping)
     blocks, _, _, h_t = dynamics._split_hamiltonian(h, basis)
     for n_row, n_col in ((5, 5), (5, 6), (6, 5), (1, 0), (0, 1)):
@@ -614,34 +659,32 @@ def test_ad_panels_give_the_full_block_bits(rng, hopping, rows):
         for m in (rng.normal(size=shape), rng.normal(size=shape) + 1j * rng.normal(size=shape)):
             dtype = np.result_type(h.dtype, m.dtype)
             m = m.astype(dtype)
-            want = dynamics._matmul_into(blocks[n_row], m, np.empty(shape, dtype))
-            mt = np.array(m.T, order="C")
-            want -= dynamics._matmul_into(h_t[n_col], mt, np.empty(shape[::-1], dtype)).T
-            panel = np.empty(2 * shape[1] * (rows or shape[0]), dtype)
-            got = dynamics._ad(blocks[n_row], h_t[n_col], m, np.empty(shape, dtype), panel)
-            assert got.tobytes() == want.tobytes()
+            for minus in (None, rng.normal(size=shape).astype(dtype)):
+                want = _ad_reference(blocks[n_row], h_t[n_col], m, minus)
+                panel = np.empty(2 * shape[1] * (rows or shape[0]), dtype)
+                out = np.empty(shape, dtype) if minus is None else minus.copy()
+                got = dynamics._ad(blocks[n_row], h_t[n_col], m, out, panel,
+                                   minus=None if minus is None else out)
+                assert got.tobytes() == want.tobytes()
 
 
 def test_ad_expansion_peak_memory():
     # b_0's largest block on the 6-site cap-3 chain, 546 x 580 float64: one
     # expansion (138 terms) starts its recursion in the given block and holds
-    # two more recursion buffers, one _CHUNK_BYTES panel and the complex
-    # result, 4.3 blocks, and allocates nothing per step (two transposed
-    # buffers made it 6.1, a copy of the block 7)
+    # one more recursion buffer, as each step writes T_{k+1} over T_{k-1},
+    # one _CHUNK_BYTES panel and the complex result, 3.3 blocks, and
+    # allocates nothing per step (a third recursion buffer made it 4.3, two
+    # transposed buffers 6.1, a copy of the block 7)
     basis = FockBasis(6, 3)
     h, lo, hi, h_t = dynamics._split_hamiltonian(
         build_hamiltonian(bose_hubbard(build_path(6), 1.0, 1.0), basis), basis)
     op = sector_blocks(basis, MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis))
     (n_row, n_col), block = max(op.blocks.items(), key=lambda kv: kv[1].size)
     assert block.shape == (546, 580)
-    tracemalloc.start()
-    try:
-        dynamics._chebyshev_expv(h[n_row], block, 2.0, h_col_t=h_t[n_col],
-                                 interval=(lo[n_row] - hi[n_col], hi[n_row] - lo[n_col]))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.5 * block.nbytes
+    _, peak = traced_peak(lambda: dynamics._chebyshev_expv(
+        h[n_row], block, 2.0, h_col_t=h_t[n_col],
+        interval=(lo[n_row] - hi[n_col], hi[n_row] - lo[n_col])))
+    assert peak <= 3.5 * block.nbytes
 
 
 @pytest.mark.parametrize("hopping", [1.0, np.exp(0.7j)])
@@ -657,7 +700,7 @@ def test_state_expansion_allocates_nothing_of_h_size(hopping):
     h = build_hamiltonian(model, basis)
     psi = np.random.default_rng(3).normal(size=basis.dim) * hopping
     assert h.shape[0] > 4 * dynamics._GERSHGORIN_ROWS
-    _, peak = _traced_peak(lambda: dynamics._chebyshev_expv(h, psi, 1.0))
+    _, peak = traced_peak(lambda: dynamics._chebyshev_expv(h, psi, 1.0))
     assert peak < h.data.nbytes
 
 
@@ -681,16 +724,6 @@ def test_gershgorin_chunks_equal_scipy_row_sums(rng, monkeypatch, hopping, rows)
     lower, upper = dynamics._gershgorin(h)
     assert lower.tobytes() == (diag - radius).tobytes()
     assert upper.tobytes() == (diag + radius).tobytes()
-
-
-def _traced_peak(run):
-    """(result, peak bytes traced by tracemalloc while ``run()`` ran)."""
-    tracemalloc.start()
-    try:
-        out = run()
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("shape", [(5, 5), (40, 40), (27, 26)])
@@ -749,64 +782,69 @@ def test_scan_builds_h_and_splits_each_operator_once(monkeypatch, tmp_path):
 def test_engine_peak_memory_holds_one_initial_block():
     # b_0 on the 6-site cap-3 chain at t = 4.75/880: beside the complex
     # result, the engine holds H, one expansion's buffers and one dense block
-    # of b_0 at a time, 1.3 real blocks over (all of b_0's blocks made it
-    # 8.5, and two transposed buffers of the largest block 2.6)
+    # of b_0 at a time.  The largest pair goes first, so its expansion's two
+    # recursion blocks and panel sit beside no result: 0.5 real blocks over
+    # (the pairs in entries order with three recursion blocks made it 1.3,
+    # all of b_0's blocks 8.5, and two transposed buffers 2.6)
     model = bose_hubbard(build_path(6), 1.0, 1.0)
     basis = FockBasis(6, 3)
-    blocks, peak = _traced_peak(lambda: HeisenbergScanEngine(
+    blocks, peak = traced_peak(lambda: HeisenbergScanEngine(
         model, basis, MonomialOp.from_dicts(zeta={0: 1})).evolved_blocks(4.75 / 880))
     result = sum(block.nbytes for block in blocks.values())
     largest_real = 8 * max(block.size for block in blocks.values())
     assert largest_real == 8 * 546 * 580
-    assert peak <= result + 2 * largest_real
+    assert peak <= result + 0.75 * largest_real
 
 
 def test_lightcone_scan_peak_memory_holds_no_dense_operator():
     # the benchmark's scan (6-site cap-3 chain, 20 cells, all from the
-    # series): two live sequences of 13 stored orders, one spare order and
-    # a _CHUNK_BYTES panel, 27 blocks of 546 x 580 doubles, with 1 to spare
-    # (27.6 in all).  Two transposed buffers in place of the panel made it
-    # 29.4, a dense copy of b_0 kept through the series 34.7, and a block of
-    # b_0 scattered beside the sequence 30.6
+    # series): two live sequences of 13 stored orders and a _CHUNK_BYTES
+    # panel, 27.0 blocks of 546 x 580 doubles in all; the orders below the
+    # lowest first order sit in the sequence's last two slots.  A spare
+    # block for them made it 27.6, two transposed buffers in place of the
+    # panel 29.4, a dense copy of b_0 kept through the series 34.7, and a
+    # block of b_0 scattered beside the sequence 30.6
     model = bose_hubbard(build_path(6), 1.0, 1.0)
     basis = FockBasis(6, 3)
     v = velocity_bound(1.0, 2, 0, 1)
     cells = [(r, f * r / v) for r in (2, 3, 4, 5) for f in (0.4, 0.6, 0.8, 0.95)]
     cells += [(r, 0.01) for r in (2, 3, 4, 5)]
-    res, peak = _traced_peak(lambda: lightcone_scan(
+    res, peak = traced_peak(lambda: lightcone_scan(
         model, MonomialOp.from_dicts(zeta={0: 1}), MonomialOp.from_dicts(eta={0: 1}), 1.0,
         cells, basis))
     assert len(res.cells) == 20 and res.metadata["series"]["dense_cells"] == []
-    assert peak <= 28.5 * 8 * 546 * 580
+    assert peak <= 27.5 * 8 * 546 * 580
 
 
 def test_f_beta_peak_memory_holds_no_block_sized_sums():
     # six projected f_beta calls, one per site, on b_0(4.75/880) of the
-    # 6-site cap-3 chain (complex blocks, the largest 546 x 580): |D|^2 in
-    # one real block-sized array and each site-empty sum dropped once its
-    # last block is read, 2.3 real blocks of 546 x 580 at most (every sum
-    # held to the end, and |D|^2 formed out of place, made it 4.3)
+    # 6-site cap-3 chain (complex blocks, the largest 546 x 580): |D|^2 one
+    # row panel at a time and each site-empty sum dropped once its last
+    # block is read, 1.5 real blocks of 546 x 580 at most (|D|^2 in one
+    # block-sized array made it 2.3; every sum held to the end, and |D|^2
+    # formed out of place, 4.3)
     model = bose_hubbard(build_path(6), 1.0, 1.0)
     basis = FockBasis(6, 3)
     w = MuWeights(1.0, basis)
     a_t = HeisenbergScanEngine(model, basis, MonomialOp.from_dicts(zeta={0: 1})).evolved_operator(
         4.75 / 880)
     assert max(block.size for block in a_t.blocks.values()) == 546 * 580
-    values, peak = _traced_peak(lambda: [f_beta_expectation(a_t, x, 1, w) for x in range(6)])
+    values, peak = traced_peak(lambda: [f_beta_expectation(a_t, x, 1, w) for x in range(6)])
     assert all(v >= 0.0 for v in values)
-    assert peak <= 2.5 * 8 * 546 * 580
+    assert peak <= 1.75 * 8 * 546 * 580
 
 
 def test_f_beta_of_a_sparse_operator_holds_one_block():
     # the raw seed of b_0 on the 6-site cap-3 chain, as the growth path forms
-    # it: the sparse matrix's blocks are scattered one at a time, 2.1 real
-    # blocks of 546 x 580 at most (scattering every block first made it 6.3),
-    # and the value is the blocks' value, bit for bit
+    # it: the sparse matrix's blocks are scattered one at a time, each freed
+    # before the next is made, 1.2 real blocks of 546 x 580 at most (two
+    # blocks at once and a block-sized |D|^2 made it 2.1, scattering every
+    # block first 6.3), and the value is the blocks' value, bit for bit
     basis = FockBasis(6, 3)
     w = MuWeights(1.0, basis)
     b_0 = MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis)
-    value, peak = _traced_peak(lambda: f_beta_expectation(b_0, 0, 1, w, projected=False))
-    assert peak <= 2.5 * 8 * 546 * 580
+    value, peak = traced_peak(lambda: f_beta_expectation(b_0, 0, 1, w, projected=False))
+    assert peak <= 1.5 * 8 * 546 * 580
     blocks = sector_blocks(basis, b_0)
     assert max(block.size for block in blocks.blocks.values()) == 546 * 580
     assert value == f_beta_expectation(blocks, 0, 1, w, projected=False)

@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from bosonlc.fock import (CapacityError, FockBasis, Interaction, ModelSpec,
                           check_number_conservation, count_states, ladder_op,
                           random_model_spec, total_number_op)
 from bosonlc.lattice import build_cubic, build_path, build_regular_tree
-from conftest import recursive_state_count
+from conftest import recursive_state_count, traced_peak
 
 
 # -- enumeration -------------------------------------------------------------
@@ -316,12 +315,7 @@ def test_hamiltonian_is_bit_identical_to_coo_assembly(name, model, times, cap, t
 def test_basis_peak_memory():
     # the certify sector, 11 sites, cap 3, N = 11: 154,518 states unranked
     # in place, with no discarded candidate rows
-    tracemalloc.start()
-    try:
-        basis = FockBasis(11, 3, number=11)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    basis, peak = traced_peak(lambda: FockBasis(11, 3, number=11))
     assert peak <= 8 * basis.states.nbytes
 
 
@@ -329,12 +323,7 @@ def test_hamiltonian_assembly_peak_memory():
     # 10 sites, cap 3, N = 10: 44,803 states, 476,335 stored entries
     basis = FockBasis(10, 3, number=10)
     model = bose_hubbard(build_path(10), 1.0, 1.0)
-    tracemalloc.start()
-    try:
-        h = build_hamiltonian(model, basis)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    h, peak = traced_peak(lambda: build_hamiltonian(model, basis))
     assert peak <= 1.5 * (h.data.nbytes + h.indices.nbytes + h.indptr.nbytes)
 
 

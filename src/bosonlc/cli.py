@@ -4,12 +4,13 @@ Subcommands: ``bounds``, ``scan``, ``certify``, ``cluster``, ``selftest``.
 Each reads the typed values that ``config.load_config`` checked against the
 key table ``config.KEYS``; a runner checks only what needs the built graph.
 The output directory (``--out``, else ``output.dir``) is made before the
-subcommand runs.  Exit codes: 0 success, 2 config error (``config error:
-<path>: ...``; bound constants that overflow a float name every key they are
-made from, and an output directory that cannot be made or written names
-``--out`` or ``output.dir`` and the file), 3 capacity error, 4 property
-violation.  Outputs are byte-deterministic for a
-fixed config and seed: no timestamps, sorted JSON keys, shortest-roundtrip
+subcommand runs, and a run that exits 2 or 3 before writing a file removes
+the levels of it that it made.  Exit codes: 0 success, 2 config error
+(``config error: <path>: ...``; bound constants that overflow a float name
+every key they are made from, and an output directory that cannot be made
+or written names ``--out`` or ``output.dir`` and the file), 3 capacity
+error, 4 property violation.  Outputs are byte-deterministic for a fixed
+config and seed: no timestamps, sorted JSON keys, shortest-roundtrip
 float formatting, and the resolved config embedded in every file.  Results and
 config hold JSON types only (``load_config`` refuses others), so ``json.dumps``
 writes them as they are.
@@ -226,9 +227,11 @@ def run(config_path: str, overrides: list[str] | None = None,
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    made: list[Path] = []      # the output levels this run makes, deepest first
     try:
         cfg = load_config(text, is_text=True, overrides=overrides or [])
         out = Path(out_dir or cfg.output_dir)
+        made = [level for level in (out, *out.parents) if not level.exists()]
         try:
             out.mkdir(parents=True, exist_ok=True)
             return RUNNERS[cfg.kind][0](cfg, out, verbose)
@@ -237,10 +240,16 @@ def run(config_path: str, overrides: list[str] | None = None,
                               f"cannot write {exc.filename or out}: {exc.strerror or exc}") from exc
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+        code = EXIT_CAPACITY
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code = EXIT_CONFIG
+    for level in made:      # while empty: a level holding a written file stays
+        try:
+            level.rmdir()
+        except OSError:
+            break
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

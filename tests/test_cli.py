@@ -250,6 +250,21 @@ def test_output_file_that_cannot_be_written_exits_config(config_file, tmp_path, 
     assert f"config error: output.dir: cannot write {tmp_path / 'out' / 'bounds.json'}: " in err
 
 
+@pytest.mark.parametrize("override,code", [("experiment.r_values=[9]", 2),
+                                           ("ensemble.per_site_cap=40", 3)])
+def test_failed_run_removes_the_output_levels_it_made(tmp_path, capsys, override, code):
+    # the output directory is made before the runner's checks that need the
+    # built graph (no vertex at distance 9) or the basis size; a run that
+    # then fails removes the levels it made, and only those
+    target = tmp_path / "made" / "out"
+    argv = ["scan", str(ROOT / "configs" / "scan_chain7.yaml"), "--out", str(target),
+            "--set", override]
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith(("config error: experiment.r_values",
+                                               "capacity error"))
+    assert not (tmp_path / "made").exists() and tmp_path.is_dir()
+
+
 def test_exit_code_missing_file(tmp_path):
     assert main(["scan", str(tmp_path / "nope.yaml")]) == 2
 
@@ -829,17 +844,22 @@ def test_module_invocation_smoke(config_file, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_import_loads_no_eigensolver():
-    """scipy.linalg and scipy.sparse.linalg load only when a ground state is
-    computed, not with the CLI."""
+def test_cli_import_loads_no_eigensolver(tmp_path):
+    """scipy.linalg and scipy.sparse.linalg load neither with the CLI nor in
+    a ``cluster`` run whose sector (1,107 states) takes the Lanczos route:
+    only a dense sector's eigh imports scipy.linalg."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = ("import sys, bosonlc.cli, bosonlc.config; "
-            "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') "
-            "if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    solvers = ("print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') "
+               "if m in sys.modules))")
+    config = str(ROOT / "configs" / "cluster_mott8.yaml")
+    run = f"assert bosonlc.cli.main(['cluster', {config!r}, '--out', {str(tmp_path)!r}]) == 0; "
+    for code in ("import sys, bosonlc.cli, bosonlc.config; " + solvers,
+                 "import sys, bosonlc.cli; " + run + solvers):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "cluster.json").exists()
 
 
 def test_package_invocation_runs_the_cli(config_file, tmp_path):

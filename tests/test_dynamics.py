@@ -537,6 +537,8 @@ def _allocating_expv(h, v, t, interval=None, h_col_t=None):
     coef[0] /= 2.0
     coef[2::4] *= -1.0
     coef[3::4] *= -1.0
+    if not real:    # the odd orders' factor -i sgn t in their coefficients: one sum
+        coef = coef * np.where(np.arange(coef.size) % 2, -1j if t > 0 else 1j, 1.0)
     h2 = [sp.csr_matrix(((m.data.real if real else m.data.astype(np.complex128)) * (2.0 / a),
                          m.indices, m.indptr), shape=m.shape) for m in mats]
     shift = 2.0 * c / a
@@ -550,10 +552,12 @@ def _allocating_expv(h, v, t, interval=None, h_col_t=None):
         def two_x(x, minus=None):
             return _ad_reference(row, h2[1], x, minus)
     prev, cur = cur, 0.5 * two_x(cur)
-    acc = [coef[0] * prev, coef[1] * cur]
+    acc = [coef[0] * prev, coef[1] * cur] if real else [coef[0] * prev + coef[1] * cur]
     for k in range(2, order + 1):
         prev, cur = cur, two_x(cur, prev)
-        acc[k % 2] = acc[k % 2] + coef[k] * cur
+        acc[k % len(acc)] = acc[k % len(acc)] + coef[k] * cur
+    if not real:
+        return np.exp(-1j * c * t) * acc[0]
     return np.exp(-1j * c * t) * (acc[0] + acc[1] * (-1j if t > 0 else 1j))
 
 
@@ -685,6 +689,27 @@ def test_ad_expansion_peak_memory():
         h[n_row], block, 2.0, h_col_t=h_t[n_col],
         interval=(lo[n_row] - hi[n_col], hi[n_row] - lo[n_col])))
     assert peak <= 3.5 * block.nbytes
+
+
+def test_complex_ad_expansion_peak_memory():
+    # the same block under hopping e^{0.7i}, given in complex128 as the
+    # engine scatters it: the recursion starts in it, and holds one more
+    # complex buffer, the complex result and the panel, 4.35 real blocks.
+    # Odd orders summed apart, then multiplied by -i sgn t, made it 6.35
+    graph = build_path(6)
+    model = ModelSpec(graph=graph, hopping={e: PiecewiseConstant.constant(np.exp(0.7j))
+                                            for e in graph.edges},
+                      interactions=bose_hubbard(graph, 1.0, 1.0).interactions,
+                      interaction_range=0)
+    basis = FockBasis(6, 3)
+    h, lo, hi, h_t = dynamics._split_hamiltonian(build_hamiltonian(model, basis), basis)
+    op = sector_blocks(basis, MonomialOp.from_dicts(zeta={0: 1}).to_matrix(basis))
+    (n_row, n_col), block = max(op.blocks.items(), key=lambda kv: kv[1].size)
+    start = block.astype(np.complex128)
+    _, peak = traced_peak(lambda: dynamics._chebyshev_expv(
+        h[n_row], start, 2.0, h_col_t=h_t[n_col],
+        interval=(lo[n_row] - hi[n_col], hi[n_row] - lo[n_col])))
+    assert peak <= 4.5 * block.nbytes
 
 
 @pytest.mark.parametrize("hopping", [1.0, np.exp(0.7j)])
@@ -1173,42 +1198,108 @@ def test_ground_state_residual_contract():
     assert np.linalg.norm(h @ gs.vector - gs.energy * gs.vector) <= 1e-8
 
 
-@pytest.mark.parametrize("sites", [6, 8], ids=["dense", "arpack"])
-def test_ground_state_real_and_complex_paths_agree(sites, monkeypatch):
-    # the 6-site sector (141 states) goes to eigh, the 8-site one (1,107) to
-    # ARPACK; a diagonal phase gauge gives the same spectrum with complex
-    # entries.  The edge potential breaks the reflection symmetry, which the
-    # uniform ARPACK start vector would otherwise keep (see ground_state).
+def _edge_chain(sites: int) -> sp.csr_matrix:
+    """H of the unit-filling chain at U = 4 with an edge potential that breaks
+    its reflection symmetry, which the uniform start vector would otherwise
+    keep (see ground_state)."""
     graph = build_path(sites)
     edge = Interaction(support=(0,), monomials=((0.3, ((0, 1),)),))
     model = ModelSpec(graph=graph, hopping=bose_hubbard(graph, 1.0, 0.0).hopping,
                       interactions=bose_hubbard(graph, 1.0, 4.0).interactions + (edge,),
                       interaction_range=0)
-    basis = FockBasis(sites, 2, number=sites)
-    h = build_hamiltonian(model, basis)
-    dense = np.linalg.eigvalsh(h.toarray())
-    phases = np.exp(1j * np.random.default_rng(3).uniform(0, 2 * np.pi, basis.dim))
+    return build_hamiltonian(model, FockBasis(sites, 2, number=sites))
+
+
+def _gauged(h: sp.csr_matrix, seed: int) -> tuple[np.ndarray, sp.csr_matrix]:
+    """Random diagonal phases and H under them: the same spectrum with
+    complex entries."""
+    phases = np.exp(1j * np.random.default_rng(seed).uniform(0, 2 * np.pi, h.shape[0]))
     gauge = sp.diags(phases)
     h_complex = (gauge @ h @ gauge.conj()).tocsr()
     assert np.any(h_complex.data.imag)
+    return phases, h_complex
+
+
+@pytest.mark.parametrize("sites", [6, 8], ids=["dense", "arpack"])
+def test_ground_state_real_and_complex_paths_agree(sites, monkeypatch):
+    # the 6-site sector (141 states) goes to eigh, the 8-site one (1,107) to
+    # the Lanczos recurrence (the id is from the ARPACK solver it replaced)
+    h = _edge_chain(sites)
+    dense = np.linalg.eigvalsh(h.toarray())
+    phases, h_complex = _gauged(h, 3)
     dtypes = []
-    real_eigsh = sparse_linalg.eigsh
+    lanczos = dynamics._lanczos
 
-    def spy(mat, **kwargs):
-        dtypes.append(mat.dtype)
-        return real_eigsh(mat, **kwargs)
+    def spy(mat):
+        steps = lanczos(mat)
+        first = next(steps)
+        dtypes.append(first[0].dtype)
+        yield first
+        yield from steps
 
-    # ground_state imports the solver when called, so it finds the spy
-    monkeypatch.setattr(sparse_linalg, "eigsh", spy)
+    # ground_state looks the recurrence up when called, so it finds the spy
+    monkeypatch.setattr(dynamics, "_lanczos", spy)
     real = ground_state(h)
     cplx = ground_state(h_complex)
-    if sites == 8:
-        assert dtypes == [np.float64, np.complex128]
+    if sites == 8:      # two passes each
+        assert dtypes == [np.float64] * 2 + [np.complex128] * 2
     assert real.energy == pytest.approx(cplx.energy, rel=1e-12)
     assert real.gap == pytest.approx(cplx.gap, rel=1e-10)
     assert real.gap == pytest.approx(dense[1] - dense[0], rel=1e-10)
     overlap = abs(np.vdot(phases * real.vector, cplx.vector))
     assert overlap == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("case", ["mott8", "edge_real", "edge_complex"])
+def test_ground_state_matches_arpack(case):
+    # scipy's eigsh from the same uniform start vector is the oracle:
+    # cluster_mott8's sector (1,107 states, where the dense fallback would
+    # give the odd gap 35.1271), and a 10-site chain without the reflection
+    # (8,953 states, above the fallback's 4,000, real and complex)
+    if case == "mott8":
+        h = build_hamiltonian(bose_hubbard(build_path(8), 1.0, 20.0), FockBasis(8, 2, number=8))
+    else:
+        h = _edge_chain(10)
+        if case == "edge_complex":
+            h = _gauged(h, 5)[1]
+    dim = h.shape[0]
+    evals, evecs = sparse_linalg.eigsh(h, k=2, which="SA", v0=np.full(dim, dim ** -0.5),
+                                       tol=1e-12)
+    gs = ground_state(h)
+    assert gs.energy == pytest.approx(evals[0], rel=1e-12)
+    assert gs.gap == pytest.approx(evals[1] - evals[0], rel=1e-10)
+    assert abs(np.vdot(evecs[:, 0], gs.vector)) == pytest.approx(1.0, abs=1e-10)
+    assert np.linalg.norm(h @ gs.vector - gs.energy * gs.vector) <= 1e-8 * abs(gs.energy)
+
+
+def test_ground_state_breakdown_takes_the_dense_fallback():
+    # no hopping: H is diagonal, the Krylov space of the uniform vector has
+    # one direction per distinct level and the recurrence breaks down.  Nine
+    # bosons on 8 sites (1,016 states) put one double occupancy in each of
+    # 8 degenerate ground states, which dense eigh resolves: gap 0
+    model = bose_hubbard(build_path(8), 0.0, 1.0)
+    h = build_hamiltonian(model, FockBasis(8, 2, number=9))
+    assert h.shape[0] > 600 and h.nnz == np.count_nonzero(h.diagonal())
+    gs = ground_state(h)
+    levels = np.sort(h.diagonal())
+    assert gs.energy == levels[0] and gs.gap == pytest.approx(0.0, abs=1e-12)
+    # above 4,000 states there is no fallback (10 sites, 11 bosons: 8,350)
+    h = build_hamiltonian(bose_hubbard(build_path(10), 0.0, 1.0), FockBasis(10, 2, number=11))
+    assert h.shape[0] > 4000
+    with pytest.raises(dynamics.EvolutionError, match="broke down"):
+        ground_state(h)
+
+
+def test_ground_state_peak_memory_holds_few_vectors():
+    # the benchmark's cluster sector, 12 sites at unit filling and U = 20
+    # (73,789 states): the first pass holds two vectors and T_m (184 steps),
+    # the second three, so the solve traces 3.6 vectors; ARPACK's eigsh
+    # traced 46 (a 20-vector basis and its workspace)
+    basis = FockBasis(12, 2, number=12)
+    h = build_hamiltonian(bose_hubbard(build_path(12), 1.0, 20.0), basis)
+    gs, peak = traced_peak(lambda: ground_state(h))
+    assert peak <= 4 * basis.dim * np.dtype(np.float64).itemsize
+    assert gs.gap == pytest.approx(34.6738766139373, rel=1e-12)    # the benchmark's reference
 
 
 # -- connected correlations ------------------------------------------------------------

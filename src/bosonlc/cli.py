@@ -4,8 +4,8 @@ Subcommands: ``bounds``, ``scan``, ``certify``, ``cluster``, ``selftest``.
 Each reads the typed values that ``config.load_config`` checked against the
 key table ``config.KEYS``; a runner checks only what needs the built graph.
 The output directory (``--out``, else ``output.dir``) is made before the
-subcommand runs, and a run that exits 2 or 3 before writing a file removes
-the levels of it that it made.  Exit codes: 0 success, 2 config error
+subcommand runs, and a run that ends without writing a file removes the
+levels of it that it made.  Exit codes: 0 success, 2 config error
 (``config error: <path>: ...``; bound constants that overflow a float name
 every key they are made from, and an output directory that cannot be made
 or written names ``--out`` or ``output.dir`` and the file), 3 capacity
@@ -234,7 +234,7 @@ def run(config_path: str, overrides: list[str] | None = None,
         made = [level for level in (out, *out.parents) if not level.exists()]
         try:
             out.mkdir(parents=True, exist_ok=True)
-            return RUNNERS[cfg.kind][0](cfg, out, verbose)
+            code = RUNNERS[cfg.kind][0](cfg, out, verbose)
         except OSError as exc:      # making the output directory, or writing into it
             raise ConfigError("--out" if out_dir else "output.dir",
                               f"cannot write {exc.filename or out}: {exc.strerror or exc}") from exc

@@ -44,7 +44,7 @@ from scipy.sparse import _sparsetools
 
 from . import bounds as bounds_mod
 from .fock import DEFAULT_STATE_BUDGET, CapacityError, FockBasis, ModelSpec, build_hamiltonian
-from .lattice import Graph, fatten, set_distance
+from .lattice import Graph, fatten
 from .opspace import (_CHUNK_BYTES, BlockOp, MonomialOp, MuWeights, f_beta_expectation,
                       scatter_block, sector_entries, weighted_norm_sq)
 
@@ -430,7 +430,12 @@ class HeisenbergScanEngine:
 
 
 SERIES_RTOL = 1e-10
+# the order cap: the deepest cell of the shipped scans, r = 6 at t = 0.01 on
+# the 7-site cap-3 chain (a cell past the cone, bound inf), needs 14
 SERIES_MAX_ORDER = 14
+# orders past its first that a probe's Gram spans; no cell of the shipped
+# scans or the benchmark reads more than 8
+SERIES_WINDOW = 8
 CHEBYSHEV_MAX_TERMS = 100_000     # far above any expansion of a shipped config
 _MILLER_MARGIN = 64     # past N, J_{k+1} / J_k < 0.45 (x up to 2e5): J_start / J_N < 1e-22
 _BESSEL_RTOL = 2.0 ** -40   # the J_k of _chebyshev_terms measure within 3e-15 relative to x = 3000
@@ -466,12 +471,13 @@ def _nested_commutators(h_row: sp.csr_matrix, h_col_t: sp.csc_matrix, scatter, d
     return seq, norms_sq
 
 
-def _add_target_gram(gram: np.ndarray, skip: int, weight: float, shape: tuple[int, int],
+def _add_target_gram(gram: np.ndarray, orders: slice, weight: float, shape: tuple[int, int],
                      right: np.ndarray | None, mb, left: np.ndarray | None, bm) -> None:
     """Add weight * (D_k | D_l) of one target sector block to the Gram matrix.
 
     D_k = M_k B - B M'_k with ``right``/``left`` the stored sequences of M
-    and M' (first ``skip`` orders unused) and ``mb``/``bm`` the probe's
+    and M' (``orders`` the slice of them used; it fills the Gram matrix's
+    trailing rows and columns) and ``mb``/``bm`` the probe's
     index maps (rows, cols, amps) for the two products; either may be None.
     A map is a partial injection, column cols[i] to row rows[i] with amplitude
     amps[i], in row-major order: the order in which rows are summed here.
@@ -492,7 +498,7 @@ def _add_target_gram(gram: np.ndarray, skip: int, weight: float, shape: tuple[in
     if mb is None and bm is None:
         return
     seq = right if mb is not None else left
-    terms = seq.shape[0] - skip
+    terms = seq[orders].shape[0]
     n_rows, n_cols = shape
     block = gram[-terms:, -terms:]
 
@@ -514,7 +520,7 @@ def _add_target_gram(gram: np.ndarray, skip: int, weight: float, shape: tuple[in
         if bm is not None:
             outside[bm[0]] = False
         for rows in chunks(np.flatnonzero(outside), width):
-            piece = np.take(right[skip:], rows, axis=1)
+            piece = np.take(right[orders], rows, axis=1)
             piece *= scale
             add(piece)
     if bm is None:
@@ -526,9 +532,9 @@ def _add_target_gram(gram: np.ndarray, skip: int, weight: float, shape: tuple[in
         x_of[q] = m_rows
         col_scale = np.zeros(n_cols, dtype=amps.dtype)
         col_scale[q] = amps
-        flat_right = right[skip:].reshape(terms, -1)
+        flat_right = right[orders].reshape(terms, -1)
     for sel in chunks(np.arange(u.size), n_cols):
-        piece = np.take(left[skip:], src[sel], axis=1)
+        piece = np.take(left[orders], src[sel], axis=1)
         piece *= amps_b[sel][:, None]
         if mb is not None:
             mb_part = np.take(flat_right, (u[sel][:, None] * width + x_of).ravel(), axis=1)
@@ -538,16 +544,16 @@ def _add_target_gram(gram: np.ndarray, skip: int, weight: float, shape: tuple[in
         add(piece)
 
 
-def _add_commutator_grams(grams: dict[int, np.ndarray], skips: dict[int, int], maps: dict,
+def _add_commutator_grams(grams: dict[int, np.ndarray], orders: dict[int, slice], maps: dict,
                           pairs, sequence, gamma_b: int, w: MuWeights) -> None:
     """Add (D_k | D_l)_w of D_k = [M_k, B_r] to ``grams[r]`` for every r in ``maps``.
 
     ``sequence(pair)`` gives M_k, k stacked, on each sector pair (n_row,
     n_col) of ``pairs``; every pair must change the number by one gamma_a
-    (ValueError otherwise), and B_r changes it by gamma_b.  grams[r] skips
-    its first ``skips[r]`` orders.  The target block with column j takes M_k
-    on column j + gamma_b (then B) and on column j (after B), through the
-    probe's index maps.  Sequences are made in increasing column order and
+    (ValueError otherwise), and B_r changes it by gamma_b.  grams[r] reads
+    the slice ``orders[r]`` of each sequence.  The target block with column
+    j takes M_k on column j + gamma_b (then B) and on column j (after B),
+    through the probe's index maps.  Sequences are made in increasing column order and
     dropped once no later target needs them, so at most |gamma_b| + 1 are live.
     """
     gammas = {n_row - n_col for n_row, n_col in pairs}
@@ -571,7 +577,7 @@ def _add_commutator_grams(grams: dict[int, np.ndarray], skips: dict[int, int], m
             for r, probe_map in maps.items():
                 mb = probe_map.get((j + gamma_b, j)) if right is not None else None
                 bm = probe_map.get((i, j + gamma_a)) if left is not None else None
-                _add_target_gram(grams[r], skips[r], w.pair_weight(i, j),
+                _add_target_gram(grams[r], orders[r], w.pair_weight(i, j),
                                  (sizes[i], sizes[j]), right, mb, left, bm)
         right = left = None
         for n_col in [n for n in live if n < j + 1 + min(0, gamma_b)]:
@@ -582,17 +588,18 @@ def _add_commutator_grams(grams: dict[int, np.ndarray], skips: dict[int, int], m
 class CommutatorSeries:
     """Gram matrices of D_k = [ad_H^k(A), B_r] for every probe placement.
 
-    ``grams[r][k, l] = (D_k | D_l)_w`` for k, l = 0..order, zero where k or
-    l is below ``first[r]`` (there D_k vanishes because the support of
-    ad_H^k(A) does not reach the probe).  ``m_norms[k] = ||ad_H^k(A)||_w``.
-    ``spread`` bounds the spectral spread of H between any two sectors A
-    connects (Gershgorin), hence ||ad_H||; ``probe_factor`` is
-    2 cosh(mu gamma_B / 4) ||B||, which bounds ||[M, B]||_w / ||M||_w.
+    ``grams[r][k, l] = (D_k | D_l)_w`` for k, l = 0..top[r], zero where k
+    or l is below ``first[r]`` (there D_k vanishes because the support of
+    ad_H^k(A) does not reach the probe).  ``m_norms[k] = ||ad_H^k(A)||_w``
+    up to the largest top.  ``spread`` bounds the spectral spread of H
+    between any two sectors A connects (Gershgorin), hence ||ad_H||;
+    ``probe_factor`` is 2 cosh(mu gamma_B / 4) ||B||, which bounds
+    ||[M, B]||_w / ||M||_w.
     """
 
-    order: int
     grams: dict[int, np.ndarray]
     first: dict[int, int]
+    top: dict[int, int]
     m_norms: np.ndarray
     spread: float
     probe_factor: float
@@ -606,17 +613,17 @@ class CommutatorSeries:
         terms, ||sum_{k>K} c_k D_k||_w <= probe_factor ||M_K||_w
         sum_{j>=1} |t|^(K+j) spread^j / (K+j)!, entering the squared norm as
         2 sqrt(value) e + e^2, plus the rounding of the quadratic form.
-        None when no order up to ``order`` meets the tolerance.
+        None when no order up to ``top[r]`` meets the tolerance.
         """
-        gram, k0 = self.grams[r], self.first[r]
+        gram, k0, top = self.grams[r], self.first[r], self.top[r]
         if t == 0.0:
             return float(gram[0, 0].real), 0.0, k0
         x = abs(t) * self.spread
-        if x >= self.order + 2:     # no order converges; the powers of t might overflow
+        if x >= top + 2:     # no order converges; the powers of t might overflow
             return None
-        ks = np.arange(self.order + 1)
+        ks = np.arange(top + 1)
         coef = np.array([(1j * t) ** k / math.factorial(k) for k in ks])
-        for order in range(k0, self.order + 1):
+        for order in range(k0, top + 1):
             if x >= order + 2:
                 continue
             c = coef[: order + 1]
@@ -633,17 +640,19 @@ class CommutatorSeries:
 
 
 def commutator_series(engine: HeisenbergScanEngine, maps: dict[int, dict],
-                      first: dict[int, int], w: MuWeights) -> CommutatorSeries:
+                      first: dict[int, int], w: MuWeights,
+                      window: int = SERIES_WINDOW) -> CommutatorSeries:
     """Stream the nested commutators of the engine's A through every probe's Gram matrix.
 
     H's sector blocks and A's entries come from ``engine``, ``maps[r]`` is
-    ``sector_entries`` of the probe B_r at separation r.  Orders run up to
-    SERIES_MAX_ORDER: enough for every in-cone cell of the 6- and 7-site
-    cap-3 chains (the deepest, r = 6 at t = 0.01, needs 14).  A pair's M_k =
-    ad_H^k(A) is made when ``_add_commutator_grams`` first needs it; A's
-    dense block on that pair is scattered then, into a slot of the sequence.
+    ``sector_entries`` of the probe B_r at separation r.  Probe r's Gram
+    spans the orders first[r] .. top[r] = min(first[r] + window,
+    SERIES_MAX_ORDER), and the recursion runs to the largest top[r]: the
+    orders below a probe's first vanish, those past its top are not built.
+    A pair's M_k = ad_H^k(A) is made when ``_add_commutator_grams`` first
+    needs it; A's dense block on that pair is scattered then, into a slot
+    of the sequence.
     """
-    order = SERIES_MAX_ORDER
     h_blocks, lo, hi, h_t = engine.hamiltonian()
     # B's number change, read off its sector pairs (any value if B = 0 here)
     gamma_b = next((n_row - n_col for m in maps.values() for n_row, n_col in m), 0)
@@ -656,9 +665,12 @@ def commutator_series(engine: HeisenbergScanEngine, maps: dict[int, dict],
                   for _, _, amps in m.values() if amps.size), default=0.0)
     probe_factor = 2.0 * math.cosh(w.mu * gamma_b / 4.0) * b_norm
 
-    grams = {r: np.zeros((order + 1, order + 1), dtype=dtype) for r in maps}
-    m_norms_sq = np.zeros(order + 1)
+    top = {r: min(first[r] + window, SERIES_MAX_ORDER) for r in maps}
+    reached = {r: m for r, m in maps.items() if first[r] <= SERIES_MAX_ORDER}
+    order = max((top[r] for r in reached), default=0)
     lowest = min(min(first.values()), order)
+    grams = {r: np.zeros((top[r] + 1, top[r] + 1), dtype=dtype) for r in maps}
+    m_norms_sq = np.zeros(order + 1)
 
     def sequence(pair: tuple[int, int]) -> np.ndarray:
         seq, norms_sq = _nested_commutators(
@@ -667,12 +679,10 @@ def commutator_series(engine: HeisenbergScanEngine, maps: dict[int, dict],
         m_norms_sq[:] += w.pair_weight(*pair) * norms_sq
         return seq
 
-    _add_commutator_grams(grams, {r: first[r] - lowest for r in maps},
-                          {r: m for r, m in maps.items() if first[r] <= order},
-                          engine.entries, sequence, gamma_b, w)
-    return CommutatorSeries(order=order, grams=grams, first=first,
-                            m_norms=np.sqrt(m_norms_sq), spread=spread,
-                            probe_factor=probe_factor)
+    _add_commutator_grams(grams, {r: slice(first[r] - lowest, top[r] + 1 - lowest) for r in maps},
+                          reached, engine.entries, sequence, gamma_b, w)
+    return CommutatorSeries(grams=grams, first=first, top=top, m_norms=np.sqrt(m_norms_sq),
+                            spread=spread, probe_factor=probe_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -728,10 +738,13 @@ class ScanResult:
 
 
 def probe_sites(graph: Graph, support) -> dict[int, int]:
-    """Smallest-id vertex at each finite graph distance r from ``support``."""
+    """Smallest-id vertex at each finite graph distance r from ``support``.
+
+    One BFS from each vertex of the support, so time and memory grow with
+    the graph's size times the support's.
+    """
     sites: dict[int, int] = {}
-    for v in graph.vertices():
-        d = set_distance(graph, v, support)
+    for v, d in enumerate(map(min, zip(*(graph.distances_from(x) for x in support)))):
         if math.isfinite(d):
             sites.setdefault(int(d), v)
     return sites
@@ -750,8 +763,12 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
     One ``HeisenbergScanEngine`` gives both routes A's sector entries and
     H's sector blocks; A's blocks at t = 0 give the seeds and the norm.  A
     cell comes from the nested-commutator series (``commutator_series``)
-    when some order up to SERIES_MAX_ORDER meets its remainder tolerance.
-    The others (large t) take the dense route: the Gram kernel reads A(t) as
+    when some order in its probe's window, SERIES_WINDOW orders past the
+    first, meets its remainder tolerance.  If a cell finds none there while
+    |t| spread < SERIES_MAX_ORDER + 2 and its window stops below the cap,
+    the series is computed again with every window reaching
+    SERIES_MAX_ORDER, and every cell is read from that pass.  The others
+    (large t) take the dense route: the Gram kernel reads A(t) as
     one-order sequences, the engine evolving each block when the kernel
     first needs it, so the cell is its single Gram entry.
     """
@@ -801,14 +818,23 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
         return ScanCell(r=r, t=t, exact=exact, bound_ensemble=bound,
                         bound_matrix_element=bound_me, ratio=ratio, tail_estimate=tail)
 
+    # a cell that finds no order in its window, though one up to the cap
+    # might converge, has every cell read again from windows reaching the cap
+    got: dict[tuple[int, float], tuple | None] = {}
+    for window in (SERIES_WINDOW, SERIES_MAX_ORDER) if maps else ():
+        series = commutator_series(engine, maps, first, w, window)
+        got = {(r, t): series.cell(r, t) for r, t in sorted(set(cells))}
+        if not any(cell is None and series.top[r] < SERIES_MAX_ORDER
+                   and abs(t) * series.spread < SERIES_MAX_ORDER + 2
+                   for (r, t), cell in got.items()):
+            break
+
     out_cells: dict[tuple[int, float], ScanCell] = {}
     orders, worst = [], 0.0
-    series = commutator_series(engine, maps, first, w) if maps else None
-    for r, t in sorted(set(cells)):
-        got = series.cell(r, t)
-        if got is None:
+    for (r, t), cell in got.items():
+        if cell is None:
             continue
-        value, remainder, order = got
+        value, remainder, order = cell
         orders.append(order)
         if value > 0.0:
             worst = max(worst, float(remainder / value))
@@ -821,9 +847,9 @@ def lightcone_scan(model: ModelSpec, op: MonomialOp, probe: MonomialOp, mu: floa
     times = sorted(by_time)
     for t in times:
         grams = {r: np.zeros((1, 1), np.complex128) for r in by_time[t]}
-        _add_commutator_grams(grams, dict.fromkeys(grams, 0), {r: maps[r] for r in grams},
-                              engine.entries, lambda pair: engine.evolved_block(pair, t)[None],
-                              gamma, w)
+        _add_commutator_grams(grams, dict.fromkeys(grams, slice(None)),
+                              {r: maps[r] for r in grams}, engine.entries,
+                              lambda pair: engine.evolved_block(pair, t)[None], gamma, w)
         for r in by_time[t]:
             out_cells[(r, t)] = make_cell(r, t, float(grams[r][0, 0].real))
     ordered = [out_cells[(r, t)] for (r, t) in sorted(out_cells)]

@@ -30,14 +30,18 @@ DEFAULT_STATE_BUDGET = 5_000_000
 class CapacityError(MemoryError):
     """A basis would exceed the state budget, or an expansion its term budget.
 
-    ``needs`` words the request; it is formatted with ``requested``.
+    ``needs`` words the request; it is formatted with ``requested``, or
+    with "more than 10^k" for an integer count of 2^60 (about 10^18) or
+    more: Python refuses str() of an integer above 4,300 digits.
     """
 
     def __init__(self, requested: int, budget: int, hint: str = "",
                  needs: str = "basis would hold {} states"):
         self.requested = requested
         self.budget = budget
-        msg = f"{needs.format(requested)}, budget is {budget}"
+        bits = requested.bit_length() if isinstance(requested, int) else 0
+        count = f"more than 10^{int((bits - 1) * math.log10(2))}" if bits > 60 else requested
+        msg = f"{needs.format(count)}, budget is {budget}"
         if hint:
             msg += f" ({hint})"
         super().__init__(msg)

@@ -265,6 +265,28 @@ def test_failed_run_removes_the_output_levels_it_made(tmp_path, capsys, override
     assert not (tmp_path / "made").exists() and tmp_path.is_dir()
 
 
+def test_refused_cluster_removes_the_output_levels_it_made(tmp_path, capsys):
+    # exit 4 before any file is written leaves no empty output directory
+    target = tmp_path / "made" / "out"
+    argv = ["cluster", str(ROOT / "configs" / "cluster_mott8.yaml"), "--out", str(target),
+            "--set", "experiment.gap_threshold=100"]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith("refusing to certify: in-sector gap")
+    assert not (tmp_path / "made").exists() and tmp_path.is_dir()
+
+
+def test_scan_of_a_huge_chain_exits_capacity_in_one_line(tmp_path, capsys):
+    # 4^20001 states: the probe sites come from one BFS per support vertex,
+    # and the count, too long for str(), is worded by its power of ten
+    argv = ["scan", str(ROOT / "configs" / "scan_chain7.yaml"), "--out", str(tmp_path / "out"),
+            "--set", "model.graph.length=20001"]
+    assert _main_within(20.0, argv) == 3
+    assert capsys.readouterr().err == ("capacity error: basis would hold more than 10^12041 "
+                                       "states, budget is 5000000 (20001 sites, cap 3, "
+                                       "total None)\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_missing_file(tmp_path):
     assert main(["scan", str(tmp_path / "nope.yaml")]) == 2
 

@@ -20,7 +20,7 @@ from bosonlc.dynamics import (HeisenbergScanEngine, connected_correlation, evolv
                               ground_state, lightcone_scan, single_particle_propagator)
 from bosonlc.fock import (CapacityError, FockBasis, Interaction, ModelSpec, PiecewiseConstant,
                           bose_hubbard, build_hamiltonian, total_number_op)
-from bosonlc.lattice import build_cubic, build_path
+from bosonlc.lattice import Graph, build_cubic, build_path, build_regular_tree
 from bosonlc.opspace import (BlockOp, MonomialOp, MuWeights, commutator_weighted_norm, f_beta_expectation, sector_entries,
                              weighted_norm_sq)
 from conftest import dense_f_beta, random_operator, sector_blocks, traced_peak
@@ -823,12 +823,14 @@ def test_engine_peak_memory_holds_one_initial_block():
 
 def test_lightcone_scan_peak_memory_holds_no_dense_operator():
     # the benchmark's scan (6-site cap-3 chain, 20 cells, all from the
-    # series): two live sequences of 13 stored orders and a _CHUNK_BYTES
-    # panel, 27.0 blocks of 546 x 580 doubles in all; the orders below the
-    # lowest first order sit in the sequence's last two slots.  A spare
-    # block for them made it 27.6, two transposed buffers in place of the
-    # panel 29.4, a dense copy of b_0 kept through the series 34.7, and a
-    # block of b_0 scattered beside the sequence 30.6
+    # series): the recursion stops at order 13, where the farthest probe's
+    # window (r = 5, orders 5..13) ends, so two live sequences of 12 stored
+    # orders and a _CHUNK_BYTES panel, 25.0 blocks of 546 x 580 doubles in
+    # all; the orders below the lowest first order sit in the sequence's
+    # last two slots.  Sequences through the cap (13 orders) made it 27.0,
+    # a spare block for the low orders 27.6, two transposed buffers in
+    # place of the panel 29.4, a dense copy of b_0 kept through the series
+    # 34.7, and a block of b_0 scattered beside the sequence 30.6
     model = bose_hubbard(build_path(6), 1.0, 1.0)
     basis = FockBasis(6, 3)
     v = velocity_bound(1.0, 2, 0, 1)
@@ -838,7 +840,7 @@ def test_lightcone_scan_peak_memory_holds_no_dense_operator():
         model, MonomialOp.from_dicts(zeta={0: 1}), MonomialOp.from_dicts(eta={0: 1}), 1.0,
         cells, basis))
     assert len(res.cells) == 20 and res.metadata["series"]["dense_cells"] == []
-    assert peak <= 27.5 * 8 * 546 * 580
+    assert peak <= 25.5 * 8 * 546 * 580
 
 
 def test_f_beta_peak_memory_holds_no_block_sized_sums():
@@ -996,7 +998,8 @@ def _dense_cell(engine, basis, w, r, t):
     gram = {r: np.zeros((1, 1), complex)}
     probe = MonomialOp.from_dicts(eta={r: 1})
     maps = {r: sector_entries(probe.to_matrix(basis), basis)}
-    dynamics._add_commutator_grams(gram, {r: 0}, maps, seqs, seqs.__getitem__, probe.gamma, w)
+    dynamics._add_commutator_grams(gram, {r: slice(None)}, maps, seqs, seqs.__getitem__,
+                                   probe.gamma, w)
     return float(gram[r][0, 0].real)
 
 
@@ -1079,6 +1082,88 @@ def test_large_time_cell_takes_dense_route_bit_for_bit():
     assert got[0.5] == dense
 
 
+def _scan_with_series_passes(monkeypatch, tmp_path, name: str, overrides: list[str]):
+    """scan.json of the golden 5-site scan, the number of series passes,
+    and each series cell's order (None: dense) as the last pass read it."""
+    passes, orders = [], {}
+    series, cell = dynamics.commutator_series, dynamics.CommutatorSeries.cell
+
+    def counted(*args):
+        passes.append(args[-1])     # the window
+        return series(*args)
+
+    def read(self, r, t):
+        got = cell(self, r, t)
+        orders[(r, t)] = None if got is None else got[2]
+        return got
+
+    monkeypatch.setattr(dynamics, "commutator_series", counted)
+    monkeypatch.setattr(dynamics.CommutatorSeries, "cell", read)
+    argv = ["scan", str(Path(__file__).parent / "golden" / "scan_5site.yaml"),
+            "--out", str(tmp_path / name)]
+    assert main(argv + [arg for o in overrides for arg in ("--set", o)]) == 0
+    return json.loads((tmp_path / name / "scan.json").read_text()), passes, orders
+
+
+def test_series_window_retries_cells_past_it(monkeypatch, tmp_path):
+    # at t = 0.03 and 0.06 the cells need more orders past their first than
+    # the window spans, but converge by the cap: r = 1 at t = 0.03 needs
+    # order 10, r = 2 at t = 0.06 needs 14.  The scan computes the series
+    # again with every window at the cap and reads every cell from that
+    # pass, so it gives what windows reaching the cap give from the start
+    overrides = ["experiment.cone_fractions=[0.95]", "experiment.extra_times=[0.03, 0.06]"]
+    windowed, passes, orders = _scan_with_series_passes(monkeypatch, tmp_path, "w", overrides)
+    assert passes == [dynamics.SERIES_WINDOW, dynamics.SERIES_MAX_ORDER]
+    assert orders[(1, 0.03)] == 10 and orders[(2, 0.06)] == 14
+    monkeypatch.setattr(dynamics, "SERIES_WINDOW", dynamics.SERIES_MAX_ORDER)
+    full, full_passes, full_orders = _scan_with_series_passes(
+        monkeypatch, tmp_path, "full", overrides)
+    assert full_passes == [dynamics.SERIES_MAX_ORDER]
+    assert orders == full_orders
+    assert windowed["metadata"]["series"] == full["metadata"]["series"]
+    assert windowed["metadata"]["series"]["dense_cells"] == [[3, 0.06], [4, 0.06]]
+    assert windowed["cells"] == full["cells"]
+
+
+def test_series_window_needs_no_retry_on_the_golden_scan(monkeypatch, tmp_path):
+    # no cell of the golden 5-site scan reads past its window; its t = 0.5
+    # cells (|t| spread 20.6 >= SERIES_MAX_ORDER + 2) go to the dense route
+    # without a second series pass
+    got, passes, orders = _scan_with_series_passes(monkeypatch, tmp_path, "golden", [])
+    assert passes == [dynamics.SERIES_WINDOW]
+    assert {o - r for (r, _), o in orders.items() if o is not None} <= set(range(9))
+    assert got["metadata"]["series"]["dense_cells"] == [[r, 0.5] for r in (1, 2, 3, 4)]
+
+
+def _probe_sites_by_vertex(graph, support):
+    """probe_sites as a distance from every vertex: one BFS each."""
+    sites = {}
+    for v in graph.vertices():
+        d = min(graph.distances_from(v)[x] for x in support)
+        if math.isfinite(d):
+            sites.setdefault(int(d), v)
+    return sites
+
+
+@pytest.mark.parametrize("graph, support", [
+    (lambda: build_path(9), [0]), (lambda: build_path(9), [3, 4, 7]),
+    (lambda: build_cubic([3, 4]), [5]), (lambda: build_cubic([3, 3, 2]), [0, 17]),
+    (lambda: build_regular_tree(3, 3), [0]), (lambda: build_regular_tree(3, 3), [4, 9]),
+], ids=["path", "path_three", "cubic", "cubic_two", "tree_root", "tree_leaves"])
+def test_probe_sites_runs_one_bfs_per_support_vertex(monkeypatch, graph, support):
+    sources = []
+    distances_from = Graph.distances_from
+
+    def counted(self, source):
+        sources.append(source)
+        return distances_from(self, source)
+
+    monkeypatch.setattr(Graph, "distances_from", counted)
+    sites = dynamics.probe_sites(graph(), support)
+    assert sorted(sources) == sorted(support)
+    assert sites == _probe_sites_by_vertex(graph(), support)
+
+
 def _injection(rng, n_from, n_to, size, dtype):
     """A random partial injection: column cols[i] -> row rows[i], amplitude amps[i]."""
     cols = rng.choice(n_from, size=size, replace=False)
@@ -1103,7 +1188,9 @@ def _injection_matrix(shape, injection):
 def test_add_target_gram_matches_explicit_commutators(rng, monkeypatch, dtype, case, skip,
                                                       chunk_bytes):
     """The region-wise Gram equals the Gram of explicitly formed
-    D_k = M_k B - B M'_k, at every chunking (one row per chunk at 1 byte)."""
+    D_k = M_k B - B M'_k, at every chunking (one row per chunk at 1 byte),
+    over the stored orders from ``skip`` on, or over a window of them that
+    ends one order before the sequence does."""
     monkeypatch.setattr(dynamics, "_CHUNK_BYTES", chunk_bytes)
     n_terms, n_rows, n_cols, n_right, n_left = 6, 9, 11, 8, 12
 
@@ -1116,24 +1203,25 @@ def test_add_target_gram_matches_explicit_commutators(rng, monkeypatch, dtype, c
     mb = _injection(rng, n_cols, n_right, 7, dtype) if case != "bm_only" else None
     image = {"mb_only": None, "bm_only": 5, "both": 5, "empty_image": 0, "full_image": n_rows}
     bm = _injection(rng, n_left, n_rows, image[case], dtype) if image[case] is not None else None
-    d = np.zeros((n_terms - skip, n_rows, n_cols), dtype=dtype)
-    if mb:
-        d += right[skip:] @ _injection_matrix((n_right, n_cols), mb)
-    if bm:
-        d -= _injection_matrix((n_rows, n_left), bm) @ left[skip:]
-    flat = d.reshape(n_terms - skip, -1)
     weight = 0.37
-    want = weight * (flat.conj() @ flat.T)
     # one order below the stored ones, as when a sequence starts at order 1
     start = rng.normal(size=(n_terms + 1, n_terms + 1)).astype(dtype)
-    got = start.copy()
-    dynamics._add_target_gram(got, skip, weight, (n_rows, n_cols), right if mb else None, mb,
-                              left if bm else None, bm)
-    added = got[1 + skip:, 1 + skip:] - start[1 + skip:, 1 + skip:]
-    assert np.abs(added - want).max() <= 1e-13 * np.abs(want).max()
-    untouched = np.ones(got.shape, dtype=bool)
-    untouched[1 + skip:, 1 + skip:] = False
-    assert np.array_equal(got[untouched], start[untouched])
+    for stop in (n_terms, n_terms - 1):
+        d = np.zeros((stop - skip, n_rows, n_cols), dtype=dtype)
+        if mb:
+            d += right[skip:stop] @ _injection_matrix((n_right, n_cols), mb)
+        if bm:
+            d -= _injection_matrix((n_rows, n_left), bm) @ left[skip:stop]
+        flat = d.reshape(stop - skip, -1)
+        want = weight * (flat.conj() @ flat.T)
+        got = start[:stop + 1, :stop + 1].copy()
+        dynamics._add_target_gram(got, slice(skip, stop), weight, (n_rows, n_cols),
+                                  right if mb else None, mb, left if bm else None, bm)
+        added = got[1 + skip:, 1 + skip:] - start[1 + skip:stop + 1, 1 + skip:stop + 1]
+        assert np.abs(added - want).max() <= 1e-13 * np.abs(want).max()
+        untouched = np.ones(got.shape, dtype=bool)
+        untouched[1 + skip:, 1 + skip:] = False
+        assert np.array_equal(got[untouched], start[:stop + 1, :stop + 1][untouched])
 
 
 def test_chebyshev_route_follows_values_not_dtypes(rng):

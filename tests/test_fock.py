@@ -129,6 +129,18 @@ def test_capacity_error():
     assert err.value.requested == 21 ** 10
 
 
+@pytest.mark.parametrize("sites, words", [(29, "288230376151711744"), (30, "more than 10^18"),
+                                          (8000, "more than 10^4816")])
+def test_capacity_error_words_a_huge_count_by_its_power_of_ten(sites, words):
+    # 4^8000 has 4,817 digits, past the 4,300 that str() of an int allows:
+    # from 2^60 on the message gives the power of ten, the error the count
+    with pytest.raises(CapacityError) as err:
+        FockBasis(sites, 3)
+    assert err.value.requested == 4 ** sites
+    assert str(err.value) == (f"basis would hold {words} states, budget is 5000000 "
+                              f"({sites} sites, cap 3, total None)")
+
+
 # -- ladder operators ---------------------------------------------------------
 
 def test_annihilate_vacuum_zero_column():

@@ -14,12 +14,13 @@ actually used.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import worst_case_velocities
 from .dynamics import evolve_state
-from .fock import CapacityError, FockBasis, ModelSpec, count_states
+from .fock import DEFAULT_STATE_BUDGET, CapacityError, FockBasis, ModelSpec, count_states
 from .lattice import build_path
 from .opspace import MU_FLOOR, MonomialOp
 
@@ -183,11 +184,6 @@ class CertifiedValue:
         finite = math.isfinite(self.restriction_error) and math.isfinite(self.cutoff_error)
         return "informative" if finite and self.radius >= self.formula_radius else "vacuous"
 
-    def to_dict(self) -> dict:
-        out = asdict(self)   # the assumption becomes a dict too; JSON writes tuples as arrays
-        out.update(value={"re": self.value.real, "im": self.value.imag}, status=self.status)
-        return out
-
 
 def chain_center(model: ModelSpec) -> int:
     length = model.graph.num_vertices
@@ -233,7 +229,7 @@ def certified_expectation(model: ModelSpec, occupations, observable: MonomialOp,
                           per_site_cap: int | None = None,
                           total_cap: int | None = None,
                           c3: float = 1.0, c4: float = 1.0, eps: float = 0.1,
-                          state_budget: int = 5_000_000) -> CertifiedValue:
+                          state_budget: int = DEFAULT_STATE_BUDGET) -> CertifiedValue:
     """Expectation of a local observable at the chain center, with error budget.
 
     ``occupations`` is the initial number eigenstate over the full chain;
@@ -241,8 +237,6 @@ def certified_expectation(model: ModelSpec, occupations, observable: MonomialOp,
     center.  The window radius and caps default to the closed forms; explicit
     overrides are recorded in the certificate.
     """
-    from .bounds import worst_case_velocities
-
     ell = model.interaction_range
     center = chain_center(model)
     occ = list(occupations)

@@ -25,13 +25,14 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import certify as certify_mod
 from . import cluster as cluster_mod
 from .config import ConfigError, ExperimentConfig, load_config
-from .dynamics import lightcone_scan, probe_sites
+from .dynamics import ScanCell, lightcone_scan, probe_sites
 from .fock import CapacityError, FockBasis
 from .lattice import is_path
 from .opspace import MonomialOp
@@ -52,16 +53,21 @@ def _write(path: Path, text: str, verbose: bool) -> None:
         print(f"wrote {path}")
 
 
-def _write_table(cfg: ExperimentConfig, out: Path, stem: str, result, provenance: dict,
+def _write_table(cfg: ExperimentConfig, out: Path, stem: str, result, row_type, rows,
                  verbose: bool) -> None:
-    """``stem``.csv and ``stem``.json, each only if ``output.formats`` lists it."""
+    """``stem``.csv and ``stem``.json, each only if ``output.formats`` lists it:
+    a CSV column per field of ``row_type`` (``rows`` may be empty), each named
+    with its provenance in the header, and ``result`` as JSON with the config."""
     if "csv" in cfg.formats:
+        columns = fields(row_type)
         header = {"resolved_config": cfg.raw, "constants": cfg.constants,
-                  "provenance": provenance}
+                  "provenance": {f.name: f.metadata["provenance"] for f in columns}}
         lines = ["# " + line for line in _json_dump(header).splitlines()]
-        _write(out / f"{stem}.csv", "\n".join(lines) + "\n" + result.to_csv(), verbose)
+        lines.append(",".join(f.name for f in columns))
+        lines.extend(",".join(str(getattr(row, f.name)) for f in columns) for row in rows)
+        _write(out / f"{stem}.csv", "\n".join(lines) + "\n", verbose)
     if "json" in cfg.formats:
-        payload = {**result.to_dict(), "resolved_config": cfg.raw,
+        payload = {**asdict(result), "resolved_config": cfg.raw,
                    "constants_ledger": cfg.constants}
         _write(out / f"{stem}.json", _json_dump(payload), verbose)
 
@@ -125,13 +131,7 @@ def _run_scan(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
             cells.extend((r, t) for t in exp["extra_times"] for r in r_values)
         result = lightcone_scan(cfg.model, op, probe, cfg.mu, cells, basis,
                                 eps=cfg.constants["epsilon"], c1=cfg.constants["C1"])
-    provenance = {"r": "config:experiment.r_values", "t": "config:experiment grid",
-                  "exact": "measured:weighted commutator norm on the truncated basis",
-                  "bound_ensemble": "formula:grand-canonical cone bound",
-                  "bound_matrix_element": "formula:worst-case matrix-element cone bound",
-                  "ratio": "derived:exact/bound_ensemble",
-                  "tail_estimate": "formula:documented truncation-tail heuristic"}
-    _write_table(cfg, out, "scan", result, provenance, verbose)
+    _write_table(cfg, out, "scan", result, ScanCell, result.cells, verbose)
     violations = result.violations()
     if violations:
         print(f"light-cone soundness violated in {len(violations)} cells", file=sys.stderr)
@@ -167,7 +167,8 @@ def _run_certify(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
                 eps=cfg.constants["epsilon"])
     except certify_mod.WindowError as exc:
         raise ConfigError("experiment.observable.site", str(exc)) from exc
-    cert = {**value.to_dict(), "resolved_config": cfg.raw,
+    cert = {**asdict(value), "value": {"re": value.value.real, "im": value.value.imag},
+            "status": value.status, "resolved_config": cfg.raw,
             "constants_ledger": cfg.constants}
     _write(out / "certificate.json", _json_dump(cert), verbose)
     return EXIT_OK
@@ -176,6 +177,8 @@ def _run_certify(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
 def _run_cluster(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
     exp = cfg.experiment
     length = cfg.model.graph.num_vertices
+    if not cfg.model.is_time_independent:
+        raise ConfigError("model", "cluster needs a time-independent model")
     if not is_path(cfg.model.graph):
         raise ConfigError("model.graph", "cluster needs a path graph: the clustering "
                                          "bound and its separations are chain forms")
@@ -193,10 +196,7 @@ def _run_cluster(cfg: ExperimentConfig, out: Path, verbose: bool) -> int:
     except cluster_mod.GaplessError as exc:
         print(f"refusing to certify: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    provenance = {"exact": "measured:connected correlation of the sector ground state",
-                  "bound": "formula:gap-driven exponential clustering bound",
-                  "ratio": "derived:exact/bound"}
-    _write_table(cfg, out, "cluster", report, provenance, verbose)
+    _write_table(cfg, out, "cluster", report, cluster_mod.ClusterRow, report.rows, verbose)
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import worst_case_velocities
-from .dynamics import connected_correlation, ground_state
+from .dynamics import connected_correlation, ground_state, table_column
 from .fock import FockBasis, ModelSpec, build_hamiltonian
 from .lattice import is_path
 from .opspace import MonomialOp, site_monomial_norm_sq
@@ -38,12 +38,12 @@ def clustering_bound(r: int, gap: float, mu: float, theta: float,
 
 @dataclass
 class ClusterRow:
-    observable: str
-    r: int
-    exact: float            # |Cor| with unit-weighted-norm operators
-    bound: float
-    ratio: float
-    minimal_c5: float       # smallest scale making bound >= exact
+    r: int = table_column("config:experiment.r_values")
+    exact: float = table_column("measured:connected correlation of the sector ground state")
+    bound: float = table_column("formula:gap-driven exponential clustering bound")
+    ratio: float = table_column("derived:exact/bound")
+    observable: str = table_column("config:experiment.observables")
+    minimal_c5: float = table_column("derived:smallest C5 with bound >= exact")
 
 
 @dataclass
@@ -54,20 +54,6 @@ class ClusterReport:
     velocity: float
     fit_rate: float         # least-squares slope of log|Cor| vs r (density data)
     metadata: dict
-
-    def to_csv(self) -> str:
-        lines = ["r,exact,bound,ratio,observable"]
-        for row in self.rows:
-            lines.append(",".join([str(row.r), repr(row.exact), repr(row.bound),
-                                   repr(row.ratio), row.observable]))
-        return "\n".join(lines) + "\n"
-
-    def to_dict(self) -> dict:
-        return {
-            "gap": self.gap, "energy": self.energy, "velocity": self.velocity,
-            "fit_rate": self.fit_rate, "metadata": self.metadata,
-            "rows": [vars(r) for r in self.rows],
-        }
 
 
 FAMILIES = {
@@ -92,6 +78,8 @@ def clustering_experiment(model: ModelSpec, r_list, *, per_site_cap: int,
     r <= L/2, which the caller's r_list should respect.
     """
     length = model.graph.num_vertices
+    if not model.is_time_independent:
+        raise ValueError("clustering expects a time-independent model")
     if not is_path(model.graph):
         raise ValueError("clustering needs a path graph: separations are chain offsets")
     n_target = filling * length

@@ -35,7 +35,7 @@ only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -689,15 +689,20 @@ def commutator_series(engine: HeisenbergScanEngine, maps: dict[int, dict],
 # scan results
 
 
+def table_column(provenance: str):
+    """A result-table column: where its value comes from, for the CSV header."""
+    return field(metadata={"provenance": provenance})
+
+
 @dataclass
 class ScanCell:
-    r: int
-    t: float
-    exact: float
-    bound_ensemble: float
-    bound_matrix_element: float
-    ratio: float
-    tail_estimate: float
+    r: int = table_column("config:experiment.r_values")
+    t: float = table_column("config:experiment grid")
+    exact: float = table_column("measured:weighted commutator norm on the truncated basis")
+    bound_ensemble: float = table_column("formula:grand-canonical cone bound")
+    bound_matrix_element: float = table_column("formula:worst-case matrix-element cone bound")
+    ratio: float = table_column("derived:exact/bound_ensemble")
+    tail_estimate: float = table_column("formula:documented truncation-tail heuristic")
 
 
 @dataclass
@@ -724,17 +729,6 @@ class ScanResult:
             if cell.exact + cell.tail_estimate > cell.bound_ensemble:
                 bad.append(cell)
         return bad
-
-    def to_csv(self) -> str:
-        names = [f.name for f in fields(ScanCell)]
-        rows = [names] + [[str(getattr(c, name)) for name in names] for c in self.cells]
-        return "".join(",".join(row) + "\n" for row in rows)
-
-    def to_dict(self) -> dict:
-        return {
-            "metadata": self.metadata,
-            "cells": [vars(c) for c in self.cells],
-        }
 
 
 def probe_sites(graph: Graph, support) -> dict[int, int]:

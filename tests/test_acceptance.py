@@ -7,6 +7,7 @@ runs in seconds.  Run with ``pytest tests/test_acceptance.py -v -s``.
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -80,7 +81,7 @@ def big_scan():
 
 def test_big_scan_matches_golden_scan_chain7(big_scan):
     # the fixture's cells and metadata are those of configs/scan_chain7.yaml
-    got = json.loads(json.dumps(big_scan["result"].to_dict()))
+    got = json.loads(json.dumps(asdict(big_scan["result"])))
     ref = json.loads((GOLDEN / "scan_chain7.json").read_text())
     assert len(ref["cells"]) == 25
     assert_scan_matches(got, ref)

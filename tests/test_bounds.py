@@ -309,3 +309,18 @@ def test_derivation_trace_contents():
     assert "headline_velocity_in_mean_occupancy" in by_name
     assert "reference_velocity_nonrigorous" in by_name
     assert all("provenance" in e for e in trace)
+
+
+@pytest.mark.parametrize("mu", [0.25, 1.0, 3.0, math.inf])
+def test_derivation_trace_formulas_give_their_values(mu):
+    # each entry's formula text, evaluated on its inputs and the values of the
+    # entries before it, gives the value it reports
+    for K in (1, 2, 4):
+        for ell in (0, 1, 2):
+            for beta in (1, 2, 3):
+                before = {}
+                for entry in derivation_trace(mu, K, ell, beta):
+                    got = eval(entry["formula"], {"__builtins__": {}, "exp": math.exp},
+                               {**before, **entry["inputs"]})
+                    assert abs(got - entry["value"]) <= 1e-12 * abs(entry["value"]), entry
+                    before[entry["name"]] = entry["value"]

@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 from bosonlc import cli, selftest
 from bosonlc import config as config_mod
 from bosonlc.cli import _json_dump, main
+from bosonlc.cluster import ClusterRow
 from bosonlc.config import GRAPH_KEYS, KEYS, ConfigError, apply_overrides, load_config
+from bosonlc.dynamics import ScanCell
 
 BASE_CONFIG = """
 model:
@@ -193,6 +196,9 @@ def test_certify_subcommand(config_file, tmp_path):
     cert = json.loads((tmp_path / "out" / "certificate.json").read_text())
     assert cert["radius"] == 2
     assert cert["assumption_status"].startswith("validated")
+    # the formula radius is far above 2: the certificate is written as vacuous
+    assert cert["status"] == "vacuous" and cert["formula_radius"] > 2
+    assert set(cert["value"]) == {"re", "im"}
     assert "constants_ledger" in cert
 
 
@@ -273,6 +279,36 @@ def test_refused_cluster_removes_the_output_levels_it_made(tmp_path, capsys):
     assert main(argv) == 4
     assert capsys.readouterr().err.startswith("refusing to certify: in-sector gap")
     assert not (tmp_path / "made").exists() and tmp_path.is_dir()
+
+
+def test_cluster_of_a_time_dependent_model_is_config_error(tmp_path, capsys):
+    # the ground state of H(0) says nothing about a driven model; scan refuses it too
+    target = tmp_path / "made" / "out"
+    argv = ["cluster", str(ROOT / "configs" / "cluster_mott8.yaml"), "--out", str(target),
+            "--set", "model.hopping={segments: [{until: 0.5, value: 1.0}, {value: 0.2}]}"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        "config error: model: cluster needs a time-independent model\n"
+    assert not (tmp_path / "made").exists()
+
+
+@pytest.mark.parametrize("kind,rows_key", [("scan", "cells"), ("cluster", "rows")])
+def test_csv_reports_what_json_does(config_file, tmp_path, kind, rows_key):
+    # one column list per table: the row type's fields, each with its provenance
+    tweaks = {"model.graph.length": 6, "experiment.r_values": [1, 2, 3],
+              "model.interactions": [{"kind": "onsite", "strength": 15.0}],
+              "experiment.observables": ["density", "annihilation"]}
+    assert main([kind, str(config_file(kind=kind, **(tweaks if kind == "cluster" else {})))]) == 0
+    lines = (tmp_path / "out" / f"{kind}.csv").read_text().splitlines()
+    header = json.loads("\n".join(l[2:] for l in lines if l.startswith("# ")))
+    columns, *table = [l.split(",") for l in lines if not l.startswith("#")]
+    rows = json.loads((tmp_path / "out" / f"{kind}.json").read_text())[rows_key]
+    assert columns == [f.name for f in fields({"scan": ScanCell, "cluster": ClusterRow}[kind])]
+    assert set(header["provenance"]) == set(columns)
+    assert len(table) == len(rows) > 0
+    for line, row in zip(table, rows):
+        assert sorted(row) == sorted(columns)
+        assert line == [str(row[name]) for name in columns]
 
 
 def test_scan_of_a_huge_chain_exits_capacity_in_one_line(tmp_path, capsys):

@@ -1,10 +1,11 @@
 import math
+from dataclasses import asdict, fields
 
 import pytest
 
 from bosonlc.bounds import velocity_bound
-from bosonlc.cluster import GaplessError, clustering_bound, clustering_experiment
-from bosonlc.fock import bose_hubbard
+from bosonlc.cluster import ClusterRow, GaplessError, clustering_bound, clustering_experiment
+from bosonlc.fock import ModelSpec, PiecewiseConstant, bose_hubbard
 from bosonlc.lattice import build_cubic, build_path
 
 
@@ -92,6 +93,16 @@ def test_non_path_graph_rejected():
         clustering_experiment(model, [1, 4], per_site_cap=2, filling=1)
 
 
+def test_time_dependent_model_rejected():
+    # the ground state of H(0) says nothing about a driven model
+    model = bose_hubbard(build_path(6), 1.0, 15.0)
+    driven = ModelSpec(graph=model.graph, interactions=model.interactions,
+                       interaction_range=model.interaction_range,
+                       hopping={e: PiecewiseConstant((0.5,), (1.0, 0.2)) for e in model.hopping})
+    with pytest.raises(ValueError, match="time-independent"):
+        clustering_experiment(driven, [1, 2], per_site_cap=2, filling=1)
+
+
 def test_sector_dim_is_filling_sector():
     model = bose_hubbard(build_path(6), 1.0, 15.0)
     report = clustering_experiment(model, [1], per_site_cap=2, filling=1)
@@ -101,9 +112,10 @@ def test_sector_dim_is_filling_sector():
 def test_report_serialization():
     model = bose_hubbard(build_path(6), 1.0, 15.0)
     report = clustering_experiment(model, [1, 2], per_site_cap=2, filling=1)
-    csv = report.to_csv()
-    assert csv.splitlines()[0] == "r,exact,bound,ratio,observable"
-    d = report.to_dict()
+    # the CSV header is ClusterRow's fields: the old five columns, then minimal_c5
+    assert [f.name for f in fields(ClusterRow)] == \
+        ["r", "exact", "bound", "ratio", "observable", "minimal_c5"]
+    d = asdict(report)
     assert d["gap"] == report.gap
     assert len(d["rows"]) == 2
     assert "note" in d["metadata"]

@@ -17,7 +17,9 @@ energy must agree to 1e-12 relative, its correlations to 1e-12 absolute and
 tolerance.  ``scan_chain7.json`` is the output of ``bosonlc scan
 configs/scan_chain7.yaml``; the acceptance suite's ``big_scan`` fixture
 computes the same 25 cells and checks them by ``assert_scan_matches``, so
-the 7-site scan runs once per suite.
+the 7-site scan runs once per suite.  ``bounds_scan_chain7.json`` is the
+output of ``bosonlc bounds configs/scan_chain7.yaml``, all closed forms, so it
+must match exactly.
 """
 
 import json
@@ -36,8 +38,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 def run_config(name: str, kind: str, out: Path) -> dict:
     assert main([kind, str(ROOT / "configs" / f"{name}.yaml"), "--out", str(out)]) == 0
-    filename = {"certify": "certificate.json", "cluster": "cluster.json",
-                "selftest": "selftest.json"}[kind]
+    filename = {"bounds": "bounds.json", "certify": "certificate.json",
+                "cluster": "cluster.json", "selftest": "selftest.json"}[kind]
     return json.loads((out / filename).read_text())
 
 
@@ -46,9 +48,11 @@ def golden(name: str) -> dict:
 
 
 @pytest.mark.parametrize("name,kind", [("certify_chain11", "certify"),
-                                       ("selftest", "selftest")])
+                                       ("selftest", "selftest"), ("scan_chain7", "bounds")])
 def test_golden_exact(name, kind, tmp_path):
-    assert run_config(name, kind, tmp_path) == golden(name)
+    # scan_chain7.json is the scan's golden; its bounds trace has a file of its own
+    ref = f"bounds_{name}" if kind == "bounds" else name
+    assert run_config(name, kind, tmp_path) == golden(ref)
 
 
 def test_golden_cluster_mott8(tmp_path):
